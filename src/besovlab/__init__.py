@@ -42,10 +42,6 @@ from .spectral import (
     multiply,
 )
 
-# The verification reports in `inequality_lab` and the flow-map comparison
-# report in `lagrangian` both answer to the name RatioReport with different
-# shapes; access them through their modules.
-
 __all__ = [
     "__version__",
     "cli",

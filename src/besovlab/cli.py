@@ -92,7 +92,6 @@ from .spectral import (
     make_grid,
     multiply,
     potential_from_gradient,
-    refine,
 )
 
 __all__ = [
@@ -468,20 +467,11 @@ def _log(outdir: Path, message: str) -> None:
         fh.write(f"{stamp} {message}\n")
 
 
-def _write_extra(outdir: Path, payload: dict) -> None:
-    (outdir / "report.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n",
-        encoding="utf-8",
-    )
-
-
 def _json_default(value):
     if isinstance(value, (np.floating, np.integer)):
         return value.item()
     if isinstance(value, np.ndarray):
         return value.tolist()
-    if isinstance(value, tuple):
-        return list(value)
     return str(value)
 
 
@@ -498,33 +488,9 @@ def _prepare(args, command: str) -> tuple[ExperimentConfig, Path]:
     else:
         config = ExperimentConfig()
     overrides = {
-        name: getattr(args, name)
-        for name in (
-            "n",
-            "L",
-            "p",
-            "q",
-            "s",
-            "r",
-            "viscosity",
-            "mu0",
-            "mu1",
-            "T",
-            "dt",
-            "scheme",
-            "split_m",
-            "snapshot_every",
-            "tolerance",
-            "seed",
-            "trials",
-            "j",
-            "k",
-            "initial",
-            "amplitude_a",
-            "amplitude_u",
-            "k0",
-        )
-        if hasattr(args, name)
+        field.name: getattr(args, field.name)
+        for field in dataclasses.fields(ExperimentConfig)
+        if hasattr(args, field.name)
     }
     try:
         config = config.with_overrides(**overrides)
@@ -537,6 +503,37 @@ def _prepare(args, command: str) -> tuple[ExperimentConfig, Path]:
     return config, outdir
 
 
+@dataclass(frozen=True)
+class _Outcome:
+    """What a verb reports: its CSV (``csv`` is None for simulate), report.json and verdict."""
+
+    csv: str | None
+    rows: list
+    payload: dict
+    passed: bool
+    summary: str
+
+
+def _finish(outdir: Path, outcome: _Outcome) -> int:
+    """Write a verb's report files, log and print its summary line, and return its exit code."""
+    if outcome.csv is not None:
+        _write_report_csv(outdir / outcome.csv, outcome.rows)
+    (outdir / "report.json").write_text(
+        json.dumps(outcome.payload, indent=2, sort_keys=True, default=_json_default) + "\n",
+        encoding="utf-8",
+    )
+    _log(outdir, outcome.summary)
+    print(outcome.summary)
+    return 0 if outcome.passed else 1
+
+
+def _check_outcome(check: str, rows, payload: dict, passed: bool, note: str) -> _Outcome:
+    """Outcome of a pass/fail check: rows go to ``<check>.csv``, the verdict to report.json."""
+    payload = {**payload, "check": check, "passed": passed}
+    summary = f"{check}: {'pass' if passed else 'FAIL'} ({note})"
+    return _Outcome(f"{check}.csv", list(rows), payload, passed, summary)
+
+
 def _report_rows(config: ExperimentConfig, report: RatioReport, js=None):
     cid = config.config_id()
     if js is None:
@@ -544,6 +541,21 @@ def _report_rows(config: ExperimentConfig, report: RatioReport, js=None):
     for idx, ratio in enumerate(report.ratios):
         j = js[idx] if js is not None and idx < len(js) else idx
         yield (cid, config.seed, j, ratio, 1.0, ratio)
+
+
+def _ratio_outcome(
+    config: ExperimentConfig, report: RatioReport, passed: bool, note: str, rows=None
+) -> _Outcome:
+    """Outcome of a RatioReport check; a failed --refine comparison fails it too."""
+    passed = passed and report.refinement_stable is not False
+    rows = _report_rows(config, report) if rows is None else rows
+    return _check_outcome(report.check, rows, report.to_dict(), passed, note)
+
+
+def _refined(args, measure, n: int) -> RatioReport:
+    """``measure(n)``, or under --refine its rerun at 2n marked by the drift between them."""
+    report = measure(n)
+    return mark_refinement(report, measure(2 * n)) if args.refine else report
 
 
 # ---------------------------------------------------------------------------
@@ -573,34 +585,27 @@ def _bounded_coefficient(grid: Grid, config: ExperimentConfig, stream: int, *, f
     return SpectralField.from_physical(grid, vals)
 
 
+def _preset_velocity(grid: Grid, preset: str, amplitude: float) -> VectorField:
+    """The ``taylor_green`` cellular flow or the ``shear`` flow at the given amplitude."""
+    x, y = grid.coords
+    if preset == "taylor_green":
+        return VectorField(
+            SpectralField.from_physical(grid, amplitude * np.cos(x) * np.sin(y)),
+            SpectralField.from_physical(grid, -amplitude * np.sin(x) * np.cos(y)),
+        )
+    return VectorField(
+        SpectralField.from_physical(grid, amplitude * np.sin(y)), SpectralField.zero(grid)
+    )
+
+
 def _initial_data(grid: Grid, config: ExperimentConfig):
-    if config.initial == "rest":
-        a0 = SpectralField.zero(grid)
-        u0 = VectorField.zero(grid)
-        return a0, u0
-    if config.initial == "taylor_green":
-        x, y = grid.coords
-        u0 = VectorField(
-            SpectralField.from_physical(grid, config.amplitude_u * np.cos(x) * np.sin(y)),
-            SpectralField.from_physical(grid, -config.amplitude_u * np.sin(x) * np.cos(y)),
-        )
-        a0 = SpectralField.zero(grid)
-        if config.amplitude_a > 0.0:
-            a0 = _synthetic_scalar(grid, config, 11) * config.amplitude_a
-        return a0, u0
-    if config.initial == "shear":
-        x, y = grid.coords
-        u0 = VectorField(
-            SpectralField.from_physical(grid, config.amplitude_u * np.sin(y)),
-            SpectralField.zero(grid),
-        )
-        a0 = SpectralField.zero(grid)
-        if config.amplitude_a > 0.0:
-            a0 = _synthetic_scalar(grid, config, 11) * config.amplitude_a
-        return a0, u0
     a0 = SpectralField.zero(grid)
+    if config.initial == "rest":
+        return a0, VectorField.zero(grid)
     if config.amplitude_a > 0.0:
         a0 = _synthetic_scalar(grid, config, 11) * config.amplitude_a
+    if config.initial in ("taylor_green", "shear"):
+        return a0, _preset_velocity(grid, config.initial, config.amplitude_u)
     u0 = random_divergence_free(
         grid,
         max(1.0, config.k0 / 2.0),
@@ -611,25 +616,11 @@ def _initial_data(grid: Grid, config: ExperimentConfig):
     return a0, u0
 
 
-def _steady_trajectory(grid: Grid, config: ExperimentConfig, *, samples: int):
-    """Steady divergence-free velocity sampled on a uniform time mesh."""
-    u = random_divergence_free(
-        grid,
-        max(1.0, config.k0 / 2.0),
-        min(2.0 * config.k0, grid.n / 3.0),
-        trial_seed(config.seed, 21),
-        amplitude=config.amplitude_u if config.amplitude_u > 0 else 0.05,
-    )
-    times = np.linspace(0.0, config.T, samples)
-    return [(float(t), u) for t in times]
-
-
 # ---------------------------------------------------------------------------
-# subcommand bodies
+# verb bodies: each maps (config, parsed arguments) to an _Outcome
 # ---------------------------------------------------------------------------
 
-def _cmd_decompose(args) -> int:
-    config, outdir = _prepare(args, "decompose")
+def _decompose(config: ExperimentConfig, args) -> _Outcome:
     grid = config.grid()
     if args.snapshot:
         field = _snapshot_plane(load_snapshot(args.snapshot), args.plane)
@@ -645,20 +636,15 @@ def _cmd_decompose(args) -> int:
         (cid, config.seed, j, value, total, value / total if total > 0 else 0.0)
         for j, value in zip(profile.js, profile.values)
     ]
-    _write_report_csv(outdir / "decompose.csv", rows)
-    _write_extra(
-        outdir,
-        {
-            "check": "decompose",
-            "norm": total,
-            "octaves": profile.js,
-            "block_norms": profile.values,
-            "spec": {"s": config.s, "p": config.p, "r": config.r, "homogeneous": config.homogeneous},
-        },
-    )
-    _log(outdir, f"decompose norm={total:.6e} blocks={len(profile.js)}")
-    print(f"decomposition: {len(profile.js)} octaves, norm {total:.12e}")
-    return 0
+    payload = {
+        "check": "decompose",
+        "norm": total,
+        "octaves": profile.js,
+        "block_norms": profile.values,
+        "spec": {"s": config.s, "p": config.p, "r": config.r, "homogeneous": config.homogeneous},
+    }
+    summary = f"decomposition: {len(profile.js)} octaves, norm {total:.12e}"
+    return _Outcome("decompose.csv", rows, payload, True, summary)
 
 
 def _snapshot_plane(state: StateSnapshot, plane: str) -> SpectralField:
@@ -708,8 +694,7 @@ def _parse_norm_spec(text: str, config: ExperimentConfig) -> BesovSpec:
     return BesovSpec(s, p, r, homogeneous=homogeneous)
 
 
-def _cmd_norm(args) -> int:
-    config, outdir = _prepare(args, "norm")
+def _norm(config: ExperimentConfig, args) -> _Outcome:
     grid = config.grid()
     spec = _parse_norm_spec(args.spec, config) if args.spec else config.besov_spec()
     snapshots = [load_snapshot(path) for path in args.snapshot or []]
@@ -733,31 +718,9 @@ def _cmd_norm(args) -> int:
             field = _synthetic_scalar(grid, config, 1)
         value, _ = besov_norm(field, spec, build_ladder(field.grid))
         label = "norm"
-    cid = config.config_id()
-    _write_report_csv(outdir / "norm.csv", [(cid, config.seed, 0, value, value, 1.0)])
-    _write_extra(outdir, {"check": "norm", "value": value, "spec": args.spec or config.s})
-    _log(outdir, f"norm value={value:.6e}")
-    print(f"{label}: {value:.12e}")
-    return 0
-
-
-def _finish_report(
-    config: ExperimentConfig,
-    outdir: Path,
-    report: RatioReport,
-    *,
-    passed: bool,
-    note: str,
-    js=None,
-) -> int:
-    _write_report_csv(outdir / f"{report.check}.csv", list(_report_rows(config, report, js)))
-    payload = report.to_dict()
-    payload["passed"] = passed
-    _write_extra(outdir, payload)
-    _log(outdir, f"{report.check} passed={passed} {note}")
-    status = "pass" if passed else "FAIL"
-    print(f"{report.check}: {status} ({note})")
-    return 0 if passed else 1
+    rows = [(config.config_id(), config.seed, 0, value, value, 1.0)]
+    payload = {"check": "norm", "value": value, "spec": args.spec or config.s}
+    return _Outcome("norm.csv", rows, payload, True, f"{label}: {value:.12e}")
 
 
 def _octave_fits(j: int, n: int) -> bool:
@@ -771,69 +734,48 @@ def _min_grid_for_octave(j: int) -> int:
     return n
 
 
-def _verify_bernstein(config: ExperimentConfig, outdir: Path, refine_check: bool) -> int:
+def _verify_bernstein(config: ExperimentConfig, args) -> _Outcome:
     octaves = tuple(j for j in (1, 2, 3, 4) if _octave_fits(j, config.n)) or (1,)
-    report = check_bernstein(
-        config.k, config.p, config.q, config.trials,
-        js=octaves, grid_n=config.n, seed=config.seed,
-    )
-    if refine_check:
-        fine = check_bernstein(
+
+    def measure(n: int) -> RatioReport:
+        return check_bernstein(
             config.k, config.p, config.q, config.trials,
-            js=octaves, grid_n=2 * config.n, seed=config.seed,
+            js=octaves, grid_n=n, seed=config.seed,
         )
-        report = mark_refinement(report, fine)
+
+    report = _refined(args, measure, config.n)
     drift = report.extra.get("annulus_drift", 0.0)
     passed = all(math.isfinite(r) and r > 0 for r in report.ratios)
-    if report.refinement_stable is not None:
-        passed = passed and report.refinement_stable
     js = [j for j in octaves for _ in range(config.trials)]
-    return _finish_report(
+    return _ratio_outcome(
         config,
-        outdir,
         report,
-        passed=passed,
-        note=f"max ratio {report.max_ratio:.4e}, annulus drift {drift:.2%}",
-        js=js,
+        passed,
+        f"max ratio {report.max_ratio:.4e}, annulus drift {drift:.2%}",
+        rows=_report_rows(config, report, js),
     )
 
 
-def _verify_heat(config: ExperimentConfig, outdir: Path, refine_check: bool) -> int:
-    grid_n = max(config.n, _min_grid_for_octave(config.j))
-    report = check_heat_decay(
-        config.j, (0.0, 0.005, 0.01, 0.02, 0.04), p=config.p,
-        trials=config.trials, grid_n=grid_n, seed=config.seed,
-    )
-    if refine_check:
-        fine = check_heat_decay(
+def _verify_heat(config: ExperimentConfig, args) -> _Outcome:
+    def measure(n: int) -> RatioReport:
+        return check_heat_decay(
             config.j, (0.0, 0.005, 0.01, 0.02, 0.04), p=config.p,
-            trials=config.trials, grid_n=2 * grid_n, seed=config.seed,
+            trials=config.trials, grid_n=n, seed=config.seed,
         )
-        report = mark_refinement(report, fine)
+
+    report = _refined(args, measure, max(config.n, _min_grid_for_octave(config.j)))
     lo, hi = report.extra["c_window"]
     c_fit = report.extra["c_fit"]
-    passed = all(lo <= c <= hi for c in c_fit)
-    if report.refinement_stable is not None:
-        passed = passed and report.refinement_stable
     cid = config.config_id()
     rows = [
         (cid, config.seed, idx, c, C, c / C if C > 0 else 0.0)
         for idx, (c, C) in enumerate(zip(c_fit, report.ratios))
     ]
-    _write_report_csv(outdir / "heat_decay.csv", rows)
-    payload = report.to_dict()
-    payload["passed"] = passed
-    _write_extra(outdir, payload)
-    _log(outdir, f"heat_decay passed={passed}")
-    status = "pass" if passed else "FAIL"
-    print(
-        f"heat_decay: {status} (decay rates in [{lo:.4f}, {hi:.4f}]:"
-        f" {min(c_fit):.4f}..{max(c_fit):.4f})"
-    )
-    return 0 if passed else 1
+    note = f"decay rates in [{lo:.4f}, {hi:.4f}]: {min(c_fit):.4f}..{max(c_fit):.4f}"
+    return _ratio_outcome(config, report, all(lo <= c <= hi for c in c_fit), note, rows=rows)
 
 
-def _verify_product(config: ExperimentConfig, outdir: Path) -> int:
+def _verify_product(config: ExperimentConfig, args) -> _Outcome:
     grid = config.grid()
     ladder = build_ladder(grid)
     cid = config.config_id()
@@ -853,18 +795,11 @@ def _verify_product(config: ExperimentConfig, outdir: Path) -> int:
         defect = math.sqrt(float(np.mean((recon.values - exact.values) ** 2))) / max(scale, 1e-300)
         worst = max(worst, defect)
         rows.append((cid, config.seed, t, defect, tol, defect / tol))
-    _write_report_csv(outdir / "product_decomposition.csv", rows)
-    passed = worst <= tol
-    _write_extra(
-        outdir,
-        {"check": "product_decomposition", "max_defect": worst, "tolerance": tol, "passed": passed},
-    )
-    _log(outdir, f"product passed={passed} worst={worst:.3e}")
-    print(f"product_decomposition: {'pass' if passed else 'FAIL'} (max defect {worst:.3e})")
-    return 0 if passed else 1
+    payload = {"max_defect": worst, "tolerance": tol}
+    return _check_outcome("product_decomposition", rows, payload, worst <= tol, f"max defect {worst:.3e}")
 
 
-def _verify_commutator(config: ExperimentConfig, outdir: Path) -> int:
+def _verify_commutator(config: ExperimentConfig, args) -> _Outcome:
     if config.p < 2.0:
         raise _UsageError("the integration-by-parts cross-check needs p >= 2")
     grid = config.grid()
@@ -881,62 +816,34 @@ def _verify_commutator(config: ExperimentConfig, outdir: Path) -> int:
         defect = abs(lhs - rhs) / scale
         worst = max(worst, defect)
         rows.append((cid, config.seed, t, lhs, rhs, defect))
-    _write_report_csv(outdir / "commutator_integral.csv", rows)
+    payload = {"max_relative_gap": worst, "tolerance": config.tolerance}
     passed = worst <= config.tolerance
-    _write_extra(
-        outdir,
-        {
-            "check": "commutator_integral",
-            "max_relative_gap": worst,
-            "tolerance": config.tolerance,
-            "passed": passed,
-        },
-    )
-    _log(outdir, f"commutator passed={passed} worst={worst:.3e}")
-    print(f"commutator_integral: {'pass' if passed else 'FAIL'} (max gap {worst:.3e})")
-    return 0 if passed else 1
+    return _check_outcome("commutator_integral", rows, payload, passed, f"max gap {worst:.3e}")
 
 
-def _verify_ij(config: ExperimentConfig, outdir: Path, refine_check: bool) -> int:
-    grid = config.grid()
-    ladder = build_ladder(grid)
-
-    def one_grid(g, lad):
+def _verify_ij(config: ExperimentConfig, args) -> _Outcome:
+    def measure(n: int) -> RatioReport:
+        grid = make_grid(n, config.L)
+        ladder = build_ladder(grid)
         ratios = []
-        js = []
         for t in range(config.trials):
-            a = random_band_field(g, 1.0, 8.0, trial_seed(config.seed, t, 0), mean=0.2)
-            pressure = random_band_field(g, 1.0, 8.0, trial_seed(config.seed, t, 1))
-            rep = check_Ij_bound(a, pressure, config.p, config.q, config.j, ladder=lad)
+            a = random_band_field(grid, 1.0, 8.0, trial_seed(config.seed, t, 0), mean=0.2)
+            pressure = random_band_field(grid, 1.0, 8.0, trial_seed(config.seed, t, 1))
+            rep = check_Ij_bound(a, pressure, config.p, config.q, config.j, ladder=ladder)
             ratios.extend(rep.ratios)
-            js.extend([config.j] * len(rep.ratios))
-        return ratios, js
-
-    ratios, js = one_grid(grid, ladder)
-    report = RatioReport(
-        check="pressure_flux_bound",
-        config=f"p={config.p} q={config.q} j={config.j} n={config.n}",
-        seed=config.seed,
-        ratios=tuple(ratios),
-        extra={"js": tuple(js)},
-    )
-    if refine_check:
-        fine_grid = make_grid(2 * config.n, config.L)
-        fine_ratios, _ = one_grid(fine_grid, build_ladder(fine_grid))
-        fine = RatioReport(
+        # The doubled-grid report keeps the coarse config text and carries no
+        # octave labels, so a refined run numbers its CSV rows by trial.
+        return RatioReport(
             check="pressure_flux_bound",
-            config=report.config,
+            config=f"p={config.p} q={config.q} j={config.j} n={config.n}",
             seed=config.seed,
-            ratios=tuple(fine_ratios),
-            extra={},
+            ratios=tuple(ratios),
+            extra={"js": (config.j,) * len(ratios)} if n == config.n else {},
         )
-        report = mark_refinement(report, fine)
+
+    report = _refined(args, measure, config.n)
     passed = all(math.isfinite(r) for r in report.ratios)
-    if report.refinement_stable is not None:
-        passed = passed and report.refinement_stable
-    return _finish_report(
-        config, outdir, report, passed=passed, note=f"max ratio {report.max_ratio:.4e}"
-    )
+    return _ratio_outcome(config, report, passed, f"max ratio {report.max_ratio:.4e}")
 
 
 def _transport_trajectory(config: ExperimentConfig):
@@ -958,21 +865,19 @@ def _transport_trajectory(config: ExperimentConfig):
     return trajectory
 
 
-def _verify_transport(config: ExperimentConfig, outdir: Path, refine_check: bool) -> int:
-    report = check_transport_estimate(_transport_trajectory(config), config.p, config.q)
-    if refine_check:
-        fine_cfg = dataclasses.replace(config, n=2 * config.n)
-        fine = check_transport_estimate(_transport_trajectory(fine_cfg), config.p, config.q)
-        report = mark_refinement(report, fine)
+def _verify_transport(config: ExperimentConfig, args) -> _Outcome:
+    def measure(n: int) -> RatioReport:
+        trajectory = _transport_trajectory(dataclasses.replace(config, n=n))
+        return check_transport_estimate(trajectory, config.p, config.q)
+
+    report = _refined(args, measure, config.n)
     passed = all(math.isfinite(r) and r > 0 for r in report.ratios)
-    if report.refinement_stable is not None:
-        passed = passed and report.refinement_stable
     note = f"C_min {report.extra.get('C_min', float('nan')):.4e}"
-    return _finish_report(config, outdir, report, passed=passed, note=note)
+    return _ratio_outcome(config, report, passed, note)
 
 
-def _verify_elliptic(config: ExperimentConfig, outdir: Path, refine_check: bool) -> int:
-    def one_grid(n: int) -> RatioReport:
+def _verify_elliptic(config: ExperimentConfig, args) -> _Outcome:
+    def measure(n: int) -> RatioReport:
         grid = make_grid(n, config.L)
         ladder = build_ladder(grid)
         ratios = []
@@ -995,22 +900,16 @@ def _verify_elliptic(config: ExperimentConfig, outdir: Path, refine_check: bool)
             extra={"l2_ok": l2_ok},
         )
 
-    report = one_grid(config.n)
-    if refine_check:
-        report = mark_refinement(report, one_grid(2 * config.n))
-    passed = bool(report.extra["l2_ok"]) and all(math.isfinite(r) for r in report.ratios)
-    if report.refinement_stable is not None:
-        passed = passed and report.refinement_stable
-    return _finish_report(
-        config, outdir, report, passed=passed,
-        note=f"max ratio {report.max_ratio:.4e}, l2_ok={report.extra['l2_ok']}",
-    )
+    report = _refined(args, measure, config.n)
+    l2_ok = report.extra["l2_ok"]
+    passed = bool(l2_ok) and all(math.isfinite(r) for r in report.ratios)
+    return _ratio_outcome(config, report, passed, f"max ratio {report.max_ratio:.4e}, l2_ok={l2_ok}")
 
 
-def _verify_envelope(config: ExperimentConfig, outdir: Path) -> int:
+def _verify_envelope(config: ExperimentConfig, args) -> _Outcome:
     grid = config.grid()
     a0, u0 = _initial_data(grid, config)
-    snapshots, diag = ns_integrate(config.integration(), a0, u0)
+    _, diag = ns_integrate(config.integration(), a0, u0)
     series = [
         (t, diag.A[i] + diag.Z[i])
         for i, t in enumerate(diag.times)
@@ -1024,25 +923,13 @@ def _verify_envelope(config: ExperimentConfig, outdir: Path) -> int:
     for idx, (t, value) in enumerate(series):
         bound = C * math.exp(C * math.exp(C * math.sqrt(t)))
         rows.append((cid, config.seed, idx, value, bound, value / bound))
-    _write_report_csv(outdir / "growth_envelope.csv", rows)
     passed = defect <= 0.0 and diag.stop_reason == "completed"
-    _write_extra(
-        outdir,
-        {
-            "check": "growth_envelope",
-            "C": C,
-            "defect": defect,
-            "stop_reason": diag.stop_reason,
-            "passed": passed,
-        },
-    )
-    _log(outdir, f"envelope passed={passed} C={C:.4e}")
-    print(f"growth_envelope: {'pass' if passed else 'FAIL'} (C={C:.4e}, defect {defect:.3e})")
-    return 0 if passed else 1
+    payload = {"C": C, "defect": defect, "stop_reason": diag.stop_reason}
+    return _check_outcome("growth_envelope", rows, payload, passed, f"C={C:.4e}, defect {defect:.3e}")
 
 
-def _verify_deltas(config: ExperimentConfig, outdir: Path, refine_check: bool) -> int:
-    def one_grid(n: int):
+def _verify_deltas(config: ExperimentConfig, args) -> _Outcome:
+    def measure(n: int):
         grid = make_grid(n, config.L)
         base = random_divergence_free(grid, 1.0, 5.0, trial_seed(config.seed, 41))
         # Keep the integrated velocity gradient well inside the series'
@@ -1059,61 +946,31 @@ def _verify_deltas(config: ExperimentConfig, outdir: Path, refine_check: bool) -
         traj2 = [(float(t), (base + bump) * math.exp(-t)) for t in times]
         return delta_estimates(traj1, traj2, config.p)
 
-    report = one_grid(config.n)
+    report = measure(config.n)
     ratios = report.ratios()
     stable = None
-    if refine_check:
-        fine = one_grid(2 * config.n).ratios()
+    if args.refine:
+        fine = measure(2 * config.n).ratios()
         drift = max(
             abs(f - c) / max(abs(c), 1e-300) for c, f in zip(ratios, fine)
         )
         stable = drift <= 0.5
-    passed = all(math.isfinite(r) and r >= 0 for r in ratios)
-    if stable is not None:
-        passed = passed and stable
+    passed = all(math.isfinite(r) and r >= 0 for r in ratios) and stable is not False
     cid = config.config_id()
-    names = ("deviation", "difference", "rate", "difference_rate")
     rows = [
         (cid, config.seed, idx, ratio, 1.0, ratio) for idx, ratio in enumerate(ratios)
     ]
-    _write_report_csv(outdir / "flow_map_deltas.csv", rows)
-    _write_extra(
-        outdir,
-        {
-            "check": "flow_map_deltas",
-            "ratio_names": names,
-            "ratios": ratios,
-            "gradient_integrals": report.gradient_integrals,
-            "refinement_stable": stable,
-            "passed": passed,
-        },
-    )
-    _log(outdir, f"deltas passed={passed}")
-    print(f"flow_map_deltas: {'pass' if passed else 'FAIL'} (ratios {[f'{r:.3e}' for r in ratios]})")
-    return 0 if passed else 1
+    payload = {
+        "ratio_names": ("deviation", "difference", "rate", "difference_rate"),
+        "ratios": ratios,
+        "gradient_integrals": report.gradient_integrals,
+        "refinement_stable": stable,
+    }
+    note = f"ratios {[f'{r:.3e}' for r in ratios]}"
+    return _check_outcome("flow_map_deltas", rows, payload, passed, note)
 
 
-_VERIFY_CHECKS = {
-    "bernstein": lambda cfg, out, refine_check: _verify_bernstein(cfg, out, refine_check),
-    "heat": lambda cfg, out, refine_check: _verify_heat(cfg, out, refine_check),
-    "product": lambda cfg, out, refine_check: _verify_product(cfg, out),
-    "commutator": lambda cfg, out, refine_check: _verify_commutator(cfg, out),
-    "ij": lambda cfg, out, refine_check: _verify_ij(cfg, out, refine_check),
-    "transport": lambda cfg, out, refine_check: _verify_transport(cfg, out, refine_check),
-    "elliptic": lambda cfg, out, refine_check: _verify_elliptic(cfg, out, refine_check),
-    "envelope": lambda cfg, out, refine_check: _verify_envelope(cfg, out),
-    "deltas": lambda cfg, out, refine_check: _verify_deltas(cfg, out, refine_check),
-}
-
-
-def _cmd_verify(args) -> int:
-    config, outdir = _prepare(args, f"verify {args.check}")
-    handler = _VERIFY_CHECKS[args.check]
-    return handler(config, outdir, bool(args.refine))
-
-
-def _cmd_elliptic(args) -> int:
-    config, outdir = _prepare(args, "elliptic")
+def _elliptic(config: ExperimentConfig, args) -> _Outcome:
     grid = config.grid()
     a = _bounded_coefficient(grid, config, 0)
     F = VectorField(
@@ -1124,80 +981,55 @@ def _cmd_elliptic(args) -> int:
         a, F, tol=config.pressure_tol, max_iter=config.pressure_max_iter,
         split_m=config.split_m,
     )
-    cid = config.config_id()
-    _write_report_csv(
-        outdir / "elliptic.csv",
-        [(cid, config.seed, 0, stats.residual, config.pressure_tol,
-          stats.residual / config.pressure_tol)],
-    )
-    _write_extra(
-        outdir,
-        {
-            "check": "elliptic_solve",
-            "iterations": stats.iterations,
-            "residual": stats.residual,
-            "split_m": stats.split_m,
-            "relaxation": stats.relaxation,
-            "grad_pi_linf": grad_pi.u1.linf() + grad_pi.u2.linf(),
-        },
-    )
-    _log(outdir, f"elliptic iterations={stats.iterations} residual={stats.residual:.3e}")
-    print(f"elliptic: converged in {stats.iterations} iterations, residual {stats.residual:.3e}")
-    return 0
+    rows = [(config.config_id(), config.seed, 0, stats.residual, config.pressure_tol,
+             stats.residual / config.pressure_tol)]
+    payload = {
+        "check": "elliptic_solve",
+        "iterations": stats.iterations,
+        "residual": stats.residual,
+        "split_m": stats.split_m,
+        "relaxation": stats.relaxation,
+        "grad_pi_linf": grad_pi.u1.linf() + grad_pi.u2.linf(),
+    }
+    summary = f"elliptic: converged in {stats.iterations} iterations, residual {stats.residual:.3e}"
+    return _Outcome("elliptic.csv", rows, payload, True, summary)
 
 
-def _cmd_simulate(args) -> int:
-    config, outdir = _prepare(args, "simulate")
-    grid = config.grid()
+def _simulate(config: ExperimentConfig, args) -> _Outcome:
     if args.snapshot:
         loaded = load_snapshot(args.snapshot)
         a0, u0 = loaded.a, loaded.u
     else:
-        a0, u0 = _initial_data(grid, config)
+        a0, u0 = _initial_data(config.grid(), config)
     snapshots, diag = ns_integrate(config.integration(), a0, u0)
+    outdir = Path(args.out)
     diag.write_csv(outdir / "diagnostics.csv")
     for idx, state in enumerate(snapshots):
         save_snapshot(state, outdir / f"snapshot_{idx:06d}.bsns")
     if args.energy and len(snapshots) >= 3 and config.viscosity == "constant":
         energy = energy_diagnostics(snapshots, snapshots[0].t, visc=config.viscosity_law())
         energy.write_csv(outdir / "energy.csv")
-    _write_extra(
-        outdir,
-        {
-            "check": "simulate",
-            "stop_reason": diag.stop_reason,
-            "snapshots": len(snapshots),
-            "final_time": snapshots[-1].t if snapshots else 0.0,
-            "final_A": diag.A[-1] if diag.A else 0.0,
-            "final_Z": diag.Z[-1] if diag.Z else 0.0,
-        },
-    )
-    _log(outdir, f"simulate stop={diag.stop_reason} snapshots={len(snapshots)}")
+    payload = {
+        "check": "simulate",
+        "stop_reason": diag.stop_reason,
+        "snapshots": len(snapshots),
+        "final_time": snapshots[-1].t if snapshots else 0.0,
+        "final_A": diag.A[-1] if diag.A else 0.0,
+        "final_Z": diag.Z[-1] if diag.Z else 0.0,
+    }
     completed = diag.stop_reason == "completed"
-    print(
+    summary = (
         f"simulate: {'completed' if completed else 'stopped: ' + diag.stop_reason}"
         f" ({len(snapshots)} snapshots, t={snapshots[-1].t:.6g})"
     )
-    return 0 if completed else 1
+    return _Outcome(None, [], payload, completed, summary)
 
 
-def _cmd_lagrangian(args) -> int:
-    config, outdir = _prepare(args, "lagrangian")
+def _lagrangian(config: ExperimentConfig, args) -> _Outcome:
     grid = config.grid()
-    if config.initial == "taylor_green":
-        x, y = grid.coords
+    if config.initial in ("taylor_green", "shear"):
         amp = config.amplitude_u if config.amplitude_u > 0 else 1.0
-        steady = VectorField(
-            SpectralField.from_physical(grid, amp * np.cos(x) * np.sin(y)),
-            SpectralField.from_physical(grid, -amp * np.sin(x) * np.cos(y)),
-        )
-    elif config.initial == "shear":
-        x, y = grid.coords
-        amp = config.amplitude_u if config.amplitude_u > 0 else 1.0
-        steady = VectorField(
-            SpectralField.from_physical(grid, amp * np.sin(y)),
-            SpectralField.zero(grid),
-        )
+        steady = _preset_velocity(grid, config.initial, amp)
     else:
         steady = random_divergence_free(
             grid, 1.0, 5.0, trial_seed(config.seed, 51),
@@ -1220,35 +1052,97 @@ def _cmd_lagrangian(args) -> int:
         (cid, config.seed, 2, identity.trace_form, tol, identity.trace_form / tol),
         (cid, config.seed, 3, identity.flux_form, tol, identity.flux_form / tol),
     ]
-    _write_report_csv(outdir / "lagrangian.csv", rows)
     passed = (
         volume <= tol
         and consistency <= 1e-8
         and identity.trace_form <= tol
         and identity.flux_form <= tol
     )
-    _write_extra(
-        outdir,
-        {
-            "check": "lagrangian",
-            "volume_defect": volume,
-            "inverse_consistency": consistency,
-            "div_identity_trace": identity.trace_form,
-            "div_identity_flux": identity.flux_form,
-            "passed": passed,
-        },
-    )
-    _log(outdir, f"lagrangian passed={passed} volume={volume:.3e}")
-    print(
-        f"lagrangian: {'pass' if passed else 'FAIL'} (volume {volume:.3e},"
-        f" div identity {max(identity.trace_form, identity.flux_form):.3e})"
-    )
-    return 0 if passed else 1
+    payload = {
+        "volume_defect": volume,
+        "inverse_consistency": consistency,
+        "div_identity_trace": identity.trace_form,
+        "div_identity_flux": identity.flux_form,
+    }
+    note = f"volume {volume:.3e}, div identity {max(identity.trace_form, identity.flux_form):.3e}"
+    return _check_outcome("lagrangian", rows, payload, passed, note)
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# argument parsing and dispatch
 # ---------------------------------------------------------------------------
+
+_CHECKS = {
+    "bernstein": _verify_bernstein,
+    "heat": _verify_heat,
+    "product": _verify_product,
+    "commutator": _verify_commutator,
+    "ij": _verify_ij,
+    "transport": _verify_transport,
+    "elliptic": _verify_elliptic,
+    "envelope": _verify_envelope,
+    "deltas": _verify_deltas,
+}
+
+_PLANE = (
+    "--plane",
+    {
+        "default": "a", "choices": ("a", "u1", "u2", "pressure"),
+        "help": "which snapshot plane to analyse",
+    },
+)
+
+# verb -> (help, verb-specific arguments, body); the body of ``verify`` is
+# the entry of _CHECKS named by its ``check`` argument.
+_VERBS = {
+    "decompose": (
+        "octave-by-octave norm profile of a field",
+        [("--snapshot", {"help": "read the field from a snapshot file"}), _PLANE],
+        _decompose,
+    ),
+    "norm": (
+        "evaluate a scale-graded or time-space norm",
+        [
+            ("--spec", {"help": 'norm spec, e.g. "2/p-1,p=3,r=1,homog"'}),
+            ("--snapshot", {
+                "action": "append",
+                "help": "snapshot file; repeat for a time-space norm over several states",
+            }),
+            _PLANE,
+            ("--source", {
+                "default": "random", "choices": ("random", "constant"),
+                "help": "synthetic field to use when no snapshot is given",
+            }),
+            ("--sigma", {"type": float, "default": 1.0, "help": "time integrability"}),
+        ],
+        _norm,
+    ),
+    "verify": (
+        "run a numerical check and report pass/fail",
+        [
+            ("check", {"choices": sorted(_CHECKS)}),
+            ("--refine", {
+                "action": "store_true",
+                "help": "repeat on a doubled grid and require stable ratios",
+            }),
+        ],
+        None,
+    ),
+    "elliptic": ("solve one variable-coefficient pressure problem", [], _elliptic),
+    "simulate": (
+        "integrate the coupled transport-momentum system",
+        [
+            ("--snapshot", {"help": "start from a stored snapshot instead of presets"}),
+            ("--energy", {
+                "action": "store_true",
+                "help": "also write the energy-balance defect series (constant viscosity only)",
+            }),
+        ],
+        _simulate,
+    ),
+    "lagrangian": ("flow-map integration and divergence identity", [], _lagrangian),
+}
+
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="config file to load before applying flags")
@@ -1287,60 +1181,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_dec = sub.add_parser("decompose", help="octave-by-octave norm profile of a field")
-    _add_common(p_dec)
-    p_dec.add_argument("--snapshot", help="read the field from a snapshot file")
-    p_dec.add_argument(
-        "--plane", default="a", choices=("a", "u1", "u2", "pressure"),
-        help="which snapshot plane to analyse",
-    )
-    p_dec.set_defaults(func=_cmd_decompose)
-
-    p_norm = sub.add_parser("norm", help="evaluate a scale-graded or time-space norm")
-    _add_common(p_norm)
-    p_norm.add_argument("--spec", help='norm spec, e.g. "2/p-1,p=3,r=1,homog"')
-    p_norm.add_argument(
-        "--snapshot", action="append",
-        help="snapshot file; repeat for a time-space norm over several states",
-    )
-    p_norm.add_argument(
-        "--plane", default="a", choices=("a", "u1", "u2", "pressure"),
-        help="which snapshot plane to analyse",
-    )
-    p_norm.add_argument(
-        "--source", default="random", choices=("random", "constant"),
-        help="synthetic field to use when no snapshot is given",
-    )
-    p_norm.add_argument("--sigma", type=float, default=1.0, help="time integrability")
-    p_norm.set_defaults(func=_cmd_norm)
-
-    p_ver = sub.add_parser("verify", help="run a numerical check and report pass/fail")
-    p_ver.add_argument("check", choices=sorted(_VERIFY_CHECKS))
-    _add_common(p_ver)
-    p_ver.add_argument(
-        "--refine", action="store_true",
-        help="repeat on a doubled grid and require stable ratios",
-    )
-    p_ver.set_defaults(func=_cmd_verify)
-
-    p_ell = sub.add_parser("elliptic", help="solve one variable-coefficient pressure problem")
-    _add_common(p_ell)
-    p_ell.set_defaults(func=_cmd_elliptic)
-
-    p_sim = sub.add_parser("simulate", help="integrate the coupled transport-momentum system")
-    _add_common(p_sim)
-    p_sim.add_argument("--snapshot", help="start from a stored snapshot instead of presets")
-    p_sim.add_argument(
-        "--energy", action="store_true",
-        help="also write the energy-balance defect series (constant viscosity only)",
-    )
-    p_sim.set_defaults(func=_cmd_simulate)
-
-    p_lag = sub.add_parser("lagrangian", help="flow-map integration and divergence identity")
-    _add_common(p_lag)
-    p_lag.set_defaults(func=_cmd_lagrangian)
-
+    for verb, (help_text, arguments, _) in _VERBS.items():
+        verb_parser = sub.add_parser(verb, help=help_text)
+        _add_common(verb_parser)
+        for name, options in arguments:
+            verb_parser.add_argument(name, **options)
     return parser
 
 
@@ -1352,8 +1197,11 @@ def run_cli(argv=None) -> int:
     except SystemExit as exc:
         code = exc.code
         return int(code) if isinstance(code, int) else 0
+    check = getattr(args, "check", None)
+    body = _CHECKS[check] if check else _VERBS[args.command][2]
     try:
-        return int(args.func(args))
+        config, outdir = _prepare(args, f"verify {check}" if check else args.command)
+        return _finish(outdir, body(config, args))
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -5,13 +5,11 @@ unknown.  The equation only constrains grad Pi, so everything here is posed
 modulo constants: the scalar potential is kept mean free and the stopping
 criterion measures the gradient part of the defect.
 
-Three mechanisms are provided:
+Two mechanisms are provided:
 
 * preconditioned conjugate gradients on the symmetric positive form
   <(1+a) grad p, grad q>, with the constant-coefficient inverse Laplacian as
   preconditioner (the default, and the robust choice for any 1+a >= kappa);
-* a Richardson fixed point  grad Pi <- Q(F - a grad Pi), convergent when
-  max|a| < 1;
 * an outer low/high coefficient splitting: the low-frequency part of the
   coefficient is handled by an inner conjugate-gradient solve while the
   high-frequency remainder is relaxed explicitly.  Its convergence rate is an
@@ -41,6 +39,7 @@ from .spectral import (
     drop_nyquist,
     gradient,
     gradient_part,
+    inverse_laplacian,
     multiply,
     potential_from_gradient,
 )
@@ -50,6 +49,7 @@ __all__ = [
     "coefficient_floor",
     "residual",
     "solve_pressure",
+    "weight_by",
 ]
 
 
@@ -68,9 +68,9 @@ def coefficient_floor(a: SpectralField) -> float:
     return float(1.0 + np.min(a.values.real))
 
 
-def _coeff_gradient(a: SpectralField, g: VectorField) -> VectorField:
-    # (1 + a) g with the variable part dealiased
-    return g + VectorField(multiply(a, g.u1), multiply(a, g.u2))
+def weight_by(coeff: SpectralField, w: VectorField) -> VectorField:
+    """(1 + coeff) w with the variable part dealiased."""
+    return w + VectorField(multiply(coeff, w.u1), multiply(coeff, w.u2))
 
 
 def _q_norm_of_divergence(r: SpectralField) -> float:
@@ -100,12 +100,12 @@ def residual(a: SpectralField, grad_pi: VectorField, F: VectorField) -> float:
     Measured on the derivative-resolved subspace (half-Nyquist lines dropped),
     matching how the solve itself is posed.
     """
-    defect = drop_nyquist(F - _coeff_gradient(a, grad_pi))
+    defect = drop_nyquist(F - weight_by(a, grad_pi))
     return _l2(gradient_part(defect))
 
 
 def _apply_form(a: SpectralField, p: SpectralField) -> SpectralField:
-    return drop_nyquist(-1.0 * divergence(_coeff_gradient(a, gradient(p))))
+    return drop_nyquist(-1.0 * divergence(weight_by(a, gradient(p))))
 
 
 def _pcg_potential(
@@ -126,7 +126,7 @@ def _pcg_potential(
     iterations = 0
     while qres > tol and iterations < max_iter:
         iterations += 1
-        z = _neg_inverse_laplacian(r)
+        z = -inverse_laplacian(r)
         rz = _inner(r, z)
         p = z if p is None else z + (rz / rz_old) * p
         rz_old = rz
@@ -138,22 +138,12 @@ def _pcg_potential(
     return pi, iterations, qres
 
 
-def _neg_inverse_laplacian(r: SpectralField) -> SpectralField:
-    grid = r.grid
-    ksq = grid.k_squared.copy()
-    ksq[0, 0] = 1.0
-    modes = r.modes / ksq
-    modes[0, 0] = 0.0
-    return SpectralField(grid, modes, real=r.real)
-
-
 def solve_pressure(
     a: SpectralField,
     F: VectorField,
     tol: float = 1e-10,
     max_iter: int = 500,
     *,
-    method: str = "auto",
     split_m: int | None = None,
     relaxation: float = 1.0,
     ladder: DyadicLadder | None = None,
@@ -162,10 +152,10 @@ def solve_pressure(
     """Solve div((1+a) grad Pi) = div F for the mean-free gradient field grad Pi.
 
     The relative stopping criterion is on the gradient part of the defect:
-    |Q(F - (1+a) grad Pi)| <= tol |QF| in L2.  Methods: "pcg", "richardson"
-    (requires max|a| < 1), or "auto" (conjugate gradients, falling back to
-    Richardson if the coefficient allows it).  Passing split_m switches to the
-    outer low/high splitting iteration at that octave.
+    |Q(F - (1+a) grad Pi)| <= tol |QF| in L2.  The solve is preconditioned
+    conjugate gradients; passing split_m switches to the outer low/high
+    splitting iteration at that octave, whose steps are damped by
+    ``relaxation``.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
@@ -185,39 +175,17 @@ def solve_pressure(
     if split_m is not None:
         return _solve_split(a, F, tol, max_iter, split_m, relaxation, ladder, q_den)
 
-    if method not in ("auto", "pcg", "richardson"):
-        raise ValueError(f"unknown method {method!r}")
-    if method in ("auto", "pcg"):
-        rhs = drop_nyquist(-1.0 * divergence(F))
-        pi = None if initial_guess is None else potential_from_gradient(drop_nyquist(initial_guess))
-        total = 0
-        while total < max_iter:
-            pi, iters, _ = _pcg_potential(a, rhs, q_den, tol, max_iter - total, pi0=pi)
-            total += max(iters, 1)
-            g = gradient(pi)
-            true_res = residual(a, g, F) / q_den
-            if true_res <= tol:
-                return g, EllipticSolveStats(total, true_res, None, relaxation)
-        if method == "pcg" or float(np.max(np.abs(a.values))) >= 1.0:
-            raise RuntimeError(
-                f"pressure solve did not reach tol={tol:.1e} in {max_iter} iterations"
-            )
-    if float(np.max(np.abs(a.values))) >= 1.0:
-        raise ValueError("Richardson iteration requires max|a| < 1")
-    if initial_guess is None:
-        g = VectorField(SpectralField.zero(grid), SpectralField.zero(grid))
-    else:
-        g = gradient_part(drop_nyquist(initial_guess))
-    for it in range(1, max_iter + 1):
-        ag = VectorField(multiply(a, g.u1), multiply(a, g.u2))
-        g_new = gradient_part(drop_nyquist(F - ag))
-        g = (1.0 - relaxation) * g + relaxation * g_new
-        qres = residual(a, g, F) / q_den
-        if qres <= tol:
-            return g, EllipticSolveStats(it, qres, None, relaxation)
-    raise RuntimeError(
-        f"Richardson iteration did not reach tol={tol:.1e} in {max_iter} iterations"
-    )
+    rhs = drop_nyquist(-1.0 * divergence(F))
+    pi = None if initial_guess is None else potential_from_gradient(drop_nyquist(initial_guess))
+    total = 0
+    while total < max_iter:
+        pi, iters, _ = _pcg_potential(a, rhs, q_den, tol, max_iter - total, pi0=pi)
+        total += max(iters, 1)
+        g = gradient(pi)
+        true_res = residual(a, g, F) / q_den
+        if true_res <= tol:
+            return g, EllipticSolveStats(total, true_res, None, relaxation)
+    raise RuntimeError(f"pressure solve did not reach tol={tol:.1e} in {max_iter} iterations")
 
 
 def _solve_split(

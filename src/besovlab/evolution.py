@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dyadic import DyadicLadder, build_ladder, low_pass
-from .elliptic import coefficient_floor, solve_pressure
+from .elliptic import coefficient_floor, solve_pressure, weight_by
 from .interpolation import PeriodicSampler, cell_bounds
 from .norms import BesovSpec, besov_norm
 from .spectral import (
@@ -48,6 +48,7 @@ from .spectral import (
     VectorField,
     advect,
     advect_vector,
+    centered,
     derivative,
     divergence,
     heat_propagate,
@@ -66,6 +67,7 @@ __all__ = [
     "mollify_initial_data",
     "momentum_step",
     "ns_integrate",
+    "require_solenoidal",
     "transport_step",
 ]
 
@@ -101,18 +103,14 @@ def _solenoidal_defect(u: VectorField) -> tuple[float, float]:
     return div_l2, math.sqrt(grad_sq * area)
 
 
-def _require_solenoidal(u: VectorField, tol: float = _DIV_TOL) -> None:
+def require_solenoidal(u: VectorField, tol: float = _DIV_TOL) -> None:
+    """Reject u unless |div u| <= tol * |grad u| in L2."""
     div_l2, grad_l2 = _solenoidal_defect(u)
     if div_l2 > tol * max(grad_l2, 1e-300):
         raise ValueError(
-            f"velocity is not solenoidal: |div u| = {div_l2:.3e} vs {tol:.0e} * |grad u| = {tol * grad_l2:.3e}"
+            f"velocity is not solenoidal: divergence |div u| = {div_l2:.3e}"
+            f" exceeds {tol:.0e} * |grad u| = {tol * grad_l2:.3e}"
         )
-
-
-def _centered(f: SpectralField) -> SpectralField:
-    modes = f.modes.copy()
-    modes[0, 0] = 0.0
-    return f.with_modes(modes)
 
 
 def _l2(f: SpectralField | VectorField) -> float:
@@ -224,7 +222,7 @@ class StateSnapshot:
             raise ValueError("snapshot fields must share one grid")
         if not math.isfinite(self.t):
             raise ValueError("snapshot time must be finite")
-        _require_solenoidal(self.u)
+        require_solenoidal(self.u)
         floor = coefficient_floor(self.a)
         if self.kappa is None:
             if floor <= 0.0:
@@ -391,7 +389,7 @@ def transport_step(
         raise ValueError("transport requires dt >= 0")
     if dt == 0.0:
         return a
-    _require_solenoidal(u)
+    require_solenoidal(u)
     _require_cfl(u, dt)
     if scheme == "spectral":
         return _transport_spectral(a, u, dt)
@@ -424,11 +422,6 @@ def _strain_divergence(coeff: SpectralField, w: VectorField) -> VectorField:
         derivative(s11, (1, 0)) + derivative(s12, (0, 1)),
         derivative(s12, (1, 0)) + derivative(s22, (0, 1)),
     )
-
-
-def _weight_by(coeff: SpectralField, w: VectorField) -> VectorField:
-    """(1 + coeff) w with the variable part dealiased."""
-    return w + VectorField(multiply(coeff, w.u1), multiply(coeff, w.u2))
 
 
 def momentum_step(
@@ -465,13 +458,13 @@ def momentum_step(
     mu_a = SpectralField.from_physical(grid, np.asarray(visc.mu_tilde(a_vals), dtype=float))
 
     def forcing(w: VectorField) -> VectorField:
-        return _weight_by(a, _strain_divergence(mu_a, w)) - advect_vector(w, w)
+        return weight_by(a, _strain_divergence(mu_a, w)) - advect_vector(w, w)
 
     def explicit_rate(F: VectorField, w: VectorField, guess: VectorField | None):
         grad_pi, _ = solve_pressure(
             a, F, tol=pressure_tol, max_iter=pressure_max_iter, initial_guess=guess
         )
-        return F - _weight_by(a, grad_pi) - _vector_laplacian(w) * mu0, grad_pi
+        return F - weight_by(a, grad_pi) - _vector_laplacian(w) * mu0, grad_pi
 
     def heat(w: VectorField) -> VectorField:
         return heat_propagate(w, mu0, dt)
@@ -583,10 +576,6 @@ def _besov_value(f: SpectralField | VectorField, spec: BesovSpec, ladder: Dyadic
     return value
 
 
-def _center_vector(u: VectorField) -> VectorField:
-    return VectorField(_centered(u.u1), _centered(u.u2))
-
-
 def ns_integrate(
     config: IntegrationConfig, a0: SpectralField, u0: VectorField
 ) -> tuple[list[StateSnapshot], DiagnosticsSeries]:
@@ -615,7 +604,7 @@ def ns_integrate(
     u_start = leray_project(u0)
     grad_pi0, _ = solve_pressure(
         a0,
-        _weight_by(a0, _strain_divergence(
+        weight_by(a0, _strain_divergence(
             SpectralField.from_physical(grid, np.asarray(config.visc.mu_tilde(a0.values.real), dtype=float)),
             u_start,
         )) - advect_vector(u_start, u_start),
@@ -645,12 +634,12 @@ def ns_integrate(
         nonlocal prev_ubar
         u_L = heat_propagate(u_start, mu0, st.t)
         ubar = st.u - u_L
-        ubar_c = _center_vector(ubar)
-        a_c = _centered(st.a)
+        ubar_c = centered(ubar)
+        a_c = centered(st.a)
         A_val = acc_A.update(a_c)
         z_sup = acc_ubar_sup.update(ubar_c)
         z_smooth = acc_ubar_smooth.update(st.t, _besov_value(ubar_c, spec_high, ladder))
-        z_press = acc_pressure.update(st.t, _besov_value(_center_vector(st.gradPi), spec_low, ladder))
+        z_press = acc_pressure.update(st.t, _besov_value(centered(st.gradPi), spec_low, ladder))
         Z_val = z_sup + z_smooth + z_press
         rho = st.rho_values()
         area = grid.cell_area
@@ -672,14 +661,14 @@ def ns_integrate(
         series_E2.append(e2)
         extra["cfl"].append(cfl_number(st.u, config.dt))
         extra["uL_smooth_integral"].append(
-            acc_uL.update(st.t, _besov_value(_center_vector(u_L), spec_high, ladder))
+            acc_uL.update(st.t, _besov_value(centered(u_L), spec_high, ladder))
         )
         for m in config.monitor_ms:
             a_vals = st.a.values.real
             b_f = SpectralField.from_physical(grid, config.visc.b_values(a_vals))
             lam_f = SpectralField.from_physical(grid, np.asarray(config.visc.lam(a_vals), dtype=float))
-            tail = _besov_value(_centered(b_f) - low_pass(_centered(b_f), m, ladder), spec_scalar, ladder)
-            tail += _besov_value(_centered(lam_f) - low_pass(_centered(lam_f), m, ladder), spec_scalar, ladder)
+            tail = _besov_value(centered(b_f) - low_pass(centered(b_f), m, ladder), spec_scalar, ladder)
+            tail += _besov_value(centered(lam_f) - low_pass(centered(lam_f), m, ladder), spec_scalar, ladder)
             extra[f"smallness_m{m}"].append((1.0 + A_val) ** 3 * tail)
         return Z_val
 

@@ -28,12 +28,14 @@ import numpy as np
 
 from .dyadic import DyadicLadder, build_ladder
 from .elliptic import coefficient_floor
+from .evolution import require_solenoidal
 from .norms import BesovSpec, besov_norm, lp_norm
 from .paraproduct import commutator_block
 from .random_fields import random_annulus_field, random_ball_field, trial_seed
 from .spectral import (
     SpectralField,
     VectorField,
+    centered,
     derivative,
     divergence,
     gradient,
@@ -188,12 +190,6 @@ def _check_lebesgue(name: str, value: float) -> float:
     if not value >= 1.0:
         raise ValueError(f"{name} must lie in [1, inf], got {value}")
     return value
-
-
-def _centered(f: SpectralField) -> SpectralField:
-    modes = f.modes.copy()
-    modes[0, 0] = 0.0
-    return f.with_modes(modes)
 
 
 # ---------------------------------------------------------------------------
@@ -367,13 +363,6 @@ def _unpack_trajectory(trajectory):
     return snaps
 
 
-def _require_solenoidal(u: VectorField, tol: float) -> None:
-    div_norm = lp_norm(divergence(u), 2.0)
-    scale = sum(lp_norm(derivative(c, alpha), 2.0) for c in (u.u1, u.u2) for alpha in ((1, 0), (0, 1)))
-    if div_norm > tol * max(scale, 1e-300):
-        raise ValueError(f"velocity must be divergence free (relative defect {div_norm / scale:.3e})")
-
-
 def check_transport_estimate(
     trajectory,
     p: float,
@@ -403,7 +392,7 @@ def check_transport_estimate(
     if ladder is None:
         ladder = build_ladder(grid)
     for _, _, u in snaps:
-        _require_solenoidal(u, div_tol)
+        require_solenoidal(u, div_tol)
 
     sq = 2.0 / q
     a_spec = BesovSpec(sq, q, 1.0)
@@ -414,9 +403,9 @@ def check_transport_estimate(
     block_norms = []
     u_norms = []
     for _, a, u in snaps:
-        ac = _centered(a)
+        ac = centered(a)
         block_norms.append([lp_norm(ladder.block(ac, j), q) for j in js])
-        uc = VectorField(_centered(u.u1), _centered(u.u2))
+        uc = centered(u)
         u_norms.append(besov_norm(uc, u_spec, ladder)[0])
 
     base_profile = block_norms[0]
@@ -451,7 +440,7 @@ def check_transport_estimate(
         c_m = 0.0
         zero_defect = 0.0
         for idx, (_, a, _) in enumerate(snaps):
-            high = _centered(a) - ladder.low_pass(_centered(a), m)
+            high = centered(a) - ladder.low_pass(centered(a), m)
             vals = [lp_norm(ladder.block(high, j), q) for j in js]
             running_m = np.maximum(running_m, vals)
             lhs = sum(2.0 ** (j * sq) * v for j, v in zip(js, running_m))
@@ -557,7 +546,7 @@ def check_Ij_bound(
 
     value = ij_integral(a, pressure, p, j, ladder, form="divergence")
 
-    ac = _centered(a)
+    ac = centered(a)
     if regime_i:
         regime = "i"
         a_norm, profile = besov_norm(ac, BesovSpec(2.0 / q, q, 1.0), ladder)
@@ -629,7 +618,7 @@ def check_elliptic_estimate(
     k = 1 if p <= 2.0 else 2
     qf = gradient_part(forcing)
 
-    ac = _centered(a)
+    ac = centered(a)
     s_low = 2.0 / p - 1.0
     a_norm = besov_norm(ac, BesovSpec(2.0 / p, p, 1.0), ladder)[0]
     num = besov_norm(solution, BesovSpec(s_low, p, 1.0), ladder)[0]

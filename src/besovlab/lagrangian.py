@@ -22,13 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dyadic import DyadicLadder, build_ladder
-from .evolution import _require_solenoidal
+from .evolution import require_solenoidal
 from .interpolation import PeriodicSampler
 from .norms import BesovSpec, besov_norm
 from .spectral import (
     Grid,
     SpectralField,
     VectorField,
+    centered,
     derivative,
     divergence,
     potential_from_gradient,
@@ -36,7 +37,7 @@ from .spectral import (
 
 __all__ = [
     "FlowMap",
-    "RatioReport",
+    "FlowDeltaReport",
     "DivergenceIdentityResidual",
     "gradient_tensor",
     "integrate_flow",
@@ -100,16 +101,9 @@ def _matrix_besov(M: np.ndarray, grid: Grid, spec: BesovSpec, ladder: DyadicLadd
 
 def _vector_besov(V: VectorField, spec: BesovSpec, ladder: DyadicLadder) -> float:
     total = 0.0
-    for comp in V.components:
-        centered = comp.with_modes(_zeroed_mean(comp.modes))
-        total += besov_norm(centered, spec, ladder)[0]
+    for comp in centered(V).components:
+        total += besov_norm(comp, spec, ladder)[0]
     return total
-
-
-def _zeroed_mean(modes: np.ndarray) -> np.ndarray:
-    out = modes.copy()
-    out[0, 0] = 0.0
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +130,7 @@ def _unpack_trajectory(trajectory) -> tuple[tuple[float, ...], list[VectorField]
     if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
         raise ValueError("trajectory times must increase strictly")
     for u in fields:
-        _require_solenoidal(u)
+        require_solenoidal(u)
     return tuple(times), fields, grid
 
 
@@ -434,7 +428,7 @@ def check_div_identity(u: VectorField, state, flow: FlowMap) -> DivergenceIdenti
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class RatioReport:
+class FlowDeltaReport:
     """Measured left/right ratios of the inverse-Jacobian stability bounds.
 
     Each field is sized so that boundedness under refinement supports the
@@ -471,7 +465,7 @@ def _safe_ratio(num: float, den: float) -> float:
 
 
 def delta_estimates(v1_trajectory, v2_trajectory, p: float = 2.0, *,
-                    ladder: DyadicLadder | None = None, k_max: int = 16) -> RatioReport:
+                    ladder: DyadicLadder | None = None, k_max: int = 16) -> FlowDeltaReport:
     """Measure the stability bounds linking two nearby co-moving velocities.
 
     Both trajectories must share times and a grid and stay in the regime
@@ -546,7 +540,7 @@ def delta_estimates(v1_trajectory, v2_trajectory, p: float = 2.0, *,
     )
     delta_v_l2 = float(np.sqrt(np.trapezoid(delta_v_norms**2, times)))
 
-    return RatioReport(
+    return FlowDeltaReport(
         p=p,
         deviation_ratio=max(dev_ratios),
         difference_ratio=_safe_ratio(delta_dev, delta_grad_integral),

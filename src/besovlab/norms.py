@@ -50,10 +50,6 @@ class BesovSpec:
         object.__setattr__(self, "p", _check_exponent("p", self.p))
         object.__setattr__(self, "r", _check_exponent("r", self.r))
 
-    def describe(self) -> str:
-        dot = "homog" if self.homogeneous else "inhomog"
-        return f"B[s={self.s:g},p={self.p:g},r={self.r:g},{dot}]"
-
 
 @dataclass(frozen=True)
 class TimeNormSpec:

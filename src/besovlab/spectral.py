@@ -18,6 +18,7 @@ __all__ = [
     "Grid",
     "SpectralField",
     "VectorField",
+    "centered",
     "make_grid",
     "multiply",
     "derivative",
@@ -99,11 +100,6 @@ class Grid:
     def k_max(self) -> float:
         """Magnitude of the largest resolvable wavenumber (corner mode)."""
         return 2.0 * np.pi / self.L * (self.n / 2) * np.sqrt(2.0)
-
-    @property
-    def k_max_axis(self) -> float:
-        """Largest resolvable wavenumber along a single axis."""
-        return 2.0 * np.pi / self.L * (self.n / 2)
 
 
 def make_grid(n: int, L: float = 2.0 * np.pi) -> Grid:
@@ -423,6 +419,15 @@ def heat_propagate(f: SpectralField | VectorField, nu: float, t: float):
         return f.map(lambda c: heat_propagate(c, nu, t))
     damp = np.exp(-nu * t * f.grid.k_squared)
     return f.with_modes(f.modes * damp)
+
+
+def centered(f: SpectralField | VectorField):
+    """Copy of a scalar or vector field with its mean (zero) mode removed."""
+    if isinstance(f, VectorField):
+        return f.map(centered)
+    modes = f.modes.copy()
+    modes[0, 0] = 0.0
+    return f.with_modes(modes)
 
 
 def inverse_laplacian(f: SpectralField) -> SpectralField:

@@ -360,15 +360,42 @@ class TestVerifyVerbs:
         assert len(report["ratios"]) == 4
 
 
+# Every verb.  simulate and envelope use a velocity amplitude well inside the
+# CFL bound; the default amplitude stops them at t=0 on the default grid.
+_EVERY_VERB = {
+    "decompose": ["decompose"],
+    "norm": ["norm"],
+    "verify-bernstein": ["verify", "bernstein"],
+    "verify-heat": ["verify", "heat"],
+    "verify-product": ["verify", "product"],
+    "verify-commutator": ["verify", "commutator"],
+    "verify-ij": ["verify", "ij"],
+    "verify-transport": ["verify", "transport"],
+    "verify-elliptic": ["verify", "elliptic"],
+    "verify-envelope": ["verify", "envelope", "--amplitude-u", "0.005"],
+    "verify-deltas": ["verify", "deltas"],
+    "elliptic": ["elliptic"],
+    "simulate": ["simulate", "--amplitude-u", "0.005"],
+    "lagrangian": ["lagrangian"],
+}
+
+
 class TestDeterminism:
-    def test_same_config_and_seed_gives_identical_bytes(self, tmp_path, capsys):
-        args = ["decompose", "--n", "32", "--seed", "7", "--trials", "2"]
+    @pytest.mark.parametrize("verb", list(_EVERY_VERB.values()), ids=list(_EVERY_VERB))
+    def test_same_config_and_seed_gives_identical_bytes(self, verb, tmp_path, capsys):
+        args = [*verb, "--n", "32", "--seed", "7", "--trials", "2"]
         out1, out2 = tmp_path / "run1", tmp_path / "run2"
-        assert run_cli(args + ["--out", str(out1)]) == 0
-        assert run_cli(args + ["--out", str(out2)]) == 0
+        assert run_cli(args + ["--out", str(out1)]) == run_cli(args + ["--out", str(out2)])
         capsys.readouterr()
-        assert (out1 / "decompose.csv").read_bytes() == (out2 / "decompose.csv").read_bytes()
-        assert (out1 / "manifest.json").read_bytes() == (out2 / "manifest.json").read_bytes()
+        # report CSV, report.json, manifest.json, and simulate's diagnostics and snapshots
+        names = sorted(path.name for path in out1.iterdir() if path.name != "run.log")
+        assert names == sorted(path.name for path in out2.iterdir() if path.name != "run.log")
+        assert {"manifest.json", "report.json"} <= set(names)
+        assert any(name.endswith(".csv") for name in names)
+        if verb[0] == "simulate":
+            assert "diagnostics.csv" in names and "snapshot_000000.bsns" in names
+        for name in names:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
     def test_different_seed_changes_report(self, tmp_path, capsys):
         out1, out2 = tmp_path / "run1", tmp_path / "run2"

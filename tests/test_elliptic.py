@@ -189,24 +189,6 @@ class TestInvariants:
 
 
 class TestMethods:
-    def test_richardson_matches_pcg(self):
-        grid = make_grid(32)
-        a = bounded_coefficient(grid, 116, floor=0.5)
-        F = band_forcing(grid, 117)
-        tol = 1e-11
-        g_pcg, _ = solve_pressure(a, F, tol=tol, method="pcg")
-        g_rich, stats = solve_pressure(a, F, tol=tol, max_iter=2000, method="richardson")
-        assert stats.relaxation == 1.0
-        assert vec_linf(g_pcg - g_rich) < 20 * tol * max(vec_linf(g_pcg), 1.0)
-
-    def test_richardson_rejects_large_coefficient(self):
-        grid = make_grid(32)
-        xs = grid.coords[0]
-        a = SpectralField.from_physical(grid, 1.0 + 0.5 * np.cos(xs))
-        F = band_forcing(grid, 118)
-        with pytest.raises(ValueError):
-            solve_pressure(a, F, method="richardson")
-
     def test_split_iteration_converges(self):
         grid = make_grid(64)
         a = bounded_coefficient(grid, 119, floor=0.5, k_high=12.0)
@@ -249,7 +231,7 @@ class TestErrors:
         a = bounded_coefficient(grid, 125)
         F = band_forcing(grid, 126)
         with pytest.raises(RuntimeError):
-            solve_pressure(a, F, tol=1e-13, max_iter=1, method="pcg")
+            solve_pressure(a, F, tol=1e-13, max_iter=1)
 
     def test_stats_shape(self):
         s = EllipticSolveStats(iterations=3, residual=1e-12, split_m=None, relaxation=1.0)
