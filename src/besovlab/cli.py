@@ -831,14 +831,12 @@ def _verify_ij(config: ExperimentConfig, args) -> _Outcome:
             pressure = random_band_field(grid, 1.0, 8.0, trial_seed(config.seed, t, 1))
             rep = check_Ij_bound(a, pressure, config.p, config.q, config.j, ladder=ladder)
             ratios.extend(rep.ratios)
-        # The doubled-grid report keeps the coarse config text and carries no
-        # octave labels, so a refined run numbers its CSV rows by trial.
         return RatioReport(
             check="pressure_flux_bound",
-            config=f"p={config.p} q={config.q} j={config.j} n={config.n}",
+            config=f"p={config.p} q={config.q} j={config.j} n={n}",
             seed=config.seed,
             ratios=tuple(ratios),
-            extra={"js": (config.j,) * len(ratios)} if n == config.n else {},
+            extra={"js": (config.j,) * len(ratios)},
         )
 
     report = _refined(args, measure, config.n)
@@ -916,7 +914,10 @@ def _verify_envelope(config: ExperimentConfig, args) -> _Outcome:
         if diag.A[i] + diag.Z[i] > 0.0
     ]
     if not series:
-        raise RuntimeError("diagnostics produced no positive norm samples to fit")
+        raise RuntimeError(
+            "diagnostics produced no positive norm samples to fit"
+            f" (integration stopped: {diag.stop_reason})"
+        )
     C, defect = fit_growth_envelope(series)
     cid = config.config_id()
     rows = []

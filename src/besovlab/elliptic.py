@@ -42,6 +42,7 @@ from .spectral import (
     inverse_laplacian,
     multiply,
     potential_from_gradient,
+    reused_factor,
 )
 
 __all__ = [
@@ -165,6 +166,7 @@ def solve_pressure(
     grid = a.grid
     if F.u1.grid != grid:
         raise ValueError("coefficient and forcing must share one grid")
+    a = reused_factor(a)
 
     qf = gradient_part(drop_nyquist(F))
     q_den = _l2(qf)
@@ -201,8 +203,8 @@ def _solve_split(
     grid = a.grid
     if ladder is None:
         ladder = build_ladder(grid)
-    a_low = ladder.low_pass(a, split_m)
-    a_high = a - a_low
+    a_low = reused_factor(ladder.low_pass(a, split_m))
+    a_high = reused_factor(a - a_low)
     if coefficient_floor(a_low) <= 0.0:
         raise ValueError("low-frequency coefficient part loses positivity; raise split_m")
     g = VectorField(SpectralField.zero(grid), SpectralField.zero(grid))

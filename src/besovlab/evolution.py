@@ -54,6 +54,7 @@ from .spectral import (
     heat_propagate,
     leray_project,
     multiply,
+    reused_factor,
 )
 
 __all__ = [
@@ -348,6 +349,8 @@ def free_heat_reference(u0: VectorField, mu: float, t: float) -> VectorField:
 # ---------------------------------------------------------------------------
 
 def _transport_spectral(a: SpectralField, u: VectorField, dt: float) -> SpectralField:
+    u = u.map(reused_factor)
+
     def tendency(f: SpectralField) -> SpectralField:
         return -1.0 * advect(u, f)
 
@@ -455,16 +458,21 @@ def momentum_step(
     a_vals = a.values.real
     visc.require_positive(float(a_vals.min()), float(a_vals.max()))
     mu0 = float(visc.mu_tilde(0.0))
-    mu_a = SpectralField.from_physical(grid, np.asarray(visc.mu_tilde(a_vals), dtype=float))
+    mu_a = reused_factor(
+        SpectralField.from_physical(grid, np.asarray(visc.mu_tilde(a_vals), dtype=float))
+    )
+    # the step's own handle on a: its product samples serve every product and
+    # solve below, and are dropped with it rather than kept in the snapshot
+    coeff = reused_factor(a)
 
     def forcing(w: VectorField) -> VectorField:
-        return weight_by(a, _strain_divergence(mu_a, w)) - advect_vector(w, w)
+        return weight_by(coeff, _strain_divergence(mu_a, w)) - advect_vector(w, w)
 
     def explicit_rate(F: VectorField, w: VectorField, guess: VectorField | None):
         grad_pi, _ = solve_pressure(
-            a, F, tol=pressure_tol, max_iter=pressure_max_iter, initial_guess=guess
+            coeff, F, tol=pressure_tol, max_iter=pressure_max_iter, initial_guess=guess
         )
-        return F - weight_by(a, grad_pi) - _vector_laplacian(w) * mu0, grad_pi
+        return F - weight_by(coeff, grad_pi) - _vector_laplacian(w) * mu0, grad_pi
 
     def heat(w: VectorField) -> VectorField:
         return heat_propagate(w, mu0, dt)
@@ -481,7 +489,7 @@ def momentum_step(
         if ladder is None:
             ladder = build_ladder(grid)
         b = SpectralField.from_physical(grid, visc.b_values(a_vals))
-        b_low = low_pass(b, split_m, ladder)
+        b_low = reused_factor(low_pass(b, split_m, ladder))
         correction = _strain_divergence(b_low, u_new) - _strain_divergence(b_low, u_star)
         F2s = F2 + correction
         k2s, gp2 = explicit_rate(F2s, u_star, gp2)
@@ -489,7 +497,7 @@ def momentum_step(
 
     u_new = leray_project(u_new)
     grad_pi_end, _ = solve_pressure(
-        a, forcing(u_new), tol=pressure_tol, max_iter=pressure_max_iter, initial_guess=gp2
+        coeff, forcing(u_new), tol=pressure_tol, max_iter=pressure_max_iter, initial_guess=gp2
     )
     return StateSnapshot(state.t + dt, a, u_new, grad_pi_end, kappa=state.kappa)
 
@@ -774,7 +782,7 @@ def energy_diagnostics(
         u_F = heat_propagate(base.u, mu, st.t - base.t)
         ubar = st.u - u_F
         rho = st.rho_values()
-        rho_f = SpectralField.from_physical(grid, rho)
+        rho_f = reused_factor(SpectralField.from_physical(grid, rho))
         lap_uF = _vector_laplacian(u_F)
         conv_F = advect_vector(u_F, u_F)
         cross = advect_vector(ubar, u_F)

@@ -73,10 +73,15 @@ def remainder_R(u: SpectralField, v: SpectralField, ladder: DyadicLadder) -> Spe
     """
     _check_same_grid(u, v, ladder)
     acc = _mean_product(u, v, ladder)
+    blocks_v = {j: ladder.block(v, j) for j in ladder.js}
     for j in ladder.js:
-        bu = ladder.block(u, j)
-        for jp in range(max(ladder.j_min, j - 1), min(ladder.j_max, j + 1) + 1):
-            acc = acc + multiply(bu, ladder.block(v, jp))
+        # one product per octave: by bilinearity, block_j(u) times the sum of
+        # v's neighbouring blocks equals the sum of the block-pair products
+        near = blocks_v[j]
+        for jp in (j - 1, j + 1):
+            if jp in blocks_v:
+                near = near + blocks_v[jp]
+        acc = acc + multiply(ladder.block(u, j), near)
     return acc
 
 

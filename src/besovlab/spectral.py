@@ -4,7 +4,15 @@ Everything downstream (dyadic decompositions, norms, solvers, integrators)
 manipulates fields through this module.  A field is stored by its 2-D DFT
 coefficients on an ``n x n`` torus of side ``L``; derivatives, projections and
 heat propagation act as exact spectral multipliers, and all pointwise products
-are dealiased by zero padding onto a doubled grid before multiplication.
+are dealiased by zero padding onto a finer grid before multiplication.
+
+The product grid follows the 3/2 rule (Orszag 1971): both factors are
+band-limited to |k| <= n/2 per axis (the Nyquist line is split evenly between
++n/2 and -n/2), so their product reaches |k| = n, and on an M-point grid a
+mode k aliases onto k - M.  Keeping every retained mode |k| <= n/2 clean needs
+n - M < -n/2, that is M >= 3n/2 + 1; with M = 3n/2 the product mode at k = n
+would land on the retained -n/2 line.  M is rounded up to a 5-smooth length so
+the transforms stay fast (200 at n=128, 100 at n=64, 15 at n=8).
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ __all__ = [
     "centered",
     "make_grid",
     "multiply",
+    "reused_factor",
     "derivative",
     "drop_nyquist",
     "gradient",
@@ -38,6 +47,23 @@ __all__ = [
 
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
+
+
+def _five_smooth_at_least(m: int) -> int:
+    """Smallest integer >= m with no prime factor above 5."""
+    while True:
+        r = m
+        for p in (2, 3, 5):
+            while r % p == 0:
+                r //= p
+        if r == 1:
+            return m
+        m += 1
+
+
+def _freeze(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -86,6 +112,48 @@ class Grid:
         return np.sqrt(self.k_squared)
 
     @cached_property
+    def flip_index(self) -> np.ndarray:
+        """FFT-layout position of -k for the frequency at each position k."""
+        return _freeze(-np.arange(self.n) % self.n)
+
+    @cached_property
+    def product_size(self) -> int:
+        """Side M of the grid pointwise products are formed on: the smallest
+        5-smooth M >= 3n/2 + 1 (see the module docstring for the +1)."""
+        return _five_smooth_at_least(3 * self.n // 2 + 1)
+
+    @cached_property
+    def derivative_symbols(self) -> tuple[np.ndarray, np.ndarray]:
+        """One-axis symbols i*k, as is and with the unpaired -n/2 frequency zeroed.
+
+        An odd power of (ik) at -n/2 has no conjugate partner and would inject
+        a spurious imaginary part into real fields, so odd orders use the
+        second table.
+        """
+        ik = 1j * (2.0 * np.pi / self.L * self.mode_index)
+        ik_odd = ik.copy()
+        ik_odd[self.n // 2] = 0.0
+        return _freeze(ik), _freeze(ik_odd)
+
+    @cached_property
+    def projector_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """Unit wavevector components (ex, ey) for the Leray projector.
+
+        Same wavevector convention as `derivative`: the unpaired -n/2
+        frequency carries no first derivative, so the projector treats that
+        component as zero or projected fields would fail the divergence check.
+        The mean mode and the corner where both lines cross get ex = ey = 0.
+        """
+        idx = self.mode_index == -(self.n // 2)
+        kx = self.kx.copy()
+        ky = self.ky.copy()
+        kx[idx, :] = 0.0
+        ky[:, idx] = 0.0
+        k2 = kx * kx + ky * ky
+        k2[k2 == 0.0] = 1.0
+        return _freeze(kx / np.sqrt(k2)), _freeze(ky / np.sqrt(k2))
+
+    @cached_property
     def coords(self) -> tuple[np.ndarray, np.ndarray]:
         """Physical node coordinates (x varies along axis 0, y along axis 1)."""
         s = np.arange(self.n) * self.h
@@ -105,11 +173,6 @@ class Grid:
 def make_grid(n: int, L: float = 2.0 * np.pi) -> Grid:
     """Build a periodic grid; n must be a power of two >= 8."""
     return Grid(int(n), float(L))
-
-
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 @dataclass(frozen=True)
@@ -287,9 +350,76 @@ def refine(f: SpectralField, factor: int = 2) -> SpectralField:
     return SpectralField(fine, _pad_modes(f.modes, factor), real=f.real)
 
 
+def _product_samples(f: SpectralField) -> np.ndarray:
+    """Samples of the real part of f on the M x M product grid.
+
+    The half spectrum is built by corner slicing.  Its entries are the
+    Hermitian part of the coarse modes (so the samples are those of the real
+    part, as the ``real`` flag promises even for non-Hermitian input), with
+    the Nyquist lines split evenly between +n/2 and -n/2 as in `_pad_modes`.
+    A field made by `reused_factor` carries these samples already.
+    """
+    held = f.__dict__.get("_product_samples")
+    if held is not None:
+        return held
+    grid = f.grid
+    n, M, h = grid.n, grid.product_size, grid.n // 2
+    flip = grid.flip_index
+    c = f.modes
+    half = (0.5 * (M / n) ** 2) * (c[:, : h + 1] + np.conj(c[np.ix_(flip, flip[: h + 1])]))
+    half[h] *= 0.5
+    half[:, h] *= 0.5
+    padded = np.zeros((M, M // 2 + 1), dtype=np.complex128)
+    padded[: h + 1, : h + 1] = half[: h + 1]
+    padded[M - h :, : h + 1] = half[h:]
+    return np.fft.irfft2(padded, s=(M, M))
+
+
+def _coarse_modes(q: np.ndarray, grid: Grid) -> np.ndarray:
+    """Restrict the half spectrum of a real product back to the n x n modes.
+
+    Frequencies +-n/2 fold onto the stored -n/2 line (the adjoint of the
+    Nyquist split) and the negative-ky half follows by conjugate symmetry.
+    """
+    n, M, h = grid.n, grid.product_size, grid.n // 2
+    flip = grid.flip_index
+    half = np.concatenate((q[:h, : h + 1], q[M - h :, : h + 1]))
+    half[h] += q[h, : h + 1]
+    half[:, h] += np.conj(half[flip, h])
+    out = np.empty((n, n), dtype=np.complex128)
+    out[:, : h + 1] = half
+    out[:, h + 1 :] = np.conj(half[np.ix_(flip, flip[h + 1 :])])
+    out *= (n / M) ** 2
+    return out
+
+
+def reused_factor(f: SpectralField) -> SpectralField:
+    """The field f, carrying its product-grid samples into every `multiply`.
+
+    For a factor that enters many products (a coefficient across a pressure
+    solve or a time step), this transforms it once instead of once per
+    product.  Complex fields take the complex product path and are returned
+    as they are.
+    """
+    if not f.real or "_product_samples" in f.__dict__:
+        return f
+    held = SpectralField(f.grid, f.modes)
+    held.__dict__["_product_samples"] = _freeze(_product_samples(f))
+    return held
+
+
 def multiply(f: SpectralField, g: SpectralField) -> SpectralField:
-    """Pointwise product fg, dealiased by forming it on a 2x refined grid."""
+    """Pointwise product fg, dealiased by forming it on the 3/2 product grid.
+
+    Real fields multiply through real-input transforms on the M x M grid of
+    `Grid.product_size` (M >= 3n/2 + 1, see the module docstring); a field
+    flagged ``real`` enters through its real part.  Complex probe fields take
+    a complex path on the doubled grid.
+    """
     _check_same_grid(f.grid, g.grid)
+    if f.real and g.real:
+        q = np.fft.rfft2(_product_samples(f) * _product_samples(g))
+        return SpectralField(f.grid, _coarse_modes(q, f.grid))
     pf = np.fft.ifft2(_pad_modes(f.modes))
     pg = np.fft.ifft2(_pad_modes(g.modes))
     if f.real:
@@ -297,26 +427,17 @@ def multiply(f: SpectralField, g: SpectralField) -> SpectralField:
     if g.real:
         pg = pg.real
     prod = np.fft.fft2(pf * pg)
-    return SpectralField(f.grid, _truncate_modes(prod, f.grid.n), real=f.real and g.real)
+    return SpectralField(f.grid, _truncate_modes(prod, f.grid.n), real=False)
 
 
 # ---------------------------------------------------------------------------
 # spectral multipliers
 # ---------------------------------------------------------------------------
 
-def _axis_derivative_multiplier(grid: Grid, order: int, axis: int) -> np.ndarray:
-    k = grid.kx if axis == 0 else grid.ky
-    mult = (1j * k) ** order
-    if order % 2 == 1:
-        # the unpaired -n/2 frequency has no conjugate partner; an odd power of
-        # (ik) there would inject a spurious imaginary part into real fields
-        idx = grid.mode_index == -(grid.n // 2)
-        mult = mult.copy()
-        if axis == 0:
-            mult[idx, :] = 0.0
-        else:
-            mult[:, idx] = 0.0
-    return mult
+def _axis_derivative_multiplier(grid: Grid, order: int) -> np.ndarray:
+    """One-axis symbol (ik)^order, zero at -n/2 for odd orders."""
+    ik, ik_odd = grid.derivative_symbols
+    return (ik_odd if order % 2 == 1 else ik) ** order
 
 
 def derivative(f: SpectralField | VectorField, alpha: tuple[int, int]):
@@ -326,12 +447,12 @@ def derivative(f: SpectralField | VectorField, alpha: tuple[int, int]):
         raise ValueError(f"derivative orders must be nonnegative integers, got {alpha}")
     if isinstance(f, VectorField):
         return f.map(lambda c: derivative(c, alpha))
-    mult = np.ones((f.grid.n, f.grid.n), dtype=np.complex128)
+    modes = f.modes
     if ax:
-        mult = mult * _axis_derivative_multiplier(f.grid, ax, axis=0)
+        modes = modes * _axis_derivative_multiplier(f.grid, ax)[:, None]
     if ay:
-        mult = mult * _axis_derivative_multiplier(f.grid, ay, axis=1)
-    return f.with_modes(f.modes * mult)
+        modes = modes * _axis_derivative_multiplier(f.grid, ay)[None, :]
+    return f.with_modes(modes)
 
 
 def drop_nyquist(f: SpectralField | VectorField):
@@ -365,28 +486,14 @@ def advect(V: VectorField, f: SpectralField) -> SpectralField:
 
 def advect_vector(V: VectorField, W: VectorField) -> VectorField:
     """Componentwise convective derivative (V . grad) W."""
+    V = V.map(reused_factor)
     return VectorField(advect(V, W.u1), advect(V, W.u2))
-
-
-def _projector_tables(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # Use the same wavevector convention as `derivative`: the unpaired -n/2
-    # frequency carries no first derivative, so the projector must treat that
-    # component as zero or projected fields would fail the divergence check.
-    idx = grid.mode_index == -(grid.n // 2)
-    kx = grid.kx.copy()
-    ky = grid.ky.copy()
-    kx[idx, :] = 0.0
-    ky[:, idx] = 0.0
-    k2 = kx * kx + ky * ky
-    k2[k2 == 0.0] = 1.0  # mean mode and the corner where both lines cross
-    return kx / np.sqrt(k2), ky / np.sqrt(k2), k2
 
 
 def leray_project(V: VectorField) -> VectorField:
     """Divergence-free part of V; modes with no derivative (the mean and the
     unpaired Nyquist corner) are kept verbatim."""
-    grid = V.grid
-    ex, ey, _ = _projector_tables(grid)
+    ex, ey = V.grid.projector_tables
     kdotu = ex * V.u1.modes + ey * V.u2.modes
     m1 = V.u1.modes - ex * kdotu
     m2 = V.u2.modes - ey * kdotu
@@ -399,8 +506,7 @@ def leray_project(V: VectorField) -> VectorField:
 
 def gradient_part(V: VectorField) -> VectorField:
     """Curl-free (gradient) part of V; zero on the mean mode."""
-    grid = V.grid
-    ex, ey, _ = _projector_tables(grid)
+    ex, ey = V.grid.projector_tables
     kdotu = ex * V.u1.modes + ey * V.u2.modes
     m1 = ex * kdotu
     m2 = ey * kdotu

@@ -359,6 +359,25 @@ class TestVerifyVerbs:
         assert report["refinement_stable"] is True
         assert len(report["ratios"]) == 4
 
+    def test_ij_refined_rows_carry_the_octave(self, tmp_path, capsys):
+        out = tmp_path / "ij"
+        code = run_cli(
+            ["verify", "ij", "--out", str(out), "--n", "32", "--trials", "2", "--j", "3", "--refine"]
+        )
+        assert code == 0
+        capsys.readouterr()
+        lines = (out / "pressure_flux_bound.csv").read_text().strip().splitlines()
+        assert len(lines) == 3
+        assert [line.split(",")[2] for line in lines[1:]] == ["3", "3"]
+        report = json.loads((out / "report.json").read_text())
+        assert "n=64" in report["config"]
+
+    def test_envelope_failure_names_the_stop_reason(self, tmp_path, capsys):
+        # the default velocity amplitude breaks the CFL bound at t=0
+        code = run_cli(["verify", "envelope", "--out", str(tmp_path / "env")])
+        assert code == 1
+        assert "cfl_violation" in capsys.readouterr().err
+
 
 # Every verb.  simulate and envelope use a velocity amplitude well inside the
 # CFL bound; the default amplitude stops them at t=0 on the default grid.

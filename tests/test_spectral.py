@@ -16,6 +16,7 @@ from besovlab.spectral import (
     make_grid,
     multiply,
     potential_from_gradient,
+    reused_factor,
 )
 from conftest import smooth_random_field
 
@@ -33,6 +34,12 @@ class TestGrid:
             make_grid(16, -1.0)
         g = make_grid(8, 1.0)
         assert g.h == pytest.approx(0.125)
+
+    def test_operator_tables_are_read_only(self, grid64):
+        tables = (grid64.flip_index, *grid64.derivative_symbols, *grid64.projector_tables)
+        for table in tables:
+            with pytest.raises(ValueError):
+                table[0] = 0
 
     def test_wavenumbers_are_integer_multiples(self):
         g = make_grid(16, L=4.0)
@@ -118,6 +125,45 @@ class TestProducts:
         f = SpectralField.from_physical(grid64, rng.standard_normal((64, 64)))
         back = _truncate_modes(_pad_modes(f.modes), 64)
         assert np.max(np.abs(back - f.modes)) < 1e-12 * np.max(np.abs(f.modes))
+
+    @pytest.mark.parametrize("n, size", [(8, 15), (16, 25), (64, 100), (128, 200)])
+    def test_product_grid_is_smallest_5_smooth_above_three_halves(self, n, size):
+        assert make_grid(n).product_size == size
+
+    @pytest.mark.parametrize("n", [8, 16, 64, 128])
+    def test_real_and_complex_paths_agree(self, n, rng):
+        # white noise carries content on the Nyquist lines
+        g = make_grid(n)
+        f = SpectralField.from_physical(g, rng.standard_normal((n, n)))
+        h = SpectralField.from_physical(g, rng.standard_normal((n, n)))
+        real_path = multiply(f, h)
+        complex_path = multiply(f.with_modes(f.modes, real=False), h.with_modes(h.modes, real=False))
+        assert real_path.real and not complex_path.real
+        scale = np.max(np.abs(complex_path.modes))
+        assert np.max(np.abs(real_path.modes - complex_path.modes)) < 1e-13 * scale
+        reused = multiply(reused_factor(f), h)
+        assert np.max(np.abs(reused.modes - real_path.modes)) < 1e-13 * scale
+
+    def test_real_flag_multiplies_by_the_real_part(self, rng):
+        g = make_grid(16)
+        shape = (16, 16)
+        f = SpectralField(g, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        h = SpectralField.from_physical(g, rng.standard_normal(shape))
+        f_real_part = SpectralField.from_physical(g, f.values)
+        expected = multiply(f_real_part, h).modes
+        assert np.max(np.abs(multiply(f, h).modes - expected)) < 1e-13 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("n", [8, 16, 64, 128])
+    def test_corner_nyquist_square_is_a_constant(self, n):
+        # cos(n/2 x) cos(n/2 y) squared is 1/4 plus modes at |k| = n, which
+        # must be dropped, not folded onto the retained Nyquist lines
+        g = make_grid(n)
+        x, y = g.coords
+        f = SpectralField.from_physical(g, np.cos(n / 2 * x) * np.cos(n / 2 * y))
+        modes = multiply(f, f).modes / n**2
+        assert abs(modes[0, 0] - 0.25) < 1e-15
+        modes[0, 0] = 0.0
+        assert np.max(np.abs(modes)) < 1e-15
 
 
 class TestProjectors:
