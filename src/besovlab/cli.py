@@ -27,9 +27,8 @@ Exit codes
 ``0`` success, ``1`` a computed check failed or a solver reported a problem,
 ``2`` usage errors (bad flags, unknown subcommands, malformed configs).
 
-The environment variable ``BESOVLAB_THREADS`` caps worker parallelism for the
-verification verbs.  Report CSVs are byte-identical across reruns with the
-same config and seed; timestamps only ever go to ``run.log``.
+Report CSVs are byte-identical across reruns with the same config and seed;
+timestamps only ever go to ``run.log``.
 """
 
 from __future__ import annotations
@@ -53,6 +52,8 @@ from . import __version__
 from .dyadic import build_ladder
 from .elliptic import solve_pressure
 from .evolution import (
+    TRANSPORT_SCHEMES,
+    VISCOSITY_KINDS,
     IntegrationConfig,
     StateSnapshot,
     ViscosityLaw,
@@ -165,8 +166,6 @@ def resolve_exponent(expr, p: float, q: float | None = None) -> float:
 # experiment configuration
 # ---------------------------------------------------------------------------
 
-_VISCOSITY_KINDS = ("constant", "affine", "exponential")
-_SCHEMES = ("spectral", "semi_lagrangian", "semi_lagrangian_monotone")
 _INITIAL_PRESETS = ("random", "rest", "taylor_green", "shear")
 
 
@@ -204,23 +203,20 @@ class ExperimentConfig:
     k: int = 1
     initial: str = "random"
     amplitude_a: float = 0.0
-    amplitude_u: float = 0.05
+    amplitude_u: float = 0.005
     k0: float = 3.0
 
     def __post_init__(self) -> None:
-        if self.n < 8 or self.n & (self.n - 1) != 0:
-            raise ValueError(f"grid size {self.n} is not a power of two >= 8")
-        if self.L <= 0.0:
-            raise ValueError("box length must be positive")
+        Grid(self.n, self.L)  # validates n and L
         for name in ("p", "q"):
             value = getattr(self, name)
             if not 1.0 < value < 64.0:
                 raise ValueError(f"{name} must lie in (1, 64), got {value}")
         if self.r < 1.0:
             raise ValueError("summation index r must be >= 1")
-        if self.viscosity not in _VISCOSITY_KINDS:
+        if self.viscosity not in VISCOSITY_KINDS:
             raise ValueError(f"unknown viscosity kind {self.viscosity!r}")
-        if self.scheme not in _SCHEMES:
+        if self.scheme not in TRANSPORT_SCHEMES:
             raise ValueError(f"unknown transport scheme {self.scheme!r}")
         if self.initial not in _INITIAL_PRESETS:
             raise ValueError(f"unknown initial-data preset {self.initial!r}")
@@ -1161,10 +1157,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--k", type=int, help="derivative order for derivative checks")
     parser.add_argument("--T", type=float, help="time horizon")
     parser.add_argument("--dt", type=float, help="time step")
-    parser.add_argument("--viscosity", choices=_VISCOSITY_KINDS, help="viscosity law kind")
+    parser.add_argument("--viscosity", choices=VISCOSITY_KINDS, help="viscosity law kind")
     parser.add_argument("--mu0", type=float, help="baseline viscosity")
     parser.add_argument("--mu1", type=float, help="viscosity modulation")
-    parser.add_argument("--scheme", choices=_SCHEMES, help="transport scheme")
+    parser.add_argument("--scheme", choices=TRANSPORT_SCHEMES, help="transport scheme")
     parser.add_argument("--split-m", dest="split_m", type=int, help="split octave")
     parser.add_argument(
         "--snapshot-every", dest="snapshot_every", type=int, help="steps between snapshots"

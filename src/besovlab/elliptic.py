@@ -32,7 +32,6 @@ import numpy as np
 
 from .dyadic import DyadicLadder, build_ladder
 from .spectral import (
-    Grid,
     SpectralField,
     VectorField,
     divergence,
@@ -48,6 +47,7 @@ from .spectral import (
 __all__ = [
     "EllipticSolveStats",
     "coefficient_floor",
+    "require_floor",
     "residual",
     "solve_pressure",
     "weight_by",
@@ -67,6 +67,14 @@ class EllipticSolveStats:
 def coefficient_floor(a: SpectralField) -> float:
     """Minimum of 1 + a over the grid nodes."""
     return float(1.0 + np.min(a.values.real))
+
+
+def require_floor(a: SpectralField) -> float:
+    """The coefficient floor kappa = min(1+a), rejecting a coefficient with kappa <= 0."""
+    kappa = coefficient_floor(a)
+    if kappa <= 0.0:
+        raise ValueError(f"coefficient floor violation: min(1+a) = {kappa:.3e} <= 0")
+    return kappa
 
 
 def weight_by(coeff: SpectralField, w: VectorField) -> VectorField:
@@ -160,9 +168,7 @@ def solve_pressure(
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    kappa = coefficient_floor(a)
-    if kappa <= 0.0:
-        raise ValueError(f"coefficient violation: min(1+a) = {kappa:.3e} <= 0")
+    require_floor(a)
     grid = a.grid
     if F.u1.grid != grid:
         raise ValueError("coefficient and forcing must share one grid")

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dyadic import DyadicLadder, build_ladder, low_pass
-from .elliptic import coefficient_floor, solve_pressure, weight_by
+from .elliptic import coefficient_floor, require_floor, solve_pressure, weight_by
 from .interpolation import PeriodicSampler, cell_bounds
 from .norms import BesovSpec, besov_norm
 from .spectral import (
@@ -50,10 +50,10 @@ from .spectral import (
     advect_vector,
     centered,
     derivative,
-    divergence,
     heat_propagate,
     leray_project,
     multiply,
+    require_solenoidal,
     reused_factor,
 )
 
@@ -68,12 +68,13 @@ __all__ = [
     "mollify_initial_data",
     "momentum_step",
     "ns_integrate",
-    "require_solenoidal",
     "transport_step",
+    "TRANSPORT_SCHEMES",
+    "VISCOSITY_KINDS",
 ]
 
-_TRANSPORT_SCHEMES = ("spectral", "semi_lagrangian", "semi_lagrangian_monotone")
-_DIV_TOL = 1e-8
+TRANSPORT_SCHEMES = ("spectral", "semi_lagrangian", "semi_lagrangian_monotone")
+VISCOSITY_KINDS = ("constant", "affine", "exponential")
 _FLOOR_SLACK = 1e-3
 
 
@@ -91,27 +92,6 @@ def _require_cfl(u: VectorField, dt: float) -> None:
     c = cfl_number(u, dt)
     if c > 0.5 + 1e-12:
         raise CFLViolation(f"CFL number {c:.3f} exceeds 0.5; shrink dt or the velocity")
-
-
-def _solenoidal_defect(u: VectorField) -> tuple[float, float]:
-    """L2 size of div u alongside the L2 size of the full velocity gradient."""
-    area = u.grid.cell_area
-    div_l2 = math.sqrt(float(np.sum(np.abs(divergence(u).values) ** 2)) * area)
-    grad_sq = 0.0
-    for alpha in ((1, 0), (0, 1)):
-        d = derivative(u, alpha)
-        grad_sq += float(np.sum(np.abs(d.u1.values) ** 2 + np.abs(d.u2.values) ** 2))
-    return div_l2, math.sqrt(grad_sq * area)
-
-
-def require_solenoidal(u: VectorField, tol: float = _DIV_TOL) -> None:
-    """Reject u unless |div u| <= tol * |grad u| in L2."""
-    div_l2, grad_l2 = _solenoidal_defect(u)
-    if div_l2 > tol * max(grad_l2, 1e-300):
-        raise ValueError(
-            f"velocity is not solenoidal: divergence |div u| = {div_l2:.3e}"
-            f" exceeds {tol:.0e} * |grad u| = {tol * grad_l2:.3e}"
-        )
 
 
 def _l2(f: SpectralField | VectorField) -> float:
@@ -144,7 +124,7 @@ class ViscosityLaw:
     mu1: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kind not in ("constant", "affine", "exponential"):
+        if self.kind not in VISCOSITY_KINDS:
             raise ValueError(f"unknown viscosity law {self.kind!r}")
         if not (math.isfinite(self.mu0) and math.isfinite(self.mu1)):
             raise ValueError("viscosity parameters must be finite")
@@ -224,14 +204,12 @@ class StateSnapshot:
         if not math.isfinite(self.t):
             raise ValueError("snapshot time must be finite")
         require_solenoidal(self.u)
-        floor = coefficient_floor(self.a)
         if self.kappa is None:
-            if floor <= 0.0:
-                raise ValueError(f"coefficient floor violation: min(1+a) = {floor:.3e} <= 0")
-            object.__setattr__(self, "kappa", floor)
+            object.__setattr__(self, "kappa", require_floor(self.a))
         else:
             if self.kappa <= 0.0:
                 raise ValueError(f"recorded floor must be positive, got {self.kappa:.3e}")
+            floor = coefficient_floor(self.a)
             if floor < self.kappa - _FLOOR_SLACK * max(1.0, abs(self.kappa)):
                 raise ValueError(
                     f"coefficient floor violation: min(1+a) = {floor:.3e} fell below recorded {self.kappa:.3e}"
@@ -320,9 +298,7 @@ def mollify_initial_data(
     """
     if ladder is None:
         ladder = build_ladder(a0.grid)
-    kappa = coefficient_floor(a0)
-    if kappa <= 0.0:
-        raise ValueError(f"initial data violates the coefficient floor: min(1+a0) = {kappa:.3e}")
+    kappa = require_floor(a0)
     a0n = low_pass(a0, n, ladder)
     u0n = leray_project(low_pass(u0, n, ladder))
     if coefficient_floor(a0n) <= 0.5 * kappa:
@@ -386,8 +362,8 @@ def transport_step(
     ``semi_lagrangian_monotone`` additionally clips each interpolated value to
     the corner values of its base cell, so the data range can only shrink.
     """
-    if scheme not in _TRANSPORT_SCHEMES:
-        raise ValueError(f"unknown transport scheme {scheme!r}; choose from {_TRANSPORT_SCHEMES}")
+    if scheme not in TRANSPORT_SCHEMES:
+        raise ValueError(f"unknown transport scheme {scheme!r}; choose from {TRANSPORT_SCHEMES}")
     if dt < 0.0:
         raise ValueError("transport requires dt >= 0")
     if dt == 0.0:
@@ -534,7 +510,7 @@ class IntegrationConfig:
         steps = round(self.T / self.dt)
         if steps < 1 or abs(steps * self.dt - self.T) > 1e-9 * self.T:
             raise ValueError(f"horizon T={self.T} is not an integer number of steps of dt={self.dt}")
-        if self.scheme not in _TRANSPORT_SCHEMES:
+        if self.scheme not in TRANSPORT_SCHEMES:
             raise ValueError(f"unknown transport scheme {self.scheme!r}")
         if not 1.0 < self.p < 4.0:
             raise ValueError(f"exponent p must lie in (1, 4), got {self.p}")
@@ -596,9 +572,7 @@ def ns_integrate(
     CFL bound, or if a pressure solve fails.
     """
     grid = a0.grid
-    kappa = coefficient_floor(a0)
-    if kappa <= 0.0:
-        raise ValueError(f"initial data violates the coefficient floor: min(1+a0) = {kappa:.3e}")
+    kappa = require_floor(a0)
     a_range = (float(a0.values.real.min()), float(a0.values.real.max()))
     config.visc.require_positive(*a_range)
 

@@ -8,28 +8,21 @@ is exercised numerically: draw a seeded random ensemble, evaluate left- and
 right-hand sides by quadrature, and record the ratio.  The "constant" of each
 estimate is thus a measured quantity; the pass criterion is that the recorded
 max ratio is finite and stable when the grid is refined.
-
-Trials are independent and run through a thread pool when the environment
-variable BESOVLAB_THREADS is larger than 1; every trial derives its own seed
-from the report seed, so results do not depend on scheduling.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 import statistics
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .dyadic import DyadicLadder, build_ladder
 from .elliptic import coefficient_floor
-from .evolution import require_solenoidal
-from .norms import BesovSpec, besov_norm, lp_norm
+from .norms import BesovSpec, besov_norm, check_exponent, lp_norm, unpack_trajectory
 from .paraproduct import commutator_block
 from .random_fields import random_annulus_field, random_ball_field, trial_seed
 from .spectral import (
@@ -42,6 +35,7 @@ from .spectral import (
     gradient_part,
     heat_propagate,
     make_grid,
+    require_solenoidal,
 )
 
 __all__ = [
@@ -169,29 +163,6 @@ def mark_refinement(coarse: RatioReport, fine: RatioReport, tol: float = 0.5) ->
     return replace(fine, refinement_stable=bool(drift <= tol), extra=extra)
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("BESOVLAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _run_trials(fn: Callable[[int], object], count: int) -> list:
-    workers = min(_thread_count(), count)
-    if workers <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(count)))
-
-
-def _check_lebesgue(name: str, value: float) -> float:
-    value = float(value)
-    if not value >= 1.0:
-        raise ValueError(f"{name} must lie in [1, inf], got {value}")
-    return value
-
-
 # ---------------------------------------------------------------------------
 # derivative norms of band-limited fields
 
@@ -215,8 +186,8 @@ def check_bernstein(
     max ratios with their relative spread (``extra["annulus_drift"]``) record
     scale independence.
     """
-    p = _check_lebesgue("p", p)
-    q = _check_lebesgue("q", q)
+    p = check_exponent("p", p)
+    q = check_exponent("q", q)
     if k < 0 or k != int(k):
         raise ValueError(f"derivative order must be a nonnegative integer, got {k}")
     if p > q:
@@ -232,8 +203,7 @@ def check_bernstein(
 
     tasks = [(j, t) for j in js for t in range(trials)]
 
-    def one(i: int):
-        j, t = tasks[i]
+    def one(j: int, t: int):
         lam = 2.0**j
         u_ann = random_annulus_field(grid, j, trial_seed(seed, j, t, 0))
         fwd = dk_norm(u_ann, q) / (lam**gap * lp_norm(u_ann, p))
@@ -242,7 +212,7 @@ def check_bernstein(
         ball = dk_norm(u_ball, q) / (lam**gap * lp_norm(u_ball, p))
         return fwd, rev, ball
 
-    results = _run_trials(one, len(tasks))
+    results = [one(j, t) for j, t in tasks]
     ratios = tuple(r[0] for r in results)
     per_j_max = {
         str(j): max(r[0] for (jj, _), r in zip(tasks, results) if jj == j) for j in js
@@ -298,7 +268,7 @@ def check_heat_decay(
         raise ValueError("sample times must be nonnegative")
     if any(b - a <= 0 for a, b in zip(ts, ts[1:])):
         raise ValueError("sample times must be strictly increasing")
-    p = _check_lebesgue("p", p)
+    p = check_exponent("p", p)
     lam = 2.0**j
     grid = make_grid(grid_n)
 
@@ -318,7 +288,7 @@ def check_heat_decay(
         prefactor = max(v / (base * math.exp(slope * t)) for t, v in usable)
         return c_fit, prefactor
 
-    results = _run_trials(one, trials)
+    results = [one(t) for t in range(trials)]
     return RatioReport(
         check="heat_decay",
         config={
@@ -342,27 +312,6 @@ def check_heat_decay(
 # transported-field norm growth
 
 
-def _unpack_trajectory(trajectory):
-    snaps = []
-    for item in trajectory:
-        if hasattr(item, "t") and hasattr(item, "a") and hasattr(item, "u"):
-            snaps.append((float(item.t), item.a, item.u))
-        else:
-            try:
-                t, a, u = item
-            except (TypeError, ValueError):
-                raise ValueError(
-                    "trajectory entries must expose .t/.a/.u or unpack as (t, a, u)"
-                ) from None
-            snaps.append((float(t), a, u))
-    if len(snaps) < 2:
-        raise ValueError(f"trajectory lacks required snapshots: got {len(snaps)}, need >= 2")
-    times = [t for t, _, _ in snaps]
-    if any(b - a <= 0 for a, b in zip(times, times[1:])):
-        raise ValueError("trajectory timestamps must be strictly increasing")
-    return snaps
-
-
 def check_transport_estimate(
     trajectory,
     p: float,
@@ -383,11 +332,11 @@ def check_transport_estimate(
     above octave m.  Recorded ratios are the per-sample growth factors
     ``norm(t) / norm(0)``.
     """
-    p = _check_lebesgue("p", p)
-    q = _check_lebesgue("q", q)
+    p = check_exponent("p", p)
+    q = check_exponent("q", q)
     if 1.0 / q - 1.0 / p > 0.5 + 1e-12:
         raise ValueError(f"exponents out of range: need 1/q - 1/p <= 1/2, got p={p}, q={q}")
-    snaps = _unpack_trajectory(trajectory)
+    snaps = unpack_trajectory(trajectory, "a", "u")
     grid = snaps[0][1].grid
     if ladder is None:
         ladder = build_ladder(grid)
@@ -494,7 +443,7 @@ def ij_integral(
     itself against the gradient of the block.  The two agree up to quadrature
     aliasing, which vanishes for fully resolved spectra.
     """
-    p = _check_lebesgue("p", p)
+    p = check_exponent("p", p)
     grid = a.grid
     cb = commutator_block(a, gradient(pressure), j, ladder)
     bp = ladder.block(pressure, j)
@@ -530,8 +479,8 @@ def check_Ij_bound(
     for p >= 2 the gradient norm upgrades to the summation-2 octave norm.
     The coefficient's octave profile supplies the normalized weight d_j.
     """
-    p = _check_lebesgue("p", p)
-    q = _check_lebesgue("q", q)
+    p = check_exponent("p", p)
+    q = check_exponent("q", q)
     plo = commutator_p_lower()
     regime_i = (plo < p <= 2.0) and (1.0 / p - 1.0 / q <= 0.5 + 1e-12)
     regime_ii = (q == p) and (1.0 < p < 4.0)
@@ -568,7 +517,7 @@ def check_Ij_bound(
             raise ValueError("vanishing bound against a nonvanishing pairing")
         ratio = 0.0
     else:
-        ratio = max(value, 0.0) / rhs
+        ratio = abs(value) / rhs
 
     extra = {
         "pairing": value,
@@ -610,7 +559,7 @@ def check_elliptic_estimate(
     When the exponents admit it, the summation-2 variant with exponent 1 is
     recorded as ``extra["flat_ratio"]``.
     """
-    p = _check_lebesgue("p", p)
+    p = check_exponent("p", p)
     if not (1.0 < p < 4.0):
         raise ValueError(f"pressure estimate needs p in (1, 4), got {p}")
     if ladder is None:
@@ -639,7 +588,7 @@ def check_elliptic_estimate(
         "l2_ok": bool(l2_ratio <= (1.0 + 1e-6) / kappa),
     }
 
-    q_flat = p if q is None else _check_lebesgue("q", q)
+    q_flat = p if q is None else check_exponent("q", q)
     plo, phi = commutator_p_lower(), pressure_p_upper()
     flat_ok = (plo < p < 2.0 and 1.0 / p - 1.0 / q_flat <= 0.5 + 1e-12) or (
         2.0 < p < phi and 1.0 / p + 1.0 / q_flat >= 0.5 - 1e-12

@@ -22,9 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dyadic import DyadicLadder, build_ladder
-from .evolution import require_solenoidal
 from .interpolation import PeriodicSampler
-from .norms import BesovSpec, besov_norm
+from .norms import BesovSpec, besov_norm, unpack_trajectory
 from .spectral import (
     Grid,
     SpectralField,
@@ -33,6 +32,7 @@ from .spectral import (
     derivative,
     divergence,
     potential_from_gradient,
+    require_solenoidal,
 )
 
 __all__ = [
@@ -110,28 +110,21 @@ def _vector_besov(V: VectorField, spec: BesovSpec, ladder: DyadicLadder) -> floa
 # trajectories
 # ---------------------------------------------------------------------------
 
-def _unpack_trajectory(trajectory) -> tuple[tuple[float, ...], list[VectorField], Grid]:
-    """Accept (t, velocity) pairs or snapshot objects with .t and .u."""
-    times: list[float] = []
-    fields: list[VectorField] = []
-    for item in trajectory:
-        if isinstance(item, (tuple, list)) and len(item) == 2:
-            t, u = item
-        else:
-            t, u = item.t, item.u
-        times.append(float(t))
-        fields.append(u)
-    if len(times) < 2:
-        raise ValueError("trajectory needs at least two snapshots")
-    grid = fields[0].grid
-    for u in fields[1:]:
-        if u.grid != grid:
-            raise ValueError("trajectory snapshots live on different grids")
-    if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
-        raise ValueError("trajectory times must increase strictly")
+def _velocity_history(trajectory) -> tuple[tuple[float, ...], list[VectorField], Grid]:
+    """Times, solenoidal velocities and grid of (t, u) pairs or snapshots with .t and .u."""
+    entries = unpack_trajectory(trajectory, "u")
+    fields = [u for _, u in entries]
     for u in fields:
         require_solenoidal(u)
-    return tuple(times), fields, grid
+    return tuple(t for t, _ in entries), fields, fields[0].grid
+
+
+def _require_stored_time(times: tuple[float, ...], t: float) -> None:
+    slack = 1e-9 * max(1.0, abs(times[-1]))
+    if t < times[0] - slack or t > times[-1] + slack:
+        raise ValueError(
+            f"interpolation out of stored time range: t={t} not in [{times[0]}, {times[-1]}]"
+        )
 
 
 class _VelocityInTime:
@@ -143,11 +136,7 @@ class _VelocityInTime:
 
     def __call__(self, t: float, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         times = self.times
-        slack = 1e-9 * max(1.0, abs(times[-1]))
-        if t < times[0] - slack or t > times[-1] + slack:
-            raise ValueError(
-                f"interpolation out of stored time range: t={t} not in [{times[0]}, {times[-1]}]"
-            )
+        _require_stored_time(times, t)
         i = int(np.searchsorted(times, t, side="right") - 1)
         i = min(max(i, 0), len(times) - 2)
         span = times[i + 1] - times[i]
@@ -246,7 +235,7 @@ def integrate_flow(u_trajectory, dt: float) -> FlowMap:
     """
     if dt <= 0.0:
         raise ValueError("integration step dt must be positive")
-    times, fields, grid = _unpack_trajectory(u_trajectory)
+    times, fields, grid = _velocity_history(u_trajectory)
     velocity = _VelocityInTime(times, fields)
     x, y = grid.coords
     px = x.copy()
@@ -295,12 +284,8 @@ def integrate_flow(u_trajectory, dt: float) -> FlowMap:
 
 def _integrated_gradient(trajectory, t: float) -> tuple[np.ndarray, Grid]:
     """Trapezoid time integral of the velocity gradient up to time t."""
-    times, fields, grid = _unpack_trajectory(trajectory)
-    slack = 1e-9 * max(1.0, abs(times[-1]))
-    if t < times[0] - slack or t > times[-1] + slack:
-        raise ValueError(
-            f"interpolation out of stored time range: t={t} not in [{times[0]}, {times[-1]}]"
-        )
+    times, fields, grid = _velocity_history(trajectory)
+    _require_stored_time(times, t)
     t = min(max(t, times[0]), times[-1])
     grads = [gradient_tensor(u) for u in fields]
     M = np.zeros((grid.n, grid.n, 2, 2))
@@ -472,8 +457,8 @@ def delta_estimates(v1_trajectory, v2_trajectory, p: float = 2.0, *,
     where the inverse-Jacobian series converges (divergence there raises, as
     the bounds are only claimed for small integrated gradients).
     """
-    times1, fields1, grid = _unpack_trajectory(v1_trajectory)
-    times2, fields2, grid2 = _unpack_trajectory(v2_trajectory)
+    times1, fields1, grid = _velocity_history(v1_trajectory)
+    times2, fields2, grid2 = _velocity_history(v2_trajectory)
     if grid2 != grid:
         raise ValueError("trajectories live on different grids")
     if len(times1) != len(times2) or any(

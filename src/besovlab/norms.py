@@ -22,18 +22,51 @@ __all__ = [
     "BesovSpec",
     "BlockProfile",
     "TimeNormSpec",
+    "check_exponent",
     "lp_norm",
     "lr_aggregate",
     "besov_norm",
     "chemin_lerner",
+    "unpack_trajectory",
 ]
 
 
-def _check_exponent(name: str, value: float) -> float:
+def check_exponent(name: str, value: float) -> float:
+    """A Lebesgue exponent as a float, rejected unless it lies in [1, inf]."""
     value = float(value)
     if not (value >= 1.0):  # also rejects NaN
         raise ValueError(f"{name} must lie in [1, inf], got {value}")
     return value
+
+
+def unpack_trajectory(trajectory: Iterable, *attrs: str) -> list[tuple]:
+    """Entries ``(t, *fields)`` of a trajectory, one per snapshot.
+
+    An entry is either a tuple ``(t, *fields)`` or a snapshot object whose
+    ``t`` and named attributes (``attrs``) supply them.  A trajectory needs
+    at least two entries, strictly increasing times, and one grid.
+    """
+    entries = []
+    for item in trajectory:
+        if isinstance(item, (tuple, list)) and len(item) == 1 + len(attrs):
+            t, *fields = item
+        elif all(hasattr(item, name) for name in ("t", *attrs)):
+            t, fields = item.t, [getattr(item, name) for name in attrs]
+        else:
+            raise ValueError(
+                f"trajectory entries must expose .t/.{'/.'.join(attrs)}"
+                f" or unpack as (t, {', '.join(attrs)})"
+            )
+        entries.append((float(t), *fields))
+    if len(entries) < 2:
+        raise ValueError(f"trajectory needs at least two snapshots, got {len(entries)}")
+    times = [entry[0] for entry in entries]
+    if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
+        raise ValueError(f"trajectory times must increase strictly, got {times}")
+    grid = entries[0][1].grid
+    if any(f.grid != grid for entry in entries for f in entry[1:]):
+        raise ValueError("trajectory snapshots live on different grids")
+    return entries
 
 
 @dataclass(frozen=True)
@@ -47,8 +80,8 @@ class BesovSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "s", float(self.s))
-        object.__setattr__(self, "p", _check_exponent("p", self.p))
-        object.__setattr__(self, "r", _check_exponent("r", self.r))
+        object.__setattr__(self, "p", check_exponent("p", self.p))
+        object.__setattr__(self, "r", check_exponent("r", self.r))
 
 
 @dataclass(frozen=True)
@@ -60,7 +93,7 @@ class TimeNormSpec:
     T: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sigma", _check_exponent("sigma", self.sigma))
+        object.__setattr__(self, "sigma", check_exponent("sigma", self.sigma))
         if not (self.T > 0.0):
             raise ValueError(f"time horizon must be positive, got {self.T}")
 
@@ -102,7 +135,7 @@ class BlockProfile:
 
 def lp_norm(f: SpectralField | VectorField, p: float) -> float:
     """Quadrature L^p norm with cell measure (L/n)^2; p=inf is the grid max."""
-    p = _check_exponent("p", p)
+    p = check_exponent("p", p)
     if isinstance(f, VectorField):
         mag = f.magnitude_values()
         area = f.grid.cell_area
@@ -115,7 +148,7 @@ def lp_norm(f: SpectralField | VectorField, p: float) -> float:
 
 
 def lr_aggregate(values: Iterable[float], r: float) -> float:
-    r = _check_exponent("r", r)
+    r = check_exponent("r", r)
     vals = np.asarray(list(values), dtype=np.float64)
     if vals.size == 0:
         return 0.0
@@ -124,14 +157,16 @@ def lr_aggregate(values: Iterable[float], r: float) -> float:
     return float(np.sum(vals**r) ** (1.0 / r))
 
 
-def _mean_scale(u: SpectralField | VectorField) -> tuple[float, float]:
+def _require_mean_zero(u: SpectralField | VectorField, what: str) -> None:
+    """Reject a field whose mean is not zero relative to its largest mode."""
     if isinstance(u, VectorField):
-        m = max(abs(u.u1.mean), abs(u.u2.mean))
+        mean = max(abs(u.u1.mean), abs(u.u2.mean))
         scale = max(np.max(np.abs(u.u1.modes)), np.max(np.abs(u.u2.modes))) / u.grid.n**2
     else:
-        m = abs(u.mean)
+        mean = abs(u.mean)
         scale = np.max(np.abs(u.modes)) / u.grid.n**2
-    return float(m), float(scale)
+    if mean > 1e-10 * max(1.0, scale):
+        raise ValueError(f"homogeneous {what} needs a mean-zero field (|mean| = {mean:.3e})")
 
 
 def besov_norm(
@@ -146,9 +181,7 @@ def besov_norm(
     homogeneous-norm content and is rejected rather than silently dropped.
     """
     if spec.homogeneous:
-        mean, scale = _mean_scale(u)
-        if mean > 1e-10 * max(1.0, scale):
-            raise ValueError(f"homogeneous Besov norm needs a mean-zero field (|mean| = {mean:.3e})")
+        _require_mean_zero(u, "Besov norm")
         js = list(ladder.js)
         blocks = [ladder.block(u, j) for j in js]
     else:
@@ -159,16 +192,6 @@ def besov_norm(
     return profile.total(spec.r), profile
 
 
-def _coerce_snapshots(snapshots: Sequence) -> list[tuple[float, SpectralField | VectorField]]:
-    pairs = [(float(t), f) for t, f in snapshots]
-    times = [t for t, _ in pairs]
-    if len(pairs) < 2:
-        raise ValueError("need at least 2 snapshots for a time norm")
-    if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
-        raise ValueError(f"snapshot timestamps must be strictly increasing, got {times}")
-    return pairs
-
-
 def _time_norm(times: np.ndarray, series: np.ndarray, sigma: float) -> float:
     if math.isinf(sigma):
         return float(np.max(series))
@@ -176,8 +199,12 @@ def _time_norm(times: np.ndarray, series: np.ndarray, sigma: float) -> float:
 
 
 def chemin_lerner(snapshots: Sequence, spec: TimeNormSpec, ladder: DyadicLadder) -> float:
-    """Time-space norm: per-block sigma-norm in time first, l^r across octaves second."""
-    pairs = _coerce_snapshots(snapshots)
+    """Time-space norm: per-block sigma-norm in time first, l^r across octaves second.
+
+    ``snapshots`` holds (t, field) pairs, or snapshot objects whose scalar
+    ``a`` is measured.
+    """
+    pairs = unpack_trajectory(snapshots, "a")
     t0, tN = pairs[0][0], pairs[-1][0]
     if t0 > 1e-12 or tN < spec.T - 1e-12:
         raise ValueError(f"snapshots span [{t0}, {tN}] but the norm horizon is [0, {spec.T}]")
@@ -187,14 +214,11 @@ def chemin_lerner(snapshots: Sequence, spec: TimeNormSpec, ladder: DyadicLadder)
     if space.homogeneous:
         js = list(ladder.js)
         block_of = ladder.block
+        for t, f in pairs:
+            _require_mean_zero(f, f"time norm at t={t}")
     else:
         js = list(ladder.inhomogeneous_js())
         block_of = ladder.inhomogeneous_block
-    if space.homogeneous:
-        for t, f in pairs:
-            mean, scale = _mean_scale(f)
-            if mean > 1e-10 * max(1.0, scale):
-                raise ValueError(f"homogeneous time norm needs mean-zero fields (t={t}, |mean|={mean:.3e})")
     total = []
     for j in js:
         series = np.array([lp_norm(block_of(f, j), space.p) for _, f in pairs])

@@ -17,7 +17,7 @@ bilinear terms.
 from __future__ import annotations
 
 from .dyadic import DyadicLadder
-from .spectral import SpectralField, VectorField, advect, derivative, multiply
+from .spectral import SpectralField, VectorField, advect, multiply, require_solenoidal
 
 __all__ = [
     "para_T",
@@ -100,19 +100,6 @@ def commutator_block(a: SpectralField, f: SpectralField | VectorField, j: int, l
     return ladder.block(multiply(a, f), j) - multiply(a, ladder.block(f, j))
 
 
-def _relative_divergence(u: VectorField) -> float:
-    import numpy as np
-
-    div = derivative(u.u1, (1, 0)) + derivative(u.u2, (0, 1))
-    num = float(np.linalg.norm(div.modes))
-    den = sum(
-        float(np.linalg.norm(derivative(c, alpha).modes))
-        for c in (u.u1, u.u2)
-        for alpha in ((1, 0), (0, 1))
-    )
-    return num / den if den > 0 else 0.0
-
-
 def transport_commutator(u: VectorField, a: SpectralField, j: int, ladder: DyadicLadder) -> SpectralField:
     """Commutator of advection along u with the octave-j block.
 
@@ -121,6 +108,5 @@ def transport_commutator(u: VectorField, a: SpectralField, j: int, ladder: Dyadi
     does the commutator carry the one-octave smoothing that makes it useful.
     """
     _check_same_grid(a, u.u1, ladder)
-    if _relative_divergence(u) > 1e-10:
-        raise ValueError("transport commutator requires a divergence-free velocity")
+    require_solenoidal(u, 1e-10)
     return advect(u, ladder.block(a, j)) - ladder.block(advect(u, a), j)

@@ -17,6 +17,7 @@ the transforms stay fast (200 at n=128, 100 at n=64, 15 at n=8).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -34,6 +35,7 @@ __all__ = [
     "drop_nyquist",
     "gradient",
     "divergence",
+    "require_solenoidal",
     "advect",
     "advect_vector",
     "leray_project",
@@ -307,47 +309,28 @@ def _check_same_grid(a: Grid, b: Grid) -> None:
 # dealiased products
 # ---------------------------------------------------------------------------
 
-def _pad_modes(modes: np.ndarray, factor: int = 2) -> np.ndarray:
-    """Embed coefficients into a grid ``factor`` times finer.
+def refine(f: SpectralField, factor: int = 2) -> SpectralField:
+    """Resample the same trigonometric polynomial on a grid ``factor`` times finer.
 
     The lone Nyquist row/column is split evenly between +n/2 and -n/2 on the
-    fine grid so that real fields stay real.  Output is scaled so that the
-    fine-grid inverse transform samples the same trigonometric polynomial.
+    fine grid so that real fields stay real.
     """
-    n = modes.shape[0]
+    if factor < 1 or int(factor) != factor:
+        raise ValueError(f"refinement factor must be a positive integer, got {factor}")
+    if factor == 1:
+        return f
+    n = f.grid.n
     N = factor * n
     off = (N - n) // 2
-    S = np.fft.fftshift(modes)
     P = np.zeros((N, N), dtype=np.complex128)
-    P[off : off + n, off : off + n] = S
+    P[off : off + n, off : off + n] = np.fft.fftshift(f.modes)
     # axis 0 Nyquist split
     P[off + n, off : off + n] = 0.5 * P[off, off : off + n]
     P[off, off : off + n] *= 0.5
     # axis 1 Nyquist split (includes the freshly created +n/2 row)
     P[off : off + n + 1, off + n] = 0.5 * P[off : off + n + 1, off]
     P[off : off + n + 1, off] *= 0.5
-    return np.fft.ifftshift(P) * factor**2
-
-
-def _truncate_modes(modes_fine: np.ndarray, n: int) -> np.ndarray:
-    """Restrict fine-grid coefficients back to the coarse mode set (adjoint of _pad_modes)."""
-    N = modes_fine.shape[0]
-    factor = N // n
-    off = (N - n) // 2
-    T = np.fft.fftshift(modes_fine).copy()
-    T[:, off] += T[:, off + n]
-    T[off, :] += T[off + n, :]
-    return np.fft.ifftshift(T[off : off + n, off : off + n]) / factor**2
-
-
-def refine(f: SpectralField, factor: int = 2) -> SpectralField:
-    """Resample the same trigonometric polynomial on a grid ``factor`` times finer."""
-    if factor < 1 or int(factor) != factor:
-        raise ValueError(f"refinement factor must be a positive integer, got {factor}")
-    if factor == 1:
-        return f
-    fine = Grid(f.grid.n * factor, f.grid.L)
-    return SpectralField(fine, _pad_modes(f.modes, factor), real=f.real)
+    return SpectralField(Grid(N, f.grid.L), np.fft.ifftshift(P) * factor**2, real=f.real)
 
 
 def _product_samples(f: SpectralField) -> np.ndarray:
@@ -356,7 +339,7 @@ def _product_samples(f: SpectralField) -> np.ndarray:
     The half spectrum is built by corner slicing.  Its entries are the
     Hermitian part of the coarse modes (so the samples are those of the real
     part, as the ``real`` flag promises even for non-Hermitian input), with
-    the Nyquist lines split evenly between +n/2 and -n/2 as in `_pad_modes`.
+    the Nyquist lines split evenly between +n/2 and -n/2 as in `refine`.
     A field made by `reused_factor` carries these samples already.
     """
     held = f.__dict__.get("_product_samples")
@@ -408,26 +391,40 @@ def reused_factor(f: SpectralField) -> SpectralField:
     return held
 
 
+def _real_product(f: SpectralField, g: SpectralField) -> np.ndarray:
+    """Coarse modes of the product of the real parts of f and g."""
+    q = np.fft.rfft2(_product_samples(f) * _product_samples(g))
+    return _coarse_modes(q, f.grid)
+
+
+def _real_parts(f: SpectralField) -> list[tuple[complex, SpectralField]]:
+    """Terms (c, r) with f = sum of c * r over fields r flagged ``real``.
+
+    A field flagged ``real`` is its own real part.  A complex field is
+    Re f + i Im f: its Hermitian part plus i times its anti-Hermitian part
+    divided by i, which is the real part of -i f.
+    """
+    if f.real:
+        return [(1.0, f)]
+    return [(1.0, f.with_modes(f.modes, real=True)), (1j, f.with_modes(-1j * f.modes, real=True))]
+
+
 def multiply(f: SpectralField, g: SpectralField) -> SpectralField:
     """Pointwise product fg, dealiased by forming it on the 3/2 product grid.
 
     Real fields multiply through real-input transforms on the M x M grid of
     `Grid.product_size` (M >= 3n/2 + 1, see the module docstring); a field
-    flagged ``real`` enters through its real part.  Complex probe fields take
-    a complex path on the doubled grid.
+    flagged ``real`` enters through its real part.  A complex factor splits
+    into real and imaginary parts, and the result combines their real
+    products.
     """
     _check_same_grid(f.grid, g.grid)
     if f.real and g.real:
-        q = np.fft.rfft2(_product_samples(f) * _product_samples(g))
-        return SpectralField(f.grid, _coarse_modes(q, f.grid))
-    pf = np.fft.ifft2(_pad_modes(f.modes))
-    pg = np.fft.ifft2(_pad_modes(g.modes))
-    if f.real:
-        pf = pf.real
-    if g.real:
-        pg = pg.real
-    prod = np.fft.fft2(pf * pg)
-    return SpectralField(f.grid, _truncate_modes(prod, f.grid.n), real=False)
+        return SpectralField(f.grid, _real_product(f, g))
+    modes = sum(
+        cf * cg * _real_product(rf, rg) for cf, rf in _real_parts(f) for cg, rg in _real_parts(g)
+    )
+    return SpectralField(f.grid, modes, real=False)
 
 
 # ---------------------------------------------------------------------------
@@ -477,6 +474,27 @@ def gradient(f: SpectralField) -> VectorField:
 
 def divergence(V: VectorField) -> SpectralField:
     return derivative(V.u1, (1, 0)) + derivative(V.u2, (0, 1))
+
+
+def _solenoidal_defect(u: VectorField) -> tuple[float, float]:
+    """L2 size of div u alongside the L2 size of the full velocity gradient."""
+    area = u.grid.cell_area
+    div_l2 = math.sqrt(float(np.sum(np.abs(divergence(u).values) ** 2)) * area)
+    grad_sq = 0.0
+    for alpha in ((1, 0), (0, 1)):
+        d = derivative(u, alpha)
+        grad_sq += float(np.sum(np.abs(d.u1.values) ** 2 + np.abs(d.u2.values) ** 2))
+    return div_l2, math.sqrt(grad_sq * area)
+
+
+def require_solenoidal(u: VectorField, tol: float = 1e-8) -> None:
+    """Reject u unless |div u| <= tol * |grad u| in L2."""
+    div_l2, grad_l2 = _solenoidal_defect(u)
+    if div_l2 > tol * max(grad_l2, 1e-300):
+        raise ValueError(
+            f"velocity is not solenoidal: divergence |div u| = {div_l2:.3e}"
+            f" exceeds {tol:.0e} * |grad u| = {tol * grad_l2:.3e}"
+        )
 
 
 def advect(V: VectorField, f: SpectralField) -> SpectralField:

@@ -373,14 +373,24 @@ class TestVerifyVerbs:
         assert "n=64" in report["config"]
 
     def test_envelope_failure_names_the_stop_reason(self, tmp_path, capsys):
-        # the default velocity amplitude breaks the CFL bound at t=0
-        code = run_cli(["verify", "envelope", "--out", str(tmp_path / "env")])
+        # this velocity amplitude breaks the CFL bound at t=0 on the default grid
+        code = run_cli(
+            ["verify", "envelope", "--amplitude-u", "0.05", "--out", str(tmp_path / "env")]
+        )
         assert code == 1
         assert "cfl_violation" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("verb", [["simulate"], ["verify", "envelope"]])
+    def test_default_config_runs_inside_the_cfl_bound(self, verb, tmp_path, capsys):
+        out = tmp_path / "default"
+        assert run_cli([*verb, "--out", str(out)]) == 0
+        capsys.readouterr()
+        if verb == ["simulate"]:
+            report = json.loads((out / "report.json").read_text())
+            assert report["stop_reason"] == "completed"
+            assert report["snapshots"] == 11
 
-# Every verb.  simulate and envelope use a velocity amplitude well inside the
-# CFL bound; the default amplitude stops them at t=0 on the default grid.
+
 _EVERY_VERB = {
     "decompose": ["decompose"],
     "norm": ["norm"],
@@ -391,10 +401,10 @@ _EVERY_VERB = {
     "verify-ij": ["verify", "ij"],
     "verify-transport": ["verify", "transport"],
     "verify-elliptic": ["verify", "elliptic"],
-    "verify-envelope": ["verify", "envelope", "--amplitude-u", "0.005"],
+    "verify-envelope": ["verify", "envelope"],
     "verify-deltas": ["verify", "deltas"],
     "elliptic": ["elliptic"],
-    "simulate": ["simulate", "--amplitude-u", "0.005"],
+    "simulate": ["simulate"],
     "lagrangian": ["lagrangian"],
 }
 

@@ -147,15 +147,6 @@ class TestBernstein:
         assert report.max_ratio < 10.0
         assert report.median_ratio > 0.01
 
-    def test_threads_do_not_change_results(self, monkeypatch):
-        kw = dict(js=(1, 2), grid_n=64, seed=513)
-        monkeypatch.setenv("BESOVLAB_THREADS", "1")
-        serial = check_bernstein(1, 2.0, 2.0, 3, **kw)
-        monkeypatch.setenv("BESOVLAB_THREADS", "4")
-        threaded = check_bernstein(1, 2.0, 2.0, 3, **kw)
-        assert serial.ratios == threaded.ratios
-        assert serial.extra["reverse_ratios"] == threaded.extra["reverse_ratios"]
-
 
 class TestHeatDecay:
     def test_too_few_times(self):
@@ -274,6 +265,16 @@ class TestIjBound:
         assert abs(ij_integral(const, pi, 2.0, 2, ladder)) < 1e-12
         report = check_Ij_bound(const, pi, 2.0, 2.0, 2, ladder=ladder)
         assert report.ratios == (0.0,)
+
+    def test_negative_pairing_gives_positive_ratio(self, fields64):
+        # the pairing is linear in the coefficient and the bound is even in it
+        _, ladder, a, pi = fields64
+        plus = check_Ij_bound(a, pi, 2.0, 2.0, 2, ladder=ladder)
+        minus = check_Ij_bound(-a, pi, 2.0, 2.0, 2, ladder=ladder)
+        assert plus.extra["pairing"] != 0.0
+        assert minus.extra["pairing"] == pytest.approx(-plus.extra["pairing"], rel=1e-12)
+        assert minus.max_ratio > 0.0
+        assert minus.max_ratio == pytest.approx(plus.max_ratio, rel=1e-12)
 
     def test_quadrature_routes_agree_at_p2(self, fields64):
         # fully resolved spectra: the two pairings differ by an exact

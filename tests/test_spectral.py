@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from besovlab.spectral import (
     SpectralField,
@@ -16,6 +18,7 @@ from besovlab.spectral import (
     make_grid,
     multiply,
     potential_from_gradient,
+    refine,
     reused_factor,
 )
 from conftest import smooth_random_field
@@ -119,12 +122,21 @@ class TestProducts:
         p = multiply(c, f)
         assert np.max(np.abs(p.modes - 2.5 * f.modes)) < 1e-12 * np.max(np.abs(f.modes))
 
-    def test_nyquist_round_trip_through_padding(self, grid64, rng):
-        from besovlab.spectral import _pad_modes, _truncate_modes
-
-        f = SpectralField.from_physical(grid64, rng.standard_normal((64, 64)))
-        back = _truncate_modes(_pad_modes(f.modes), 64)
-        assert np.max(np.abs(back - f.modes)) < 1e-12 * np.max(np.abs(f.modes))
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(
+        n=st.sampled_from([8, 16, 32]),
+        factor=st.sampled_from([1, 2, 4]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_refine_keeps_node_values_with_nyquist_content(self, n, factor, seed):
+        # white noise carries content on the Nyquist lines
+        g = make_grid(n)
+        f = SpectralField.from_physical(g, np.random.default_rng(seed).standard_normal((n, n)))
+        fine = refine(f, factor)
+        assert fine.grid.n == factor * n
+        assert np.max(np.abs(fine.values[::factor, ::factor] - f.values)) < 1e-12 * f.linf()
+        # the Nyquist split keeps the samples between the coarse nodes real
+        assert np.max(np.abs(np.fft.ifft2(fine.modes).imag)) < 1e-12 * f.linf()
 
     @pytest.mark.parametrize("n, size", [(8, 15), (16, 25), (64, 100), (128, 200)])
     def test_product_grid_is_smallest_5_smooth_above_three_halves(self, n, size):
