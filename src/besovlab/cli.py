@@ -558,8 +558,8 @@ def _refined(args, measure, n: int) -> RatioReport:
 # synthetic data shared by several verbs
 # ---------------------------------------------------------------------------
 
-def _synthetic_scalar(grid: Grid, config: ExperimentConfig, stream: int, *, mean: float = 0.0):
-    """Random band-limited scalar with unit sup-norm fluctuation."""
+def _synthetic_scalar(grid: Grid, config: ExperimentConfig, stream: int):
+    """Random band-limited mean-zero scalar with unit sup norm."""
     raw = random_band_field(
         grid,
         max(1.0, config.k0 / 2.0),
@@ -568,15 +568,20 @@ def _synthetic_scalar(grid: Grid, config: ExperimentConfig, stream: int, *, mean
     )
     vals = raw.values.real
     vals = vals / max(np.max(np.abs(vals)), 1e-300)
-    return SpectralField.from_physical(grid, vals + mean)
+    return SpectralField.from_physical(grid, vals)
 
 
-def _bounded_coefficient(grid: Grid, config: ExperimentConfig, stream: int, *, floor: float = 0.3):
-    """Random coefficient rescaled so min(1 + a) >= floor."""
+def _bounded_coefficient(grid: Grid, config: ExperimentConfig, stream: int):
+    """Random coefficient of sup norm ``amplitude_a`` (0.7 when unset), so min(1 + a) >= 0.3."""
+    limit = 1.0 - 0.3
+    if config.amplitude_a > limit:
+        raise _UsageError(
+            f"amplitude_a = {config.amplitude_a} exceeds {limit:g}, the largest amplitude"
+            " that keeps the coefficient floor min(1 + a) at 0.3"
+        )
     raw = random_band_field(grid, 1.0, 6.0, trial_seed(config.seed, stream), slope=-0.5)
     vals = raw.values.real
-    amp = config.amplitude_a if config.amplitude_a > 0 else 1.0 - floor
-    amp = min(amp, 1.0 - floor)
+    amp = config.amplitude_a if config.amplitude_a > 0 else limit
     vals = vals * (amp / max(np.max(np.abs(vals)), 1e-300))
     return SpectralField.from_physical(grid, vals)
 
@@ -985,7 +990,6 @@ def _elliptic(config: ExperimentConfig, args) -> _Outcome:
         "iterations": stats.iterations,
         "residual": stats.residual,
         "split_m": stats.split_m,
-        "relaxation": stats.relaxation,
         "grad_pi_linf": grad_pi.u1.linf() + grad_pi.u2.linf(),
     }
     summary = f"elliptic: converged in {stats.iterations} iterations, residual {stats.residual:.3e}"
@@ -1043,18 +1047,11 @@ def _lagrangian(config: ExperimentConfig, args) -> _Outcome:
     identity = check_div_identity(steady, config.T, flow)
     cid = config.config_id()
     tol = config.tolerance
+    checks = ((volume, tol), (consistency, 1e-8), (identity.trace_form, tol), (identity.flux_form, tol))
     rows = [
-        (cid, config.seed, 0, volume, tol, volume / tol),
-        (cid, config.seed, 1, consistency, 1e-8, consistency / 1e-8),
-        (cid, config.seed, 2, identity.trace_form, tol, identity.trace_form / tol),
-        (cid, config.seed, 3, identity.flux_form, tol, identity.flux_form / tol),
+        (cid, config.seed, idx, value, bound, value / bound) for idx, (value, bound) in enumerate(checks)
     ]
-    passed = (
-        volume <= tol
-        and consistency <= 1e-8
-        and identity.trace_form <= tol
-        and identity.flux_form <= tol
-    )
+    passed = all(value <= bound for value, bound in checks)
     payload = {
         "volume_defect": volume,
         "inverse_consistency": consistency,

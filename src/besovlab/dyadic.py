@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -22,12 +21,10 @@ __all__ = [
     "ANNULUS_INNER",
     "ANNULUS_OUTER",
     "BALL_RADIUS",
-    "CutoffPair",
     "DyadicLadder",
-    "build_cutoffs",
     "build_ladder",
-    "block",
-    "low_pass",
+    "chi",
+    "phi",
 ]
 
 ANNULUS_INNER = 0.75
@@ -68,7 +65,8 @@ def _octave_sum(r: np.ndarray) -> np.ndarray:
     return out
 
 
-def _phi_profile(r: np.ndarray) -> np.ndarray:
+def phi(r: np.ndarray) -> np.ndarray:
+    """Annular profile: support 3/4 <= r <= 8/3, its dyadic dilates sum to one for r > 0."""
     r = np.asarray(r, dtype=np.float64)
     num = _annular_bump(r)
     out = np.zeros_like(num)
@@ -77,8 +75,8 @@ def _phi_profile(r: np.ndarray) -> np.ndarray:
     return out
 
 
-def _chi_profile(r: np.ndarray) -> np.ndarray:
-    # chi(r) = sum of phi over the dilates 2^m r with m >= 1
+def chi(r: np.ndarray) -> np.ndarray:
+    """Ball profile: the sum of phi over the dilates 2^m r with m >= 1 (support r <= 4/3)."""
     r = np.asarray(r, dtype=np.float64)
     scalar = r.ndim == 0
     r = np.atleast_1d(r)
@@ -91,25 +89,9 @@ def _chi_profile(r: np.ndarray) -> np.ndarray:
     for dm in (0.0, 1.0, 2.0):
         m = mbase + dm
         valid = m >= 1.0
-        acc[valid] += _phi_profile(rp[valid] * np.exp2(m[valid]))
+        acc[valid] += phi(rp[valid] * np.exp2(m[valid]))
     out[pos] = acc
     return out[0] if scalar else out
-
-
-@dataclass(frozen=True)
-class CutoffPair:
-    """Radial low-pass profile chi (ball |xi|<=4/3) and annular profile phi (3/4<=|xi|<=8/3)."""
-
-    chi: Callable[[np.ndarray], np.ndarray]
-    phi: Callable[[np.ndarray], np.ndarray]
-    kind: str = "default-smooth"
-
-
-def build_cutoffs(kind: str = "default-smooth") -> CutoffPair:
-    """Construct the cutoff pair; only the bump-based profile family is provided."""
-    if kind != "default-smooth":
-        raise ValueError(f"unknown cutoff kind {kind!r}; available: 'default-smooth'")
-    return CutoffPair(chi=_chi_profile, phi=_phi_profile, kind=kind)
 
 
 @dataclass(frozen=True)
@@ -123,7 +105,6 @@ class DyadicLadder:
     """
 
     grid: Grid
-    cutoffs: CutoffPair
     j_min: int
     j_max: int
     _phi_masks: dict = field(repr=False)
@@ -139,12 +120,12 @@ class DyadicLadder:
 
     def phi_mask(self, j: int) -> np.ndarray:
         if j not in self._phi_masks:
-            self._phi_masks[j] = self.cutoffs.phi(self.grid.k_magnitude / 2.0**j)
+            self._phi_masks[j] = phi(self.grid.k_magnitude / 2.0**j)
         return self._phi_masks[j]
 
     def chi_mask(self, j: int) -> np.ndarray:
         if j not in self._chi_masks:
-            self._chi_masks[j] = self.cutoffs.chi(self.grid.k_magnitude / 2.0**j)
+            self._chi_masks[j] = chi(self.grid.k_magnitude / 2.0**j)
         return self._chi_masks[j]
 
     def block(self, u: SpectralField | VectorField, j: int):
@@ -191,10 +172,8 @@ class DyadicLadder:
         return acc
 
 
-def build_ladder(grid: Grid, cutoffs: CutoffPair | None = None) -> DyadicLadder:
+def build_ladder(grid: Grid) -> DyadicLadder:
     """Enumerate the octaves whose annular masks are nonzero on the lattice."""
-    if cutoffs is None:
-        cutoffs = build_cutoffs()
     kmag = grid.k_magnitude
     k_low = grid.k_min_nonzero
     k_high = grid.k_max
@@ -203,7 +182,7 @@ def build_ladder(grid: Grid, cutoffs: CutoffPair | None = None) -> DyadicLadder:
     masks: dict[int, np.ndarray] = {}
     live: list[int] = []
     for j in range(j_lo_guess, j_hi_guess + 1):
-        mask = cutoffs.phi(kmag / 2.0**j)
+        mask = phi(kmag / 2.0**j)
         if np.any(mask > 0.0):
             masks[j] = mask
             live.append(j)
@@ -211,12 +190,5 @@ def build_ladder(grid: Grid, cutoffs: CutoffPair | None = None) -> DyadicLadder:
         raise ValueError(f"grid n={grid.n}, L={grid.L} hosts only {len(live)} dyadic blocks; need at least 3")
     if live != list(range(live[0], live[-1] + 1)):
         raise ValueError(f"dyadic octaves {live} are not contiguous on this grid")
-    return DyadicLadder(grid=grid, cutoffs=cutoffs, j_min=live[0], j_max=live[-1], _phi_masks=masks, _chi_masks={})
+    return DyadicLadder(grid=grid, j_min=live[0], j_max=live[-1], _phi_masks=masks, _chi_masks={})
 
-
-def block(u: SpectralField | VectorField, j: int, ladder: DyadicLadder):
-    return ladder.block(u, j)
-
-
-def low_pass(u: SpectralField | VectorField, j: int, ladder: DyadicLadder):
-    return ladder.low_pass(u, j)

@@ -12,7 +12,7 @@ Two mechanisms are provided:
   preconditioner (the default, and the robust choice for any 1+a >= kappa);
 * an outer low/high coefficient splitting: the low-frequency part of the
   coefficient is handled by an inner conjugate-gradient solve while the
-  high-frequency remainder is relaxed explicitly.  Its convergence rate is an
+  high-frequency remainder is iterated explicitly.  Its convergence rate is an
   observable stand-in for the smallness condition on the unsmoothed part of
   the coefficient.
 
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import DyadicLadder, build_ladder
+from .dyadic import build_ladder
 from .spectral import (
     SpectralField,
     VectorField,
@@ -61,7 +61,6 @@ class EllipticSolveStats:
     iterations: int
     residual: float
     split_m: int | None
-    relaxation: float
 
 
 def coefficient_floor(a: SpectralField) -> float:
@@ -72,7 +71,7 @@ def coefficient_floor(a: SpectralField) -> float:
 def require_floor(a: SpectralField) -> float:
     """The coefficient floor kappa = min(1+a), rejecting a coefficient with kappa <= 0."""
     kappa = coefficient_floor(a)
-    if kappa <= 0.0:
+    if not kappa > 0.0:  # also rejects NaN
         raise ValueError(f"coefficient floor violation: min(1+a) = {kappa:.3e} <= 0")
     return kappa
 
@@ -154,8 +153,6 @@ def solve_pressure(
     max_iter: int = 500,
     *,
     split_m: int | None = None,
-    relaxation: float = 1.0,
-    ladder: DyadicLadder | None = None,
     initial_guess: VectorField | None = None,
 ) -> tuple[VectorField, EllipticSolveStats]:
     """Solve div((1+a) grad Pi) = div F for the mean-free gradient field grad Pi.
@@ -163,8 +160,7 @@ def solve_pressure(
     The relative stopping criterion is on the gradient part of the defect:
     |Q(F - (1+a) grad Pi)| <= tol |QF| in L2.  The solve is preconditioned
     conjugate gradients; passing split_m switches to the outer low/high
-    splitting iteration at that octave, whose steps are damped by
-    ``relaxation``.
+    splitting iteration at that octave.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
@@ -178,10 +174,10 @@ def solve_pressure(
     q_den = _l2(qf)
     if q_den == 0.0:
         zero = VectorField(SpectralField.zero(grid), SpectralField.zero(grid))
-        return zero, EllipticSolveStats(0, 0.0, split_m, relaxation)
+        return zero, EllipticSolveStats(0, 0.0, split_m)
 
     if split_m is not None:
-        return _solve_split(a, F, tol, max_iter, split_m, relaxation, ladder, q_den)
+        return _solve_split(a, F, tol, max_iter, split_m, q_den)
 
     rhs = drop_nyquist(-1.0 * divergence(F))
     pi = None if initial_guess is None else potential_from_gradient(drop_nyquist(initial_guess))
@@ -192,7 +188,7 @@ def solve_pressure(
         g = gradient(pi)
         true_res = residual(a, g, F) / q_den
         if true_res <= tol:
-            return g, EllipticSolveStats(total, true_res, None, relaxation)
+            return g, EllipticSolveStats(total, true_res, None)
     raise RuntimeError(f"pressure solve did not reach tol={tol:.1e} in {max_iter} iterations")
 
 
@@ -202,14 +198,10 @@ def _solve_split(
     tol: float,
     max_iter: int,
     split_m: int,
-    relaxation: float,
-    ladder: DyadicLadder | None,
     q_den: float,
 ) -> tuple[VectorField, EllipticSolveStats]:
     grid = a.grid
-    if ladder is None:
-        ladder = build_ladder(grid)
-    a_low = reused_factor(ladder.low_pass(a, split_m))
+    a_low = reused_factor(build_ladder(grid).low_pass(a, split_m))
     a_high = reused_factor(a - a_low)
     if coefficient_floor(a_low) <= 0.0:
         raise ValueError("low-frequency coefficient part loses positivity; raise split_m")
@@ -219,10 +211,10 @@ def _solve_split(
         hg = VectorField(multiply(a_high, g.u1), multiply(a_high, g.u2))
         rhs = drop_nyquist(-1.0 * divergence(F - hg))
         pi, _, _ = _pcg_potential(a_low, rhs, q_den, inner_tol, 10 * max_iter)
-        g = (1.0 - relaxation) * g + relaxation * gradient(pi)
+        g = gradient(pi)
         qres = residual(a, g, F) / q_den
         if qres <= tol:
-            return g, EllipticSolveStats(it, qres, split_m, relaxation)
+            return g, EllipticSolveStats(it, qres, split_m)
     raise RuntimeError(
         f"splitting iteration (m={split_m}) did not reach tol={tol:.1e}"
         f" in {max_iter} outer steps"

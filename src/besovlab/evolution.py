@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import DyadicLadder, build_ladder, low_pass
+from .dyadic import DyadicLadder, build_ladder
 from .elliptic import coefficient_floor, require_floor, solve_pressure, weight_by
 from .interpolation import PeriodicSampler, cell_bounds
 from .norms import BesovSpec, besov_norm
@@ -98,6 +98,24 @@ def _l2(f: SpectralField | VectorField) -> float:
     if isinstance(f, VectorField):
         return math.sqrt(_l2(f.u1) ** 2 + _l2(f.u2) ** 2)
     return math.sqrt(float(np.sum(np.abs(f.values) ** 2)) * f.grid.cell_area)
+
+
+def _weighted_energy(rho: np.ndarray, w: VectorField) -> float:
+    """Density-weighted energy: the quadrature of rho |w|^2."""
+    return float(np.sum(rho * (w.u1.values.real**2 + w.u2.values.real**2))) * w.grid.cell_area
+
+
+def _enstrophy(w: VectorField) -> float:
+    """Squared L2 norm of the gradient of w."""
+    return _l2(derivative(w, (1, 0))) ** 2 + _l2(derivative(w, (0, 1))) ** 2
+
+
+def _rate_energy(rho: np.ndarray, t: float, w: VectorField, prev: tuple | None) -> float:
+    """Weighted energy of the backward difference quotient of w against ``prev = (t, w)``; 0 without one."""
+    if prev is None:
+        return 0.0
+    t_prev, w_prev = prev
+    return _weighted_energy(rho, (w - w_prev) * (1.0 / (t - t_prev)))
 
 
 # ---------------------------------------------------------------------------
@@ -207,10 +225,11 @@ class StateSnapshot:
         if self.kappa is None:
             object.__setattr__(self, "kappa", require_floor(self.a))
         else:
-            if self.kappa <= 0.0:
+            # negated comparisons, so a NaN floor or recorded kappa is rejected too
+            if not self.kappa > 0.0:
                 raise ValueError(f"recorded floor must be positive, got {self.kappa:.3e}")
             floor = coefficient_floor(self.a)
-            if floor < self.kappa - _FLOOR_SLACK * max(1.0, abs(self.kappa)):
+            if not floor >= self.kappa - _FLOOR_SLACK * max(1.0, abs(self.kappa)):
                 raise ValueError(
                     f"coefficient floor violation: min(1+a) = {floor:.3e} fell below recorded {self.kappa:.3e}"
                 )
@@ -299,8 +318,8 @@ def mollify_initial_data(
     if ladder is None:
         ladder = build_ladder(a0.grid)
     kappa = require_floor(a0)
-    a0n = low_pass(a0, n, ladder)
-    u0n = leray_project(low_pass(u0, n, ladder))
+    a0n = ladder.low_pass(a0, n)
+    u0n = leray_project(ladder.low_pass(u0, n))
     if coefficient_floor(a0n) <= 0.5 * kappa:
         raise ValueError(
             f"truncation octave n={n} too small: floor dropped to {coefficient_floor(a0n):.3e}"
@@ -403,6 +422,11 @@ def _strain_divergence(coeff: SpectralField, w: VectorField) -> VectorField:
     )
 
 
+def _forcing(coeff: SpectralField, mu_a: SpectralField, w: VectorField) -> VectorField:
+    """Explicit momentum forcing (1+a) div(2 mu(a) M(w)) - (w . grad) w, before the pressure."""
+    return weight_by(coeff, _strain_divergence(mu_a, w)) - advect_vector(w, w)
+
+
 def momentum_step(
     state: StateSnapshot,
     visc: ViscosityLaw,
@@ -441,9 +465,6 @@ def momentum_step(
     # solve below, and are dropped with it rather than kept in the snapshot
     coeff = reused_factor(a)
 
-    def forcing(w: VectorField) -> VectorField:
-        return weight_by(coeff, _strain_divergence(mu_a, w)) - advect_vector(w, w)
-
     def explicit_rate(F: VectorField, w: VectorField, guess: VectorField | None):
         grad_pi, _ = solve_pressure(
             coeff, F, tol=pressure_tol, max_iter=pressure_max_iter, initial_guess=guess
@@ -454,10 +475,10 @@ def momentum_step(
         return heat_propagate(w, mu0, dt)
 
     u0 = state.u
-    F1 = forcing(u0)
+    F1 = _forcing(coeff, mu_a, u0)
     k1, gp1 = explicit_rate(F1, u0, state.gradPi)
     u_star = heat(u0 + k1 * dt)
-    F2 = forcing(u_star)
+    F2 = _forcing(coeff, mu_a, u_star)
     k2, gp2 = explicit_rate(F2, u_star, gp1)
     u_new = heat(u0) + (heat(k1) + k2) * (0.5 * dt)
 
@@ -465,7 +486,7 @@ def momentum_step(
         if ladder is None:
             ladder = build_ladder(grid)
         b = SpectralField.from_physical(grid, visc.b_values(a_vals))
-        b_low = reused_factor(low_pass(b, split_m, ladder))
+        b_low = reused_factor(ladder.low_pass(b, split_m))
         correction = _strain_divergence(b_low, u_new) - _strain_divergence(b_low, u_star)
         F2s = F2 + correction
         k2s, gp2 = explicit_rate(F2s, u_star, gp2)
@@ -473,7 +494,7 @@ def momentum_step(
 
     u_new = leray_project(u_new)
     grad_pi_end, _ = solve_pressure(
-        coeff, forcing(u_new), tol=pressure_tol, max_iter=pressure_max_iter, initial_guess=gp2
+        coeff, _forcing(coeff, mu_a, u_new), tol=pressure_tol, max_iter=pressure_max_iter, initial_guess=gp2
     )
     return StateSnapshot(state.t + dt, a, u_new, grad_pi_end, kappa=state.kappa)
 
@@ -584,12 +605,10 @@ def ns_integrate(
     spec_high = BesovSpec(s=2.0 / p + 1.0, p=p, r=1.0)
 
     u_start = leray_project(u0)
+    mu_a0 = SpectralField.from_physical(grid, np.asarray(config.visc.mu_tilde(a0.values.real), dtype=float))
     grad_pi0, _ = solve_pressure(
         a0,
-        weight_by(a0, _strain_divergence(
-            SpectralField.from_physical(grid, np.asarray(config.visc.mu_tilde(a0.values.real), dtype=float)),
-            u_start,
-        )) - advect_vector(u_start, u_start),
+        _forcing(a0, mu_a0, u_start),
         tol=config.pressure_tol,
         max_iter=config.pressure_max_iter,
     )
@@ -600,12 +619,7 @@ def ns_integrate(
     acc_ubar_smooth = _TrapezoidAccumulator()
     acc_pressure = _TrapezoidAccumulator()
 
-    times: list[float] = []
-    series_A: list[float] = []
-    series_Z: list[float] = []
-    series_E0: list[float] = []
-    series_E1: list[float] = []
-    series_E2: list[float] = []
+    series: dict[str, list[float]] = {name: [] for name in ("times", "A", "Z", "E0", "E1", "E2")}
     extra: dict[str, list[float]] = {"cfl": [], "uL_smooth_integral": []}
     for m in config.monitor_ms:
         extra[f"smallness_m{m}"] = []
@@ -624,23 +638,11 @@ def ns_integrate(
         z_press = acc_pressure.update(st.t, _besov_value(centered(st.gradPi), spec_low, ladder))
         Z_val = z_sup + z_smooth + z_press
         rho = st.rho_values()
-        area = grid.cell_area
-        e0 = float(np.sum(rho * (ubar.u1.values.real**2 + ubar.u2.values.real**2))) * area
-        e1 = _l2(derivative(ubar, (1, 0))) ** 2 + _l2(derivative(ubar, (0, 1))) ** 2
-        if prev_ubar is None or st.t <= prev_ubar[0]:
-            e2 = 0.0
-        else:
-            t_prev, ubar_prev = prev_ubar
-            dudt = (ubar - ubar_prev) * (1.0 / (st.t - t_prev))
-            e2 = float(np.sum(rho * (dudt.u1.values.real**2 + dudt.u2.values.real**2))) * area
+        values = (st.t, A_val, Z_val, _weighted_energy(rho, ubar), _enstrophy(ubar),
+                  _rate_energy(rho, st.t, ubar, prev_ubar))
         prev_ubar = (st.t, ubar)
-
-        times.append(st.t)
-        series_A.append(A_val)
-        series_Z.append(Z_val)
-        series_E0.append(e0)
-        series_E1.append(e1)
-        series_E2.append(e2)
+        for name, value in zip(series, values):
+            series[name].append(value)
         extra["cfl"].append(cfl_number(st.u, config.dt))
         extra["uL_smooth_integral"].append(
             acc_uL.update(st.t, _besov_value(centered(u_L), spec_high, ladder))
@@ -649,8 +651,8 @@ def ns_integrate(
             a_vals = st.a.values.real
             b_f = SpectralField.from_physical(grid, config.visc.b_values(a_vals))
             lam_f = SpectralField.from_physical(grid, np.asarray(config.visc.lam(a_vals), dtype=float))
-            tail = _besov_value(centered(b_f) - low_pass(centered(b_f), m, ladder), spec_scalar, ladder)
-            tail += _besov_value(centered(lam_f) - low_pass(centered(lam_f), m, ladder), spec_scalar, ladder)
+            tail = _besov_value(centered(b_f) - ladder.low_pass(centered(b_f), m), spec_scalar, ladder)
+            tail += _besov_value(centered(lam_f) - ladder.low_pass(centered(lam_f), m), spec_scalar, ladder)
             extra[f"smallness_m{m}"].append((1.0 + A_val) ** 3 * tail)
         return Z_val
 
@@ -692,12 +694,7 @@ def ns_integrate(
                     break
 
     diagnostics = DiagnosticsSeries(
-        times=tuple(times),
-        A=tuple(series_A),
-        Z=tuple(series_Z),
-        E0=tuple(series_E0),
-        E1=tuple(series_E1),
-        E2=tuple(series_E2),
+        **{name: tuple(values) for name, values in series.items()},
         p=p,
         stop_reason=stop_reason,
         extra={k: tuple(v) for k, v in extra.items()},
@@ -744,14 +741,10 @@ def energy_diagnostics(
     grid = base.grid
     area = grid.cell_area
 
-    ubars: list[VectorField] = []
-    rhos: list[np.ndarray] = []
-    e0s: list[float] = []
-    e1s: list[float] = []
-    rhs: list[float] = []
-    conv: list[float] = []
-    rho_min: list[float] = []
-    rho_max: list[float] = []
+    series: dict[str, list[float]] = {
+        name: [] for name in ("E0", "E1", "E2", "energy_rhs", "convection_l2", "rho_min", "rho_max")
+    }
+    prev: tuple[float, VectorField] | None = None
     for st in tail:
         u_F = heat_propagate(base.u, mu, st.t - base.t)
         ubar = st.u - u_F
@@ -766,28 +759,25 @@ def energy_diagnostics(
             - VectorField(multiply(rho_f, conv_F.u1), multiply(rho_f, conv_F.u2))
             - VectorField(multiply(rho_f, cross.u1), multiply(rho_f, cross.u2))
         )
-        ubars.append(ubar)
-        rhos.append(rho)
-        e0s.append(float(np.sum(rho * (ubar.u1.values.real**2 + ubar.u2.values.real**2))) * area)
-        e1s.append(_l2(derivative(ubar, (1, 0))) ** 2 + _l2(derivative(ubar, (0, 1))) ** 2)
-        rhs.append(
-            float(
-                np.sum(
-                    ubar.u1.values.real * gforce.u1.values.real
-                    + ubar.u2.values.real * gforce.u2.values.real
-                )
-            )
-            * area
+        values = (
+            _weighted_energy(rho, ubar),
+            _enstrophy(ubar),
+            _rate_energy(rho, st.t, ubar, prev),
+            float(np.sum(ubar.u1.values.real * gforce.u1.values.real
+                         + ubar.u2.values.real * gforce.u2.values.real)) * area,
+            _l2(conv_F),
+            float(rho.min()),
+            float(rho.max()),
         )
-        conv.append(_l2(conv_F))
-        rho_min.append(float(rho.min()))
-        rho_max.append(float(rho.max()))
+        prev = (st.t, ubar)
+        for name, value in zip(series, values):
+            series[name].append(value)
 
+    out = {name: tuple(values) for name, values in series.items()}
     k = len(tail)
     t_arr = np.array([s.t for s in tail])
-    e0_arr = np.array(e0s)
+    e0_arr = np.array(out["E0"])
     defect: list[float] = []
-    e2s: list[float] = []
     for i in range(k):
         if k == 1:
             de0 = 0.0
@@ -797,29 +787,15 @@ def energy_diagnostics(
             de0 = (e0_arr[-1] - e0_arr[-2]) / (t_arr[-1] - t_arr[-2])
         else:
             de0 = (e0_arr[i + 1] - e0_arr[i - 1]) / (t_arr[i + 1] - t_arr[i - 1])
-        defect.append(abs(0.5 * de0 + mu * e1s[i] - rhs[i]))
-        if i == 0:
-            e2s.append(0.0)
-        else:
-            dudt = (ubars[i] - ubars[i - 1]) * (1.0 / (t_arr[i] - t_arr[i - 1]))
-            e2s.append(
-                float(np.sum(rhos[i] * (dudt.u1.values.real**2 + dudt.u2.values.real**2))) * area
-            )
+        defect.append(abs(0.5 * de0 + mu * out["E1"][i] - out["energy_rhs"][i]))
 
     zeros = tuple(0.0 for _ in range(k))
     return DiagnosticsSeries(
         times=tuple(float(t) for t in t_arr),
         A=zeros,
         Z=zeros,
-        E0=tuple(e0s),
-        E1=tuple(e1s),
-        E2=tuple(e2s),
-        stop_reason="completed",
-        extra={
-            "energy_defect": tuple(defect),
-            "energy_rhs": tuple(rhs),
-            "convection_l2": tuple(conv),
-            "rho_min": tuple(rho_min),
-            "rho_max": tuple(rho_max),
-        },
+        E0=out.pop("E0"),
+        E1=out.pop("E1"),
+        E2=out.pop("E2"),
+        extra={"energy_defect": tuple(defect), **out},
     )

@@ -130,9 +130,9 @@ def _require_stored_time(times: tuple[float, ...], t: float) -> None:
 class _VelocityInTime:
     """Piecewise-linear-in-time velocity built on cubic spatial samplers."""
 
-    def __init__(self, times, fields, upsample=_UPSAMPLE):
+    def __init__(self, times, fields):
         self.times = times
-        self.samplers = [PeriodicSampler.of_vector(u, upsample) for u in fields]
+        self.samplers = [PeriodicSampler.of_vector(u, _UPSAMPLE) for u in fields]
 
     def __call__(self, t: float, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         times = self.times
@@ -301,8 +301,8 @@ def _integrated_gradient(trajectory, t: float) -> tuple[np.ndarray, Grid]:
     return M, grid
 
 
-def _neumann_inverse(M: np.ndarray, k_max: int, tol: float) -> np.ndarray:
-    """Sum of (-M)^k, with growth-based divergence detection."""
+def _neumann_inverse(M: np.ndarray, k_max: int) -> np.ndarray:
+    """Sum of (-M)^k to relative term size 1e-14, with growth-based divergence detection."""
     A = np.broadcast_to(_IDENTITY, M.shape).copy()
     term = A
     first = None
@@ -312,7 +312,7 @@ def _neumann_inverse(M: np.ndarray, k_max: int, tol: float) -> np.ndarray:
         size = _entry_linf(term)
         if first is None:
             first = size
-        if size <= tol * (1.0 + _entry_linf(A)):
+        if size <= 1e-14 * (1.0 + _entry_linf(A)):
             return A
         if size > 1e3 * (1.0 + first):
             raise RuntimeError(
@@ -327,7 +327,7 @@ def _neumann_inverse(M: np.ndarray, k_max: int, tol: float) -> np.ndarray:
     return A
 
 
-def jacobian_series(v_trajectory, t: float, *, k_max: int = 16, tol: float = 1e-14) -> np.ndarray:
+def jacobian_series(v_trajectory, t: float, *, k_max: int = 16) -> np.ndarray:
     """Inverse Jacobian at time t as a truncated geometric series.
 
     The co-moving Jacobian is the identity plus the time integral of the
@@ -335,7 +335,7 @@ def jacobian_series(v_trajectory, t: float, *, k_max: int = 16, tol: float = 1e-
     integral whenever the integral is small.  Term growth aborts the sum.
     """
     M, _ = _integrated_gradient(v_trajectory, t)
-    return _neumann_inverse(M, k_max, tol)
+    return _neumann_inverse(M, k_max)
 
 
 # ---------------------------------------------------------------------------
@@ -449,8 +449,7 @@ def _safe_ratio(num: float, den: float) -> float:
     return num / den if den > 1e-300 else float("inf")
 
 
-def delta_estimates(v1_trajectory, v2_trajectory, p: float = 2.0, *,
-                    ladder: DyadicLadder | None = None, k_max: int = 16) -> FlowDeltaReport:
+def delta_estimates(v1_trajectory, v2_trajectory, p: float = 2.0) -> FlowDeltaReport:
     """Measure the stability bounds linking two nearby co-moving velocities.
 
     Both trajectories must share times and a grid and stay in the regime
@@ -465,8 +464,7 @@ def delta_estimates(v1_trajectory, v2_trajectory, p: float = 2.0, *,
         abs(a - b) > 1e-12 * max(1.0, abs(a)) for a, b in zip(times1, times2)
     ):
         raise ValueError("trajectories must share their sample times")
-    if ladder is None:
-        ladder = build_ladder(grid)
+    ladder = build_ladder(grid)
     times = np.asarray(times1)
     reg = BesovSpec(s=2.0 / p, p=p, r=1.0)
     low = BesovSpec(s=2.0 / p - 1.0, p=p, r=1.0)
@@ -478,10 +476,7 @@ def delta_estimates(v1_trajectory, v2_trajectory, p: float = 2.0, *,
         for k in range(len(times) - 1):
             acc.append(acc[-1] + 0.5 * (times[k + 1] - times[k]) * (g[k] + g[k + 1]))
         cums.append(acc)
-    inv = [
-        [_neumann_inverse(M, k_max, 1e-14) for M in acc]
-        for acc in cums
-    ]
+    inv = [[_neumann_inverse(M, 16) for M in acc] for acc in cums]
     rates = [
         [-_matmul(_matmul(A, G), A) for A, G in zip(inv_i, grads_i)]
         for inv_i, grads_i in zip(inv, grads)

@@ -123,15 +123,6 @@ class BlockProfile:
             return tuple(0.0 for _ in self.values)
         return tuple(v / tot for v in self.values)
 
-    def csv_rows(self) -> list[str]:
-        return [f"{j},{v:.17g}" for j, v in zip(self.js, self.values)]
-
-    def write_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("j,value\n")
-            for row in self.csv_rows():
-                fh.write(row + "\n")
-
 
 def lp_norm(f: SpectralField | VectorField, p: float) -> float:
     """Quadrature L^p norm with cell measure (L/n)^2; p=inf is the grid max."""

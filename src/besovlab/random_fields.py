@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 
+from .dyadic import ANNULUS_INNER, ANNULUS_OUTER
 from .spectral import Grid, SpectralField, VectorField
 
 __all__ = [
@@ -93,36 +94,14 @@ def random_band_field(
     return SpectralField(grid, modes, real=True)
 
 
-def random_annulus_field(
-    grid: Grid,
-    j: int,
-    seed,
-    *,
-    inner: float = 0.75,
-    outer: float = 8.0 / 3.0,
-    slope: float = 0.0,
-    amplitude: float = 1.0,
-) -> SpectralField:
-    """Random field spectrally supported in the octave-j annulus."""
-    return random_band_field(
-        grid, inner * 2.0**j, outer * 2.0**j, seed, slope=slope, amplitude=amplitude
-    )
+def random_annulus_field(grid: Grid, j: int, seed) -> SpectralField:
+    """Random field spectrally supported in the octave-j annulus 2^j * [3/4, 8/3]."""
+    return random_band_field(grid, ANNULUS_INNER * 2.0**j, ANNULUS_OUTER * 2.0**j, seed)
 
 
-def random_ball_field(
-    grid: Grid,
-    j: int,
-    seed,
-    *,
-    radius: float = 1.0,
-    slope: float = 0.0,
-    amplitude: float = 1.0,
-    mean: float = 0.0,
-) -> SpectralField:
-    """Random field spectrally supported in the ball of radius 2^j * radius."""
-    return random_band_field(
-        grid, 0.0, radius * 2.0**j, seed, slope=slope, amplitude=amplitude, mean=mean
-    )
+def random_ball_field(grid: Grid, j: int, seed, *, mean: float = 0.0) -> SpectralField:
+    """Random field spectrally supported in the ball of radius 2^j."""
+    return random_band_field(grid, 0.0, 2.0**j, seed, mean=mean)
 
 
 def random_divergence_free(

@@ -490,7 +490,7 @@ def _solenoidal_defect(u: VectorField) -> tuple[float, float]:
 def require_solenoidal(u: VectorField, tol: float = 1e-8) -> None:
     """Reject u unless |div u| <= tol * |grad u| in L2."""
     div_l2, grad_l2 = _solenoidal_defect(u)
-    if div_l2 > tol * max(grad_l2, 1e-300):
+    if not div_l2 <= tol * max(grad_l2, 1e-300):  # also rejects NaN
         raise ValueError(
             f"velocity is not solenoidal: divergence |div u| = {div_l2:.3e}"
             f" exceeds {tol:.0e} * |grad u| = {tol * grad_l2:.3e}"
@@ -511,15 +511,7 @@ def advect_vector(V: VectorField, W: VectorField) -> VectorField:
 def leray_project(V: VectorField) -> VectorField:
     """Divergence-free part of V; modes with no derivative (the mean and the
     unpaired Nyquist corner) are kept verbatim."""
-    ex, ey = V.grid.projector_tables
-    kdotu = ex * V.u1.modes + ey * V.u2.modes
-    m1 = V.u1.modes - ex * kdotu
-    m2 = V.u2.modes - ey * kdotu
-    m1 = m1.copy()
-    m2 = m2.copy()
-    m1[0, 0] = V.u1.modes[0, 0]
-    m2[0, 0] = V.u2.modes[0, 0]
-    return VectorField(V.u1.with_modes(m1), V.u2.with_modes(m2))
+    return V - gradient_part(V)
 
 
 def gradient_part(V: VectorField) -> VectorField:

@@ -304,6 +304,15 @@ class TestExitCodes:
         assert code == 2
         assert "power of two" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("verb", [["elliptic"], ["verify", "elliptic"]])
+    def test_coefficient_amplitude_beyond_the_floor_is_usage_error(self, verb, tmp_path, capsys):
+        common = ["--n", "32", "--trials", "1"]
+        code = run_cli([*verb, *common, "--amplitude-a", "2.0", "--out", str(tmp_path / "big")])
+        assert code == 2
+        assert "exceeds 0.7" in capsys.readouterr().err
+        assert run_cli([*verb, *common, "--out", str(tmp_path / "default")]) == 0
+        capsys.readouterr()
+
 
 class TestVerifyVerbs:
     def test_heat_example_writes_fitted_constants(self, tmp_path, capsys):

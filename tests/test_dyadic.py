@@ -7,16 +7,12 @@ from besovlab.dyadic import (
     ANNULUS_INNER,
     ANNULUS_OUTER,
     BALL_RADIUS,
-    build_cutoffs,
     build_ladder,
+    chi,
+    phi,
 )
 from besovlab.spectral import SpectralField, make_grid, multiply
 from conftest import single_mode, smooth_random_field
-
-
-@pytest.fixture(scope="module")
-def cutoffs():
-    return build_cutoffs()
 
 
 def lattice_live_octaves(n, L):
@@ -33,94 +29,90 @@ def lattice_live_octaves(n, L):
 
 
 class TestCutoffs:
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            build_cutoffs("lanczos")
+    def test_point_values(self):
+        assert phi(np.array(1.4)) == pytest.approx(1.0, abs=1e-12)
+        assert phi(np.array(0.7)) == 0.0
+        assert chi(np.array(1.0)) + phi(np.array(1.0)) == pytest.approx(1.0, abs=1e-12)
 
-    def test_point_values(self, cutoffs):
-        assert cutoffs.phi(np.array(1.4)) == pytest.approx(1.0, abs=1e-12)
-        assert cutoffs.phi(np.array(0.7)) == 0.0
-        assert cutoffs.chi(np.array(1.0)) + cutoffs.phi(np.array(1.0)) == pytest.approx(1.0, abs=1e-12)
-
-    def test_supports(self, cutoffs):
+    def test_supports(self):
         r = np.linspace(0.0, 4.0, 2001)
-        phi = cutoffs.phi(r)
-        chi = cutoffs.chi(r)
-        assert np.all(phi[(r < ANNULUS_INNER) | (r > ANNULUS_OUTER)] == 0.0)
-        assert np.all(chi[r > BALL_RADIUS] == 0.0)
-        assert np.all(np.abs(chi[r <= ANNULUS_INNER] - 1.0) < 1e-12)
-        assert np.all((phi >= 0) & (phi <= 1 + 1e-12))
-        assert np.all((chi >= -1e-12) & (chi <= 1 + 1e-12))
+        phi_r = phi(r)
+        chi_r = chi(r)
+        assert np.all(phi_r[(r < ANNULUS_INNER) | (r > ANNULUS_OUTER)] == 0.0)
+        assert np.all(chi_r[r > BALL_RADIUS] == 0.0)
+        assert np.all(np.abs(chi_r[r <= ANNULUS_INNER] - 1.0) < 1e-12)
+        assert np.all((phi_r >= 0) & (phi_r <= 1 + 1e-12))
+        assert np.all((chi_r >= -1e-12) & (chi_r <= 1 + 1e-12))
 
-    def test_phi_is_one_on_overlap_free_zone(self, cutoffs):
+    def test_phi_is_one_on_overlap_free_zone(self):
         r = np.linspace(4.0 / 3.0 + 1e-9, 1.5 - 1e-9, 500)
-        assert np.max(np.abs(cutoffs.phi(r) - 1.0)) < 1e-12
+        assert np.max(np.abs(phi(r) - 1.0)) < 1e-12
 
-    def test_dyadic_partition_of_unity(self, cutoffs):
+    def test_dyadic_partition_of_unity(self):
         r = np.exp(np.linspace(np.log(1e-3), np.log(1e3), 10_000))
         total = np.zeros_like(r)
         for j in range(-25, 26):
-            total += cutoffs.phi(r / 2.0**j)
+            total += phi(r / 2.0**j)
         assert np.max(np.abs(total - 1.0)) < 1e-12
 
-    def test_chi_completes_partition(self, cutoffs):
+    def test_chi_completes_partition(self):
         r = np.exp(np.linspace(np.log(1e-3), np.log(1e2), 10_000))
-        total = cutoffs.chi(r)
+        total = chi(r)
         for j in range(0, 25):
-            total += cutoffs.phi(r / 2.0**j)
+            total += phi(r / 2.0**j)
         assert np.max(np.abs(total - 1.0)) < 1e-12
-        assert cutoffs.chi(np.array(0.0)) == 1.0
+        assert chi(np.array(0.0)) == 1.0
 
 
 class TestLadder:
-    def test_frozen_range_n256(self, cutoffs):
-        ladder = build_ladder(make_grid(256), cutoffs)
+    def test_frozen_range_n256(self):
+        ladder = build_ladder(make_grid(256))
         assert (ladder.j_min, ladder.j_max) == (-1, 7)
 
-    def test_enumeration_oracle(self, cutoffs):
+    def test_enumeration_oracle(self):
         for n, L in [(8, 2 * np.pi), (32, 2 * np.pi), (64, 1.0), (128, 10.0), (256, 2 * np.pi)]:
-            ladder = build_ladder(make_grid(n, L), cutoffs)
+            ladder = build_ladder(make_grid(n, L))
             live = lattice_live_octaves(n, L)
             assert (ladder.j_min, ladder.j_max) == (live[0], live[-1]), (n, L)
 
-    def test_minimum_grid_has_three_blocks(self, cutoffs):
-        ladder = build_ladder(make_grid(8), cutoffs)
+    def test_minimum_grid_has_three_blocks(self):
+        ladder = build_ladder(make_grid(8))
         assert ladder.n_blocks >= 3
 
-    def test_tiny_grid_rejected(self, cutoffs):
+    def test_tiny_grid_rejected(self):
         with pytest.raises(ValueError):
-            build_ladder(make_grid(4), cutoffs)
+            build_ladder(make_grid(4))
 
-    def test_reconstruction(self, cutoffs, rng):
+    def test_reconstruction(self, rng):
         grid = make_grid(64)
-        ladder = build_ladder(grid, cutoffs)
+        ladder = build_ladder(grid)
         for mean_zero in (True, False):
             f = smooth_random_field(grid, rng, mean_zero=mean_zero)
             r = ladder.reconstruct(f)
             assert np.max(np.abs(r.modes - f.modes)) < 1e-12 * np.max(np.abs(f.modes))
 
-    def test_analysis_blocks_sum_to_identity(self, cutoffs, rng):
+    def test_analysis_blocks_sum_to_identity(self, rng):
         grid = make_grid(64)
-        ladder = build_ladder(grid, cutoffs)
+        ladder = build_ladder(grid)
         f = smooth_random_field(grid, rng, mean_zero=False) + SpectralField.from_physical(grid, np.full((64, 64), 0.7))
         acc = ladder.analysis_block(f, ladder.j_min)
         for j in range(ladder.j_min + 1, ladder.j_max + 1):
             acc = acc + ladder.analysis_block(f, j)
         assert np.max(np.abs(acc.modes - f.modes)) < 1e-12 * np.max(np.abs(f.modes))
 
-    def test_block_range_enforced(self, cutoffs, rng):
+    def test_block_range_enforced(self, rng):
         grid = make_grid(64)
-        ladder = build_ladder(grid, cutoffs)
+        ladder = build_ladder(grid)
         f = smooth_random_field(grid, rng)
         with pytest.raises(ValueError):
             ladder.block(f, ladder.j_max + 1)
         with pytest.raises(ValueError):
             ladder.block(f, ladder.j_min - 1)
 
-    def test_single_mode_block(self, cutoffs):
+    def test_single_mode_block(self):
         # |k| = sqrt(2)*2^j sits in the phi==1 zone (4/3, 3/2) of octave j
         grid = make_grid(64)
-        ladder = build_ladder(grid, cutoffs)
+        ladder = build_ladder(grid)
         j = 3
         k = 2**j
         u = single_mode(grid, k, k)
@@ -130,9 +122,9 @@ class TestLadder:
             if abs(jp - j) >= 2:
                 assert np.max(np.abs(ladder.block(u, jp).modes)) == 0.0
 
-    def test_constant_field_lives_in_low_block(self, cutoffs):
+    def test_constant_field_lives_in_low_block(self):
         grid = make_grid(64)
-        ladder = build_ladder(grid, cutoffs)
+        ladder = build_ladder(grid)
         c = SpectralField.from_physical(grid, np.full((64, 64), 3.0))
         for j in ladder.js:
             assert np.max(np.abs(ladder.block(c, j).modes)) == 0.0
@@ -141,9 +133,9 @@ class TestLadder:
         with pytest.raises(ValueError):
             ladder.inhomogeneous_block(c, -2)
 
-    def test_low_pass_examples(self, cutoffs, rng):
+    def test_low_pass_examples(self, rng):
         grid = make_grid(64)
-        ladder = build_ladder(grid, cutoffs)
+        ladder = build_ladder(grid)
         f = smooth_random_field(grid, rng, mean_zero=False)
         top = ladder.low_pass(f, ladder.j_max + 2)
         assert np.max(np.abs(top.modes - f.modes)) < 1e-12 * np.max(np.abs(f.modes))
@@ -157,9 +149,9 @@ class TestLadder:
                 acc = acc + ladder.block(f, jp)
             assert np.max(np.abs(acc.modes - f.modes)) < 1e-12 * np.max(np.abs(f.modes))
 
-    def test_almost_orthogonality(self, cutoffs, rng):
+    def test_almost_orthogonality(self, rng):
         grid = make_grid(64)
-        ladder = build_ladder(grid, cutoffs)
+        ladder = build_ladder(grid)
         f = smooth_random_field(grid, rng, k0=20.0)
         for j in ladder.js:
             bj = ladder.block(f, j)
@@ -167,10 +159,10 @@ class TestLadder:
                 if abs(k - j) >= 2:
                     assert np.max(np.abs(ladder.block(bj, k).modes)) == 0.0
 
-    def test_block_paraproduct_support_separation(self, cutoffs, rng):
+    def test_block_paraproduct_support_separation(self, rng):
         # a block of (low-pass u times block v) vanishes when octaves differ by >= 5
         grid = make_grid(64)
-        ladder = build_ladder(grid, cutoffs)
+        ladder = build_ladder(grid)
         u = smooth_random_field(grid, rng, k0=20.0)
         v = smooth_random_field(grid, rng, k0=20.0)
         scale = grid.n**2
@@ -180,9 +172,9 @@ class TestLadder:
                 if abs(k - j) >= 5:
                     assert np.max(np.abs(ladder.block(term, k).modes)) < 1e-14 * scale, (j, k)
 
-    def test_blocks_uniformly_lp_bounded(self, cutoffs, rng):
+    def test_blocks_uniformly_lp_bounded(self, rng):
         grid = make_grid(64)
-        ladder = build_ladder(grid, cutoffs)
+        ladder = build_ladder(grid)
         area = grid.cell_area
 
         def lp(vals, p):

@@ -221,6 +221,13 @@ class TestErrors:
         with pytest.raises(ValueError, match="coefficient"):
             solve_pressure(a, F)
 
+    def test_nan_coefficient_rejected(self):
+        grid = make_grid(8)
+        vals = np.zeros((8, 8))
+        vals[3, 5] = np.nan
+        with pytest.raises(ValueError, match="floor"):
+            solve_pressure(SpectralField.from_physical(grid, vals), VectorField.zero(grid))
+
     def test_bad_tolerance(self):
         grid = make_grid(32)
         with pytest.raises(ValueError):
@@ -234,7 +241,7 @@ class TestErrors:
             solve_pressure(a, F, tol=1e-13, max_iter=1)
 
     def test_stats_shape(self):
-        s = EllipticSolveStats(iterations=3, residual=1e-12, split_m=None, relaxation=1.0)
+        s = EllipticSolveStats(iterations=3, residual=1e-12, split_m=None)
         assert s.iterations == 3 and s.split_m is None
 
 

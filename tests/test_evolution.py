@@ -109,6 +109,18 @@ class TestStateSnapshot:
                 0.0, a * 3.0, VectorField.zero(grid32), VectorField.zero(grid32)
             )
 
+    def test_rejects_nan_coefficient_and_nan_kappa(self):
+        grid = make_grid(8)
+        vals = np.zeros((8, 8))
+        vals[3, 5] = np.nan
+        a = SpectralField.from_physical(grid, vals)
+        zero = VectorField.zero(grid)
+        for kappa in (None, 0.5):
+            with pytest.raises(ValueError, match="floor"):
+                StateSnapshot(0.0, a, zero, zero, kappa=kappa)
+        with pytest.raises(ValueError, match="floor"):
+            StateSnapshot(0.0, SpectralField.zero(grid), zero, zero, kappa=float("nan"))
+
     def test_rejects_compressible_velocity(self, grid32):
         x, y = grid32.coords
         u = VectorField(

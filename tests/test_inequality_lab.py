@@ -1,6 +1,5 @@
 """Ratio-experiment checks: report plumbing, saturating cases, and sweeps."""
 
-import json
 import math
 
 import numpy as np
@@ -54,26 +53,6 @@ class TestRatioReport:
         r = make_report([3.0, 1.0, 2.0])
         assert r.max_ratio == 3.0
         assert r.median_ratio == 2.0
-
-    def test_json_roundtrip(self, tmp_path):
-        r = make_report([1.5, 0.5], extra={"note": (1, 2)})
-        path = tmp_path / "report.json"
-        r.write_json(path)
-        data = json.loads(path.read_text())
-        assert data["check"] == "demo"
-        assert data["ratios"] == [1.5, 0.5]
-        assert data["max_ratio"] == 1.5
-        assert data["refinement_stable"] is None
-        assert data["extra"]["note"] == [1, 2]
-
-    def test_csv_roundtrip(self, tmp_path):
-        r = make_report([1.0, 2.0], config={"p": 2.0, "j": 3})
-        path = tmp_path / "report.csv"
-        r.write_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "trial,ratio,seed,refinement_stable,config"
-        assert len(lines) == 3
-        assert "j=3;p=2.0" in lines[1]
 
     def test_mark_refinement(self):
         coarse = make_report([2.0])

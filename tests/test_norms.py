@@ -131,18 +131,6 @@ class TestBesov:
                 nfg = besov_norm(f + g, spec, ladder64)[0]
                 assert nfg <= nf + ng + 1e-12 * (nf + ng)
 
-    def test_block_profile_csv(self, tmp_path, ladder64, rng):
-        f = smooth_random_field(ladder64.grid, rng)
-        _, profile = besov_norm(f, BesovSpec(0.5, 2), ladder64)
-        path = tmp_path / "profile.csv"
-        profile.write_csv(path)
-        rows = path.read_text().strip().splitlines()
-        assert rows[0] == "j,value"
-        assert len(rows) == 1 + len(profile.js)
-        j0, v0 = rows[1].split(",")
-        assert int(j0) == profile.js[0]
-        assert float(v0) == pytest.approx(profile.values[0])
-
     def test_block_profile_rejects_negative(self):
         with pytest.raises(ValueError):
             BlockProfile((0, 1), (1.0, -2.0))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from besovlab.dyadic import build_ladder
+from besovlab.dyadic import build_ladder, phi
 from besovlab.norms import lp_norm
 from besovlab.paraproduct import (
     commutator_block,
@@ -177,7 +177,6 @@ class TestTransportCommutator:
         u = VectorField(SpectralField(grid, u_modes), SpectralField.zero(grid))
         a = single_mode(grid, 2, 0)
         comm = transport_commutator(u, a, j, ladder)
-        phi = ladder.cutoffs.phi
         r = np.hypot(2.0, 7.0) / 2.0**j
         expected = np.zeros((grid.n, grid.n), dtype=np.complex128)
         expected[2, 7] = -phi(np.array(r)) * 1j * n2

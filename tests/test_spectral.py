@@ -19,6 +19,7 @@ from besovlab.spectral import (
     multiply,
     potential_from_gradient,
     refine,
+    require_solenoidal,
     reused_factor,
 )
 from conftest import smooth_random_field
@@ -209,6 +210,13 @@ class TestProjectors:
         QG = gradient_part(G)
         for w, v in zip(QG.components, G.components):
             assert np.max(np.abs(w.modes - v.modes)) < 1e-12 * max(1.0, np.max(np.abs(v.modes)))
+
+    def test_nan_velocity_is_not_solenoidal(self):
+        grid = make_grid(8)
+        vals = np.zeros((8, 8))
+        vals[2, 6] = np.nan
+        with pytest.raises(ValueError, match="solenoidal"):
+            require_solenoidal(VectorField.from_physical(grid, vals, np.zeros((8, 8))))
 
     def test_mean_mode_kept_by_leray(self, grid64):
         V = VectorField.from_physical(grid64, np.full((64, 64), 1.5), np.full((64, 64), -0.5))

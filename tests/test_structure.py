@@ -1,4 +1,5 @@
-"""Source-level guards: no private cross-module imports, no duplicated function bodies."""
+"""Source-level guards: no private cross-module imports, no duplicated function bodies,
+no defaulted parameter that no call sets."""
 
 import ast
 from collections import defaultdict
@@ -7,6 +8,7 @@ from pathlib import Path
 import besovlab
 
 SOURCES = sorted(Path(besovlab.__file__).parent.glob("*.py"))
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def _is_private(name: str) -> bool:
@@ -48,3 +50,56 @@ def test_no_two_functions_share_a_body():
                 bodies[key].append(f"{path.name}:{node.lineno} {node.name}")
     duplicates = [names for names in bodies.values() if len(names) > 1]
     assert duplicates == []
+
+
+def _called_name(func) -> str | None:
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
+
+
+def _defaulted_parameters(tree):
+    """(name a call uses, parameter, its position at such a call or None) per defaulted parameter.
+
+    A method's position skips ``self``/``cls``; ``__init__`` is called by its class name.
+    """
+    for parent in ast.walk(tree):
+        for node in ast.iter_child_nodes(parent):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+            bound = int(isinstance(parent, ast.ClassDef) and not static)
+            name = parent.name if bound and node.name == "__init__" else node.name
+            positional = node.args.posonlyargs + node.args.args
+            first = len(positional) - len(node.args.defaults)
+            for i, arg in enumerate(positional[first:], start=first):
+                yield name, arg.arg, i - bound
+            for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+                if default is not None:
+                    yield name, arg.arg, None
+
+
+def _passes(call: ast.Call, param: str, position: int | None) -> bool:
+    if any(k.arg is None or k.arg == param for k in call.keywords):
+        return True
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    return position is not None and len(call.args) > position
+
+
+def test_every_default_parameter_has_a_caller():
+    """An option that no call in the package or its tests sets is a constant, not an option."""
+    calls = defaultdict(list)
+    for path in SOURCES + TESTS:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                calls[_called_name(node.func)].append(node)
+    unused = [
+        f"{path.name}: {name}({param})"
+        for path in SOURCES
+        for name, param, position in _defaulted_parameters(ast.parse(path.read_text(encoding="utf-8")))
+        if not any(_passes(call, param, position) for call in calls[name])
+    ]
+    assert unused == []
