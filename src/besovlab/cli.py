@@ -405,6 +405,9 @@ def load_snapshot(path) -> StateSnapshot:
     planes = np.frombuffer(
         data, dtype="<f8", count=4 * n * n, offset=len(_MAGIC) + _HEADER.size
     ).reshape(4, n, n)
+    for name, plane in zip(("coefficient", "velocity u1", "velocity u2", "pressure"), planes):
+        if not np.isfinite(plane).all():
+            raise ValueError(f"snapshot {name} plane holds non-finite values")
     grid = make_grid(n, L)
     a = SpectralField.from_physical(grid, planes[0])
     u = VectorField(
@@ -1199,7 +1202,7 @@ def run_cli(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError, OSError) as exc:
+    except (ValueError, RuntimeError, FloatingPointError, OSError) as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
 

@@ -39,6 +39,7 @@ from .spectral import (
     gradient,
     gradient_part,
     inverse_laplacian,
+    l2_norm,
     multiply,
     potential_from_gradient,
     reused_factor,
@@ -91,15 +92,10 @@ def _q_norm_of_divergence(r: SpectralField) -> float:
     return math.sqrt(float(np.sum(weighted))) * grid.L / grid.n**2
 
 
-def _l2(f: SpectralField | VectorField) -> float:
-    if isinstance(f, VectorField):
-        return math.sqrt(_l2(f.u1) ** 2 + _l2(f.u2) ** 2)
-    return float(np.linalg.norm(f.modes)) * f.grid.L / f.grid.n**2
-
-
 def _inner(u: SpectralField, v: SpectralField) -> float:
+    # a plain sum, not np.vdot, which would wake a spinning BLAS thread (see l2_norm)
     w = u.grid.L / u.grid.n**2
-    return float(np.real(np.vdot(u.modes, v.modes))) * w**2
+    return float(np.sum(u.modes.real * v.modes.real + u.modes.imag * v.modes.imag)) * w**2
 
 
 def residual(a: SpectralField, grad_pi: VectorField, F: VectorField) -> float:
@@ -109,7 +105,7 @@ def residual(a: SpectralField, grad_pi: VectorField, F: VectorField) -> float:
     matching how the solve itself is posed.
     """
     defect = drop_nyquist(F - weight_by(a, grad_pi))
-    return _l2(gradient_part(defect))
+    return l2_norm(gradient_part(defect))
 
 
 def _apply_form(a: SpectralField, p: SpectralField) -> SpectralField:
@@ -160,7 +156,8 @@ def solve_pressure(
     The relative stopping criterion is on the gradient part of the defect:
     |Q(F - (1+a) grad Pi)| <= tol |QF| in L2.  The solve is preconditioned
     conjugate gradients; passing split_m switches to the outer low/high
-    splitting iteration at that octave.
+    splitting iteration at that octave.  A non-finite forcing raises
+    ``FloatingPointError``.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
@@ -171,10 +168,11 @@ def solve_pressure(
     a = reused_factor(a)
 
     qf = gradient_part(drop_nyquist(F))
-    q_den = _l2(qf)
+    q_den = l2_norm(qf)
+    if not math.isfinite(q_den):
+        raise FloatingPointError("pressure forcing is not finite")
     if q_den == 0.0:
-        zero = VectorField(SpectralField.zero(grid), SpectralField.zero(grid))
-        return zero, EllipticSolveStats(0, 0.0, split_m)
+        return VectorField.zero(grid), EllipticSolveStats(0, 0.0, split_m)
 
     if split_m is not None:
         return _solve_split(a, F, tol, max_iter, split_m, q_den)
@@ -205,7 +203,7 @@ def _solve_split(
     a_high = reused_factor(a - a_low)
     if coefficient_floor(a_low) <= 0.0:
         raise ValueError("low-frequency coefficient part loses positivity; raise split_m")
-    g = VectorField(SpectralField.zero(grid), SpectralField.zero(grid))
+    g = VectorField.zero(grid)
     inner_tol = max(0.1 * tol, 1e-14)
     for it in range(1, max_iter + 1):
         hg = VectorField(multiply(a_high, g.u1), multiply(a_high, g.u2))

@@ -51,6 +51,7 @@ from .spectral import (
     centered,
     derivative,
     heat_propagate,
+    l2_norm,
     leray_project,
     multiply,
     require_solenoidal,
@@ -90,14 +91,8 @@ def cfl_number(u: VectorField, dt: float) -> float:
 
 def _require_cfl(u: VectorField, dt: float) -> None:
     c = cfl_number(u, dt)
-    if c > 0.5 + 1e-12:
+    if not c <= 0.5 + 1e-12:  # also rejects NaN
         raise CFLViolation(f"CFL number {c:.3f} exceeds 0.5; shrink dt or the velocity")
-
-
-def _l2(f: SpectralField | VectorField) -> float:
-    if isinstance(f, VectorField):
-        return math.sqrt(_l2(f.u1) ** 2 + _l2(f.u2) ** 2)
-    return math.sqrt(float(np.sum(np.abs(f.values) ** 2)) * f.grid.cell_area)
 
 
 def _weighted_energy(rho: np.ndarray, w: VectorField) -> float:
@@ -107,7 +102,7 @@ def _weighted_energy(rho: np.ndarray, w: VectorField) -> float:
 
 def _enstrophy(w: VectorField) -> float:
     """Squared L2 norm of the gradient of w."""
-    return _l2(derivative(w, (1, 0))) ** 2 + _l2(derivative(w, (0, 1))) ** 2
+    return l2_norm(derivative(w, (1, 0))) ** 2 + l2_norm(derivative(w, (0, 1))) ** 2
 
 
 def _rate_energy(rho: np.ndarray, t: float, w: VectorField, prev: tuple | None) -> float:
@@ -175,12 +170,10 @@ class ViscosityLaw:
 
     def lam(self, a):
         """Antiderivative of the viscosity, vanishing at a = 0."""
-        if self.kind == "constant":
+        if self.is_constant:
             return self.mu0 * np.asarray(a, dtype=float) if not np.isscalar(a) else self.mu0 * a
         if self.kind == "affine":
             return self.mu0 * a + self.mu1 * np.log1p(a)
-        if self.mu1 == 0.0:
-            return self.mu0 * np.asarray(a, dtype=float) if not np.isscalar(a) else self.mu0 * a
         return self.mu0 * np.expm1(self.mu1 * a) / self.mu1
 
     def b_values(self, a_values: np.ndarray) -> np.ndarray:
@@ -356,12 +349,8 @@ def _transport_spectral(a: SpectralField, u: VectorField, dt: float) -> Spectral
 
 def _departure_points(u: VectorField, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Backward fourth-order particle step from every node under steady u."""
-    sampler = PeriodicSampler.of_vector(u, upsample=4)
+    vel = PeriodicSampler.of_vector(u, upsample=4).at
     xg, yg = u.grid.coords
-
-    def vel(x, y):
-        return sampler.at(x, y)
-
     k1x, k1y = vel(xg, yg)
     k2x, k2y = vel(xg - 0.5 * dt * k1x, yg - 0.5 * dt * k1y)
     k3x, k3y = vel(xg - 0.5 * dt * k2x, yg - 0.5 * dt * k2y)
@@ -436,6 +425,7 @@ def momentum_step(
     pressure_tol: float = 1e-10,
     pressure_max_iter: int = 500,
     ladder: DyadicLadder | None = None,
+    end_pressure: bool = True,
 ) -> StateSnapshot:
     """Advance the velocity by one step of size dt at frozen scalar.
 
@@ -446,9 +436,11 @@ def momentum_step(
     which is second-order accurate.  Passing ``split_m`` refines the second
     stage once: the low-pass part of the variable diffusion coefficient is
     re-evaluated at the provisional endpoint, imitating implicit treatment of
-    the stiffest variable-coefficient scales.  The returned snapshot carries
-    the pressure gradient re-solved at the final velocity, so it is registered
-    at the snapshot's own time.
+    the stiffest variable-coefficient scales.  Each stage solves the pressure.
+    With ``end_pressure`` (the default) the returned snapshot carries the
+    pressure gradient re-solved at the final velocity, so it is registered at
+    the snapshot's own time; without it, the last stage's, fit only to
+    warm-start the next step.  A non-finite velocity or forcing raises FloatingPointError.
     """
     if dt <= 0.0:
         raise ValueError("momentum step requires dt > 0")
@@ -493,10 +485,13 @@ def momentum_step(
         u_new = heat(u0) + (heat(k1) + k2s) * (0.5 * dt)
 
     u_new = leray_project(u_new)
-    grad_pi_end, _ = solve_pressure(
-        coeff, _forcing(coeff, mu_a, u_new), tol=pressure_tol, max_iter=pressure_max_iter, initial_guess=gp2
-    )
-    return StateSnapshot(state.t + dt, a, u_new, grad_pi_end, kappa=state.kappa)
+    if not all(np.isfinite(c.modes).all() for c in u_new.components):
+        raise FloatingPointError(f"momentum step from t={state.t:.6g} gave a non-finite velocity")
+    if end_pressure:
+        gp2, _ = solve_pressure(
+            coeff, _forcing(coeff, mu_a, u_new), tol=pressure_tol, max_iter=pressure_max_iter, initial_guess=gp2
+        )
+    return StateSnapshot(state.t + dt, a, u_new, gp2, kappa=state.kappa)
 
 
 # ---------------------------------------------------------------------------
@@ -587,10 +582,13 @@ def ns_integrate(
     """Advance the coupled system to the horizon, collecting diagnostics.
 
     Each step is a Strang composition: half a transport step, a full momentum
-    step, half a transport step.  The run ends early — with the reason in
-    ``DiagnosticsSeries.stop_reason`` — if the accumulated correction
-    functional exceeds the configured budget, if the velocity outgrows the
-    CFL bound, or if a pressure solve fails.
+    step, half a transport step.  Only sampled steps (every ``snapshot_every``
+    and the last) re-solve the pressure at their end, so each sampled state
+    carries its own pressure; other steps pass their last stage's on as a warm
+    start.  The run ends early, with the reason in ``stop_reason``, if Z
+    exceeds the budget (``budget_exceeded``), the velocity outgrows the CFL
+    bound (``cfl_violation``), a step yields a non-finite velocity or pressure
+    forcing (``non_finite``), or a pressure solve fails (``solver_failure``).
     """
     grid = a0.grid
     kappa = require_floor(a0)
@@ -663,10 +661,9 @@ def ns_integrate(
         stop_reason = "budget_exceeded"
     else:
         for step in range(1, config.steps + 1):
-            if cfl_number(state.u, config.dt) > 0.5 + 1e-12:
-                stop_reason = "cfl_violation"
-                break
+            sampled = step % config.snapshot_every == 0 or step == config.steps
             try:
+                _require_cfl(state.u, config.dt)
                 a_half = transport_step(state.a, state.u, 0.5 * config.dt, config.scheme)
                 mid = StateSnapshot(state.t, a_half, state.u, state.gradPi, kappa=kappa)
                 moved = momentum_step(
@@ -677,16 +674,20 @@ def ns_integrate(
                     pressure_tol=config.pressure_tol,
                     pressure_max_iter=config.pressure_max_iter,
                     ladder=ladder,
+                    end_pressure=sampled,
                 )
                 a_new = transport_step(a_half, moved.u, 0.5 * config.dt, config.scheme)
                 state = StateSnapshot(moved.t, a_new, moved.u, moved.gradPi, kappa=kappa)
             except CFLViolation:
                 stop_reason = "cfl_violation"
                 break
+            except FloatingPointError:
+                stop_reason = "non_finite"
+                break
             except RuntimeError:
                 stop_reason = "solver_failure"
                 break
-            if step % config.snapshot_every == 0 or step == config.steps:
+            if sampled:
                 trajectory.append(state)
                 z_now = sample(state)
                 if z_now > config.epsilon_budget:
@@ -765,7 +766,7 @@ def energy_diagnostics(
             _rate_energy(rho, st.t, ubar, prev),
             float(np.sum(ubar.u1.values.real * gforce.u1.values.real
                          + ubar.u2.values.real * gforce.u2.values.real)) * area,
-            _l2(conv_F),
+            l2_norm(conv_F),
             float(rho.min()),
             float(rho.max()),
         )
@@ -779,14 +780,9 @@ def energy_diagnostics(
     e0_arr = np.array(out["E0"])
     defect: list[float] = []
     for i in range(k):
-        if k == 1:
-            de0 = 0.0
-        elif i == 0:
-            de0 = (e0_arr[1] - e0_arr[0]) / (t_arr[1] - t_arr[0])
-        elif i == k - 1:
-            de0 = (e0_arr[-1] - e0_arr[-2]) / (t_arr[-1] - t_arr[-2])
-        else:
-            de0 = (e0_arr[i + 1] - e0_arr[i - 1]) / (t_arr[i + 1] - t_arr[i - 1])
+        # central difference inside, one-sided at the ends
+        lo, hi = max(i - 1, 0), min(i + 1, k - 1)
+        de0 = (e0_arr[hi] - e0_arr[lo]) / (t_arr[hi] - t_arr[lo]) if k > 1 else 0.0
         defect.append(abs(0.5 * de0 + mu * out["E1"][i] - out["energy_rhs"][i]))
 
     zeros = tuple(0.0 for _ in range(k))

@@ -36,6 +36,7 @@ __all__ = [
     "gradient",
     "divergence",
     "require_solenoidal",
+    "l2_norm",
     "advect",
     "advect_vector",
     "leray_project",
@@ -352,22 +353,23 @@ def _product_samples(f: SpectralField) -> np.ndarray:
     half = (0.5 * (M / n) ** 2) * (c[:, : h + 1] + np.conj(c[np.ix_(flip, flip[: h + 1])]))
     half[h] *= 0.5
     half[:, h] *= 0.5
-    padded = np.zeros((M, M // 2 + 1), dtype=np.complex128)
-    padded[: h + 1, : h + 1] = half[: h + 1]
-    padded[M - h :, : h + 1] = half[h:]
+    # only the first n/2+1 columns are nonzero; irfft2 zero-fills the rest
+    padded = np.zeros((M, h + 1), dtype=np.complex128)
+    padded[: h + 1] = half[: h + 1]
+    padded[M - h :] = half[h:]
     return np.fft.irfft2(padded, s=(M, M))
 
 
 def _coarse_modes(q: np.ndarray, grid: Grid) -> np.ndarray:
-    """Restrict the half spectrum of a real product back to the n x n modes.
+    """Restrict the first n/2+1 columns of a real product's half spectrum to the n x n modes.
 
     Frequencies +-n/2 fold onto the stored -n/2 line (the adjoint of the
     Nyquist split) and the negative-ky half follows by conjugate symmetry.
     """
     n, M, h = grid.n, grid.product_size, grid.n // 2
     flip = grid.flip_index
-    half = np.concatenate((q[:h, : h + 1], q[M - h :, : h + 1]))
-    half[h] += q[h, : h + 1]
+    half = np.concatenate((q[:h], q[M - h :]))
+    half[h] += q[h]
     half[:, h] += np.conj(half[flip, h])
     out = np.empty((n, n), dtype=np.complex128)
     out[:, : h + 1] = half
@@ -393,8 +395,9 @@ def reused_factor(f: SpectralField) -> SpectralField:
 
 def _real_product(f: SpectralField, g: SpectralField) -> np.ndarray:
     """Coarse modes of the product of the real parts of f and g."""
-    q = np.fft.rfft2(_product_samples(f) * _product_samples(g))
-    return _coarse_modes(q, f.grid)
+    # rfft2, with the column transforms skipping the columns _coarse_modes does not read
+    rows = np.fft.rfft(_product_samples(f) * _product_samples(g), axis=1)
+    return _coarse_modes(np.fft.fft(rows[:, : f.grid.n // 2 + 1], axis=0), f.grid)
 
 
 def _real_parts(f: SpectralField) -> list[tuple[complex, SpectralField]]:
@@ -476,20 +479,20 @@ def divergence(V: VectorField) -> SpectralField:
     return derivative(V.u1, (1, 0)) + derivative(V.u2, (0, 1))
 
 
-def _solenoidal_defect(u: VectorField) -> tuple[float, float]:
-    """L2 size of div u alongside the L2 size of the full velocity gradient."""
-    area = u.grid.cell_area
-    div_l2 = math.sqrt(float(np.sum(np.abs(divergence(u).values) ** 2)) * area)
-    grad_sq = 0.0
-    for alpha in ((1, 0), (0, 1)):
-        d = derivative(u, alpha)
-        grad_sq += float(np.sum(np.abs(d.u1.values) ** 2 + np.abs(d.u2.values) ** 2))
-    return div_l2, math.sqrt(grad_sq * area)
+def l2_norm(f: SpectralField | VectorField) -> float:
+    """L2 norm over the torus, from the coefficients by Parseval.
+
+    A plain sum: a BLAS call (np.linalg.norm, np.vdot) wakes a second thread that then spins.
+    """
+    fields = f.components if isinstance(f, VectorField) else (f,)
+    total = sum(float(np.sum(c.modes.real**2 + c.modes.imag**2)) for c in fields)
+    return math.sqrt(total) * f.grid.L / f.grid.n**2
 
 
 def require_solenoidal(u: VectorField, tol: float = 1e-8) -> None:
     """Reject u unless |div u| <= tol * |grad u| in L2."""
-    div_l2, grad_l2 = _solenoidal_defect(u)
+    div_l2 = l2_norm(divergence(u))
+    grad_l2 = math.sqrt(l2_norm(derivative(u, (1, 0))) ** 2 + l2_norm(derivative(u, (0, 1))) ** 2)
     if not div_l2 <= tol * max(grad_l2, 1e-300):  # also rejects NaN
         raise ValueError(
             f"velocity is not solenoidal: divergence |div u| = {div_l2:.3e}"

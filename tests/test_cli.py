@@ -241,6 +241,15 @@ class TestSnapshotIO:
         with pytest.raises(ValueError, match="truncated or padded"):
             load_snapshot(path)
 
+    def test_non_finite_pressure_plane_rejected(self, tmp_path):
+        path = tmp_path / "state.bsns"
+        save_snapshot(_sample_state(), path)
+        data = bytearray(path.read_bytes())
+        struct.pack_into("<d", data, len(data) - 8, math.nan)  # last node of the pressure plane
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match="pressure plane holds non-finite values"):
+            load_snapshot(path)
+
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "state.bsns"
         path.write_bytes(b"BSNS\x01\x00")
@@ -271,6 +280,12 @@ class TestExitCodes:
     def test_version_exits_zero(self, capsys):
         assert run_cli(["--version"]) == 0
         assert "besovlab" in capsys.readouterr().out
+
+    def test_non_finite_initial_velocity_fails_naming_the_cause(self, tmp_path, capsys):
+        argv = ["simulate", "--out", str(tmp_path / "out"), "--n", "16", "--T", "0.02", "--amplitude-u", "inf"]
+        with np.errstate(invalid="ignore"):
+            assert run_cli(argv) == 1
+        assert "pressure forcing is not finite" in capsys.readouterr().err
 
     def test_norm_spec_on_constant_field_fails(self, tmp_path, capsys):
         code = run_cli(

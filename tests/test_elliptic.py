@@ -228,6 +228,13 @@ class TestErrors:
         with pytest.raises(ValueError, match="floor"):
             solve_pressure(SpectralField.from_physical(grid, vals), VectorField.zero(grid))
 
+    def test_non_finite_forcing_rejected(self):
+        grid = make_grid(32)
+        F = band_forcing(grid, 127)
+        F = VectorField(F.u1 * np.nan, F.u2)
+        with pytest.raises(FloatingPointError, match="not finite"):
+            solve_pressure(bounded_coefficient(grid, 128), F, max_iter=3)
+
     def test_bad_tolerance(self):
         grid = make_grid(32)
         with pytest.raises(ValueError):

@@ -7,7 +7,9 @@ import pytest
 
 from conftest import smooth_random_divfree, smooth_random_field
 
+from besovlab import evolution
 from besovlab.dyadic import build_ladder
+from besovlab.elliptic import solve_pressure
 from besovlab.evolution import (
     CFLViolation,
     DiagnosticsSeries,
@@ -46,6 +48,13 @@ def taylor_green(grid, mu, t):
         SpectralField.from_physical(grid, 0.5 * damp2 * np.sin(2.0 * y)),
     )
     return u, grad_pi
+
+
+def coupled_data(grid, rng):
+    """Rough scalar and small solenoidal velocity for a short coupled run."""
+    a0 = smooth_random_field(grid, rng, k0=3.0, amplitude=0.3)
+    u0 = smooth_random_divfree(grid, rng, k0=3.0) * 0.2
+    return a0, u0
 
 
 def rel_l2(got, want):
@@ -335,6 +344,14 @@ class TestMomentumStep:
         div = divergence(out.u)
         assert np.max(np.abs(div.values.real)) <= 1e-8 * max(out.u.linf(), 1.0)
 
+    def test_nan_step_fails_the_cfl_check(self, grid32, rng):
+        a, u = coupled_data(grid32, rng)
+        with pytest.raises(CFLViolation, match="nan"):
+            transport_step(a, u, math.nan)
+        state = StateSnapshot(0.0, a, u, VectorField.zero(grid32))
+        with pytest.raises(CFLViolation, match="nan"):
+            momentum_step(state, ViscosityLaw.constant(1.0), math.nan)
+
     def test_guards(self, grid32, rng):
         a = smooth_random_field(grid32, rng, amplitude=0.3)
         x, y = grid32.coords
@@ -433,6 +450,56 @@ class TestNsIntegrate:
         rows = diag.csv_rows()
         assert rows[0].startswith("t,A,Z,E0,E1,E2")
         assert len(rows) == len(diag.times) + 1
+
+    def test_pressure_solved_at_each_stage_and_at_sampled_ends(self, grid32, rng, monkeypatch):
+        calls = []
+
+        def counting_solve(*args, **kwargs):
+            calls.append(kwargs.get("initial_guess"))
+            return solve_pressure(*args, **kwargs)
+
+        monkeypatch.setattr(evolution, "solve_pressure", counting_solve)
+        config = IntegrationConfig(T=0.08, dt=0.01, visc=ViscosityLaw.affine(1.0, 0.5), snapshot_every=3)
+        traj, diag = ns_integrate(config, *coupled_data(grid32, rng))
+        assert diag.stop_reason == "completed"
+        assert [round(st.t / config.dt) for st in traj] == [0, 3, 6, 8]
+        # the initial solve, two stage solves per step, one end solve per sampled step
+        assert len(calls) == 1 + 2 * config.steps + 3
+        assert calls[0] is None and all(guess is not None for guess in calls[1:])
+
+    def test_sampled_states_do_not_depend_on_the_cadence(self, grid32, rng):
+        data = coupled_data(grid32, rng)
+        runs = {
+            every: ns_integrate(
+                IntegrationConfig(T=0.08, dt=0.01, visc=ViscosityLaw.exponential(1.0, 0.5), snapshot_every=every),
+                *data,
+            )
+            for every in (1, 4)
+        }
+        (dense, dense_diag), (sparse, sparse_diag) = runs[1], runs[4]
+        assert [st.t for st in sparse] == pytest.approx([dense[i].t for i in (0, 4, 8)])
+        assert sparse_diag.E0[-1] == pytest.approx(dense_diag.E0[-1], rel=1e-8)
+        for i, st in zip((0, 4, 8), sparse):
+            assert rel_l2(st.gradPi, dense[i].gradPi) <= 1e-8
+
+    @pytest.mark.parametrize("poisoned_call", [5, 6])
+    def test_non_finite_step_stops_the_run(self, grid32, rng, monkeypatch, poisoned_call):
+        # with one sample per step, solves 2-4 are step 1 and 5-6 are the stages
+        # of step 2: a NaN k1 pressure reaches the k2 solve through its forcing,
+        # a NaN k2 pressure reaches the final velocity
+        calls = []
+
+        def poisoned_solve(*args, **kwargs):
+            calls.append(1)
+            grad_pi, stats = solve_pressure(*args, **kwargs)
+            return (grad_pi * math.nan if len(calls) == poisoned_call else grad_pi), stats
+
+        monkeypatch.setattr(evolution, "solve_pressure", poisoned_solve)
+        config = IntegrationConfig(T=0.04, dt=0.01, visc=ViscosityLaw.affine(1.0, 0.5))
+        traj, diag = ns_integrate(config, *coupled_data(grid32, rng))
+        assert diag.stop_reason == "non_finite"
+        assert [st.t for st in traj] == pytest.approx([0.0, 0.01])
+        assert diag.times == pytest.approx((0.0, 0.01))
 
     def test_rejects_bad_floor(self, grid32):
         x, _ = grid32.coords

@@ -29,6 +29,44 @@ def l2_quadrature(f):
     return float(np.sqrt(np.sum(np.abs(f.values) ** 2) * f.grid.cell_area))
 
 
+def full_width_real_product(fm, gm, grid):
+    """Reference product kernel that transforms the whole padded half spectrum.
+
+    Full-width irfft2/rfft2 on the M x (M//2+1) half spectrum, of which only
+    the first n/2+1 columns are nonzero going in or read coming out.
+    """
+    n, M, h = grid.n, grid.product_size, grid.n // 2
+    flip = grid.flip_index
+
+    def samples(c):
+        half = (0.5 * (M / n) ** 2) * (c[:, : h + 1] + np.conj(c[np.ix_(flip, flip[: h + 1])]))
+        half[h] *= 0.5
+        half[:, h] *= 0.5
+        padded = np.zeros((M, M // 2 + 1), dtype=np.complex128)
+        padded[: h + 1, : h + 1] = half[: h + 1]
+        padded[M - h :, : h + 1] = half[h:]
+        return np.fft.irfft2(padded, s=(M, M))
+
+    q = np.fft.rfft2(samples(fm) * samples(gm))
+    half = np.concatenate((q[:h, : h + 1], q[M - h :, : h + 1]))
+    half[h] += q[h, : h + 1]
+    half[:, h] += np.conj(half[flip, h])
+    out = np.empty((n, n), dtype=np.complex128)
+    out[:, : h + 1] = half
+    out[:, h + 1 :] = np.conj(half[np.ix_(flip, flip[h + 1 :])])
+    out *= (n / M) ** 2
+    return out
+
+
+def full_width_multiply(f, g):
+    """`multiply` on the reference kernel: a complex factor is Re f + i Re(-i f)."""
+
+    def parts(x):
+        return [(1.0, x.modes)] if x.real else [(1.0, x.modes), (1j, -1j * x.modes)]
+
+    return sum(cf * cg * full_width_real_product(fm, gm, f.grid) for cf, fm in parts(f) for cg, gm in parts(g))
+
+
 class TestGrid:
     def test_make_grid_validation(self):
         for bad in (0, 4, 6, 12, 100, -8):
@@ -156,6 +194,20 @@ class TestProducts:
         assert np.max(np.abs(real_path.modes - complex_path.modes)) < 1e-13 * scale
         reused = multiply(reused_factor(f), h)
         assert np.max(np.abs(reused.modes - real_path.modes)) < 1e-13 * scale
+
+    @pytest.mark.parametrize("n", [8, 16, 32, 64, 128])
+    def test_kernel_is_bitwise_equal_to_full_width_transforms(self, n, rng):
+        g = make_grid(n)
+        shape = (n, n)
+        f = SpectralField.from_physical(g, rng.standard_normal(shape))
+        h = SpectralField.from_physical(g, rng.standard_normal(shape))
+        # real-flagged but not Hermitian: the kernel multiplies its real part
+        skew = SpectralField(g, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        cf, ch = f.with_modes(f.modes, real=False), skew.with_modes(skew.modes, real=False)
+        for x, y in ((f, h), (reused_factor(f), h), (h, reused_factor(f)), (skew, h), (cf, h), (cf, ch)):
+            got = multiply(x, y)
+            assert got.real == (x.real and y.real)
+            assert np.array_equal(got.modes, full_width_multiply(x, y))
 
     def test_real_flag_multiplies_by_the_real_part(self, rng):
         g = make_grid(16)

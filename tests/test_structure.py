@@ -1,5 +1,5 @@
 """Source-level guards: no private cross-module imports, no duplicated function bodies,
-no defaulted parameter that no call sets."""
+no defaulted parameter that no call sets, no BLAS-backed call."""
 
 import ast
 from collections import defaultdict
@@ -103,3 +103,31 @@ def test_every_default_parameter_has_a_caller():
         if not any(_passes(call, param, position) for call in calls[name])
     ]
     assert unused == []
+
+
+# NumPy routes these calls, ``@`` and np.linalg.norm through BLAS, whose second
+# thread then spins beside the solver; the package uses plain sums instead.
+BLAS_CALLS = {"dot", "vdot", "matmul"}
+
+
+def blas_uses(source: str) -> list[str]:
+    """Line and form of each ``@`` and each call of a BLAS-backed NumPy routine."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append(f"{node.lineno}: @")
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            name = ast.unparse(node.func)
+            if node.func.attr in BLAS_CALLS or name.endswith("linalg.norm"):
+                found.append(f"{node.lineno}: {name}")
+    return found
+
+
+def test_no_blas_calls_in_the_package():
+    offences = [f"{path.name}:{use}" for path in SOURCES for use in blas_uses(path.read_text(encoding="utf-8"))]
+    assert offences == []
+
+
+def test_blas_guard_sees_each_form():
+    source = "a @ b\nc @= d\nnp.vdot(u, v)\nnp.dot(u, v)\nx.dot(y)\nnp.linalg.norm(m)\nnp.sum(m * m)\n"
+    assert sorted(blas_uses(source)) == ["1: @", "2: @", "3: np.vdot", "4: np.dot", "5: x.dot", "6: np.linalg.norm"]
