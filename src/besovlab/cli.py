@@ -49,7 +49,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dyadic import build_ladder
 from .elliptic import solve_pressure
 from .evolution import (
     TRANSPORT_SCHEMES,
@@ -168,6 +167,17 @@ def resolve_exponent(expr, p: float, q: float | None = None) -> float:
 
 _INITIAL_PRESETS = ("random", "rest", "taylor_green", "shear")
 
+# The value types each field annotation of ExperimentConfig admits; an int may
+# fill a float field, a bool fills only a bool field.
+_FIELD_TYPES = {
+    "int": int,
+    "float": (int, float),
+    "float | str": (int, float, str),
+    "int | None": (int, type(None)),
+    "bool": bool,
+    "str": str,
+}
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -207,6 +217,12 @@ class ExperimentConfig:
     k0: float = 3.0
 
     def __post_init__(self) -> None:
+        for field in dataclasses.fields(self):
+            value, kinds = getattr(self, field.name), _FIELD_TYPES[field.type]
+            if not isinstance(value, kinds) or (isinstance(value, bool) and kinds is not bool):
+                raise ValueError(f"{field.name} must be {field.type}, got {value!r}")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{field.name} must be finite, got {value!r}")
         Grid(self.n, self.L)  # validates n and L
         for name in ("p", "q"):
             value = getattr(self, name)
@@ -214,8 +230,7 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must lie in (1, 64), got {value}")
         if self.r < 1.0:
             raise ValueError("summation index r must be >= 1")
-        if self.viscosity not in VISCOSITY_KINDS:
-            raise ValueError(f"unknown viscosity kind {self.viscosity!r}")
+        self.viscosity_law()  # validates viscosity, mu0 and mu1
         if self.scheme not in TRANSPORT_SCHEMES:
             raise ValueError(f"unknown transport scheme {self.scheme!r}")
         if self.initial not in _INITIAL_PRESETS:
@@ -625,16 +640,12 @@ def _initial_data(grid: Grid, config: ExperimentConfig):
 # ---------------------------------------------------------------------------
 
 def _decompose(config: ExperimentConfig, args) -> _Outcome:
-    grid = config.grid()
     if args.snapshot:
         field = _snapshot_plane(load_snapshot(args.snapshot), args.plane)
-        if field.grid.n != grid.n:
-            grid = field.grid
     else:
-        field = _synthetic_scalar(grid, config, 1)
-    ladder = build_ladder(grid)
+        field = _synthetic_scalar(config.grid(), config, 1)
     spec = config.besov_spec()
-    total, profile = besov_norm(field, spec, ladder)
+    total, profile = besov_norm(field, spec)
     cid = config.config_id()
     rows = [
         (cid, config.seed, j, value, total, value / total if total > 0 else 0.0)
@@ -707,11 +718,7 @@ def _norm(config: ExperimentConfig, args) -> _Outcome:
         t0 = states[0].t
         pairs = [(s.t - t0, _snapshot_plane(s, args.plane)) for s in states]
         horizon = pairs[-1][0]
-        value = chemin_lerner(
-            pairs,
-            TimeNormSpec(space=spec, sigma=args.sigma, T=horizon),
-            build_ladder(pairs[0][1].grid),
-        )
+        value = chemin_lerner(pairs, TimeNormSpec(space=spec, sigma=args.sigma, T=horizon))
         label = "time-space norm"
     else:
         if snapshots:
@@ -720,7 +727,7 @@ def _norm(config: ExperimentConfig, args) -> _Outcome:
             field = SpectralField.from_physical(grid, np.ones((grid.n, grid.n)))
         else:
             field = _synthetic_scalar(grid, config, 1)
-        value, _ = besov_norm(field, spec, build_ladder(field.grid))
+        value, _ = besov_norm(field, spec)
         label = "norm"
     rows = [(config.config_id(), config.seed, 0, value, value, 1.0)]
     payload = {"check": "norm", "value": value, "spec": args.spec or config.s}
@@ -781,7 +788,6 @@ def _verify_heat(config: ExperimentConfig, args) -> _Outcome:
 
 def _verify_product(config: ExperimentConfig, args) -> _Outcome:
     grid = config.grid()
-    ladder = build_ladder(grid)
     cid = config.config_id()
     rows = []
     worst = 0.0
@@ -794,7 +800,7 @@ def _verify_product(config: ExperimentConfig, args) -> _Outcome:
             grid, 1.0, grid.n / 4.0, trial_seed(config.seed, t, 1), mean=-0.2
         )
         exact = multiply(u, v)
-        recon = para_T(u, v, ladder) + para_T(v, u, ladder) + remainder_R(u, v, ladder)
+        recon = para_T(u, v) + para_T(v, u) + remainder_R(u, v)
         scale = math.sqrt(float(np.mean(exact.values**2)))
         defect = math.sqrt(float(np.mean((recon.values - exact.values) ** 2))) / max(scale, 1e-300)
         worst = max(worst, defect)
@@ -807,15 +813,14 @@ def _verify_commutator(config: ExperimentConfig, args) -> _Outcome:
     if config.p < 2.0:
         raise _UsageError("the integration-by-parts cross-check needs p >= 2")
     grid = config.grid()
-    ladder = build_ladder(grid)
     cid = config.config_id()
     rows = []
     worst = 0.0
     for t in range(config.trials):
         a = random_band_field(grid, 1.0, grid.n / 6.0, trial_seed(config.seed, t, 0), mean=0.3)
         pressure = random_band_field(grid, 1.0, grid.n / 6.0, trial_seed(config.seed, t, 1))
-        lhs = ij_integral(a, pressure, config.p, config.j, ladder, form="divergence")
-        rhs = ij_integral(a, pressure, config.p, config.j, ladder, form="parts")
+        lhs = ij_integral(a, pressure, config.p, config.j, form="divergence")
+        rhs = ij_integral(a, pressure, config.p, config.j, form="parts")
         scale = max(abs(lhs), abs(rhs), 1e-300)
         defect = abs(lhs - rhs) / scale
         worst = max(worst, defect)
@@ -828,12 +833,11 @@ def _verify_commutator(config: ExperimentConfig, args) -> _Outcome:
 def _verify_ij(config: ExperimentConfig, args) -> _Outcome:
     def measure(n: int) -> RatioReport:
         grid = make_grid(n, config.L)
-        ladder = build_ladder(grid)
         ratios = []
         for t in range(config.trials):
             a = random_band_field(grid, 1.0, 8.0, trial_seed(config.seed, t, 0), mean=0.2)
             pressure = random_band_field(grid, 1.0, 8.0, trial_seed(config.seed, t, 1))
-            rep = check_Ij_bound(a, pressure, config.p, config.q, config.j, ladder=ladder)
+            rep = check_Ij_bound(a, pressure, config.p, config.q, config.j)
             ratios.extend(rep.ratios)
         return RatioReport(
             check="pressure_flux_bound",
@@ -881,7 +885,6 @@ def _verify_transport(config: ExperimentConfig, args) -> _Outcome:
 def _verify_elliptic(config: ExperimentConfig, args) -> _Outcome:
     def measure(n: int) -> RatioReport:
         grid = make_grid(n, config.L)
-        ladder = build_ladder(grid)
         ratios = []
         l2_ok = True
         for t in range(config.trials):
@@ -891,7 +894,7 @@ def _verify_elliptic(config: ExperimentConfig, args) -> _Outcome:
                 random_band_field(grid, 1.0, grid.n / 4.0, trial_seed(config.seed, t, 2)),
             )
             grad_pi, _ = solve_pressure(a, F, tol=config.pressure_tol)
-            rep = check_elliptic_estimate(a, F, grad_pi, config.p, ladder=ladder)
+            rep = check_elliptic_estimate(a, F, grad_pi, config.p)
             ratios.extend(rep.ratios)
             l2_ok = l2_ok and bool(rep.extra.get("l2_ok", True))
         return RatioReport(
@@ -908,10 +911,18 @@ def _verify_elliptic(config: ExperimentConfig, args) -> _Outcome:
     return _ratio_outcome(config, report, passed, f"max ratio {report.max_ratio:.4e}, l2_ok={l2_ok}")
 
 
+def _integration(config: ExperimentConfig) -> IntegrationConfig:
+    """The integrator settings, built before any work: one it rejects is a usage error."""
+    try:
+        return config.integration()
+    except ValueError as exc:
+        raise _UsageError(f"invalid integration setting: {exc}") from exc
+
+
 def _verify_envelope(config: ExperimentConfig, args) -> _Outcome:
-    grid = config.grid()
-    a0, u0 = _initial_data(grid, config)
-    _, diag = ns_integrate(config.integration(), a0, u0)
+    run = _integration(config)
+    a0, u0 = _initial_data(config.grid(), config)
+    _, diag = ns_integrate(run, a0, u0)
     series = [
         (t, diag.A[i] + diag.Z[i])
         for i, t in enumerate(diag.times)
@@ -1000,12 +1011,13 @@ def _elliptic(config: ExperimentConfig, args) -> _Outcome:
 
 
 def _simulate(config: ExperimentConfig, args) -> _Outcome:
+    run = _integration(config)
     if args.snapshot:
         loaded = load_snapshot(args.snapshot)
         a0, u0 = loaded.a, loaded.u
     else:
         a0, u0 = _initial_data(config.grid(), config)
-    snapshots, diag = ns_integrate(config.integration(), a0, u0)
+    snapshots, diag = ns_integrate(run, a0, u0)
     outdir = Path(args.out)
     diag.write_csv(outdir / "diagnostics.csv")
     for idx, state in enumerate(snapshots):

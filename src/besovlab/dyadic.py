@@ -5,11 +5,14 @@ A smooth annular profile ``phi`` (support 3/4 <= r <= 8/3, identically 1 on
 built from the classic bump exp(-1/(1-s^2)) and normalized so that the dyadic
 dilates of ``phi`` sum to one at every nonzero radius.  A ``DyadicLadder``
 tabulates the induced spectral masks for the finite range of octaves a given
-grid can resolve.
+grid can resolve.  The ladder is a function of the grid alone, so
+``build_ladder`` keeps one per grid and every consumer takes it from its
+field's grid; its masks are read-only.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -94,6 +97,15 @@ def chi(r: np.ndarray) -> np.ndarray:
     return out[0] if scalar else out
 
 
+def _tabulate(table: dict, profile, grid: Grid, j: int) -> np.ndarray:
+    """``profile(|k| / 2^j)`` on the grid's lattice: computed once per table, read-only."""
+    if j not in table:
+        mask = profile(grid.k_magnitude / 2.0**j)
+        mask.flags.writeable = False
+        table[j] = mask
+    return table[j]
+
+
 @dataclass(frozen=True)
 class DyadicLadder:
     """Tabulated dyadic block masks realizable on a grid.
@@ -119,14 +131,10 @@ class DyadicLadder:
         return self.j_max - self.j_min + 1
 
     def phi_mask(self, j: int) -> np.ndarray:
-        if j not in self._phi_masks:
-            self._phi_masks[j] = phi(self.grid.k_magnitude / 2.0**j)
-        return self._phi_masks[j]
+        return _tabulate(self._phi_masks, phi, self.grid, j)
 
     def chi_mask(self, j: int) -> np.ndarray:
-        if j not in self._chi_masks:
-            self._chi_masks[j] = chi(self.grid.k_magnitude / 2.0**j)
-        return self._chi_masks[j]
+        return _tabulate(self._chi_masks, chi, self.grid, j)
 
     def block(self, u: SpectralField | VectorField, j: int):
         """Annular block at octave j (error outside the ladder range)."""
@@ -172,23 +180,25 @@ class DyadicLadder:
         return acc
 
 
+# Bounded so that a process touching many grids does not keep every grid's
+# masks alive; a run uses one or two grids.
+@functools.lru_cache(maxsize=8)
 def build_ladder(grid: Grid) -> DyadicLadder:
-    """Enumerate the octaves whose annular masks are nonzero on the lattice."""
-    kmag = grid.k_magnitude
+    """The grid's ladder: the octaves whose annular masks are nonzero on the lattice.
+
+    Equal grids share one ladder object.
+    """
     k_low = grid.k_min_nonzero
     k_high = grid.k_max
     j_lo_guess = math.floor(math.log2(k_low * 3.0 / 8.0)) - 1
     j_hi_guess = math.ceil(math.log2(k_high * 4.0 / 3.0)) + 1
     masks: dict[int, np.ndarray] = {}
-    live: list[int] = []
-    for j in range(j_lo_guess, j_hi_guess + 1):
-        mask = phi(kmag / 2.0**j)
-        if np.any(mask > 0.0):
-            masks[j] = mask
-            live.append(j)
+    live = [
+        j for j in range(j_lo_guess, j_hi_guess + 1) if np.any(_tabulate(masks, phi, grid, j) > 0.0)
+    ]
     if len(live) < 3:
         raise ValueError(f"grid n={grid.n}, L={grid.L} hosts only {len(live)} dyadic blocks; need at least 3")
     if live != list(range(live[0], live[-1] + 1)):
         raise ValueError(f"dyadic octaves {live} are not contiguous on this grid")
-    return DyadicLadder(grid=grid, j_min=live[0], j_max=live[-1], _phi_masks=masks, _chi_masks={})
-
+    live_masks = {j: masks[j] for j in live}
+    return DyadicLadder(grid=grid, j_min=live[0], j_max=live[-1], _phi_masks=live_masks, _chi_masks={})

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import DyadicLadder, build_ladder
+from .dyadic import build_ladder
 from .elliptic import coefficient_floor, require_floor, solve_pressure, weight_by
 from .interpolation import PeriodicSampler, cell_bounds
 from .norms import BesovSpec, besov_norm
@@ -254,7 +254,6 @@ class DiagnosticsSeries:
     E0: tuple[float, ...]
     E1: tuple[float, ...]
     E2: tuple[float, ...]
-    p: float = 2.0
     stop_reason: str = "completed"
     extra: dict = field(default_factory=dict)
 
@@ -295,21 +294,14 @@ class DiagnosticsSeries:
 # data preparation and references
 # ---------------------------------------------------------------------------
 
-def mollify_initial_data(
-    a0: SpectralField,
-    u0: VectorField,
-    n: int,
-    *,
-    ladder: DyadicLadder | None = None,
-) -> tuple[SpectralField, VectorField]:
+def mollify_initial_data(a0: SpectralField, u0: VectorField, n: int) -> tuple[SpectralField, VectorField]:
     """Low-pass the initial data at octave n and project the velocity.
 
     The truncation must stay close enough to the original data: the smoothed
     scalar may not exceed twice the original sup bound, and its coefficient
     floor may not drop below half the original floor.
     """
-    if ladder is None:
-        ladder = build_ladder(a0.grid)
+    ladder = build_ladder(a0.grid)
     kappa = require_floor(a0)
     a0n = ladder.low_pass(a0, n)
     u0n = leray_project(ladder.low_pass(u0, n))
@@ -424,7 +416,6 @@ def momentum_step(
     *,
     pressure_tol: float = 1e-10,
     pressure_max_iter: int = 500,
-    ladder: DyadicLadder | None = None,
     end_pressure: bool = True,
 ) -> StateSnapshot:
     """Advance the velocity by one step of size dt at frozen scalar.
@@ -475,10 +466,8 @@ def momentum_step(
     u_new = heat(u0) + (heat(k1) + k2) * (0.5 * dt)
 
     if split_m is not None:
-        if ladder is None:
-            ladder = build_ladder(grid)
         b = SpectralField.from_physical(grid, visc.b_values(a_vals))
-        b_low = reused_factor(ladder.low_pass(b, split_m))
+        b_low = reused_factor(build_ladder(grid).low_pass(b, split_m))
         correction = _strain_divergence(b_low, u_new) - _strain_divergence(b_low, u_star)
         F2s = F2 + correction
         k2s, gp2 = explicit_rate(F2s, u_star, gp2)
@@ -543,13 +532,12 @@ class IntegrationConfig:
 class _BlockSupAccumulator:
     """Running per-block supremum of weighted block norms; reports the sum."""
 
-    def __init__(self, spec: BesovSpec, ladder: DyadicLadder):
+    def __init__(self, spec: BesovSpec):
         self.spec = spec
-        self.ladder = ladder
         self.peaks: dict[int, float] = {}
 
     def update(self, f: SpectralField | VectorField) -> float:
-        _, profile = besov_norm(f, self.spec, self.ladder)
+        _, profile = besov_norm(f, self.spec)
         for j, v in zip(profile.js, profile.values):
             if v > self.peaks.get(j, 0.0):
                 self.peaks[j] = v
@@ -569,11 +557,6 @@ class _TrapezoidAccumulator:
             self.total += 0.5 * (v0 + value) * (t - t0)
         self._last = (t, value)
         return self.total
-
-
-def _besov_value(f: SpectralField | VectorField, spec: BesovSpec, ladder: DyadicLadder) -> float:
-    value, _ = besov_norm(f, spec, ladder)
-    return value
 
 
 def ns_integrate(
@@ -612,8 +595,8 @@ def ns_integrate(
     )
     state = StateSnapshot(0.0, a0, u_start, grad_pi0, kappa=kappa)
 
-    acc_A = _BlockSupAccumulator(spec_scalar, ladder)
-    acc_ubar_sup = _BlockSupAccumulator(spec_low, ladder)
+    acc_A = _BlockSupAccumulator(spec_scalar)
+    acc_ubar_sup = _BlockSupAccumulator(spec_low)
     acc_ubar_smooth = _TrapezoidAccumulator()
     acc_pressure = _TrapezoidAccumulator()
 
@@ -632,8 +615,8 @@ def ns_integrate(
         a_c = centered(st.a)
         A_val = acc_A.update(a_c)
         z_sup = acc_ubar_sup.update(ubar_c)
-        z_smooth = acc_ubar_smooth.update(st.t, _besov_value(ubar_c, spec_high, ladder))
-        z_press = acc_pressure.update(st.t, _besov_value(centered(st.gradPi), spec_low, ladder))
+        z_smooth = acc_ubar_smooth.update(st.t, besov_norm(ubar_c, spec_high)[0])
+        z_press = acc_pressure.update(st.t, besov_norm(centered(st.gradPi), spec_low)[0])
         Z_val = z_sup + z_smooth + z_press
         rho = st.rho_values()
         values = (st.t, A_val, Z_val, _weighted_energy(rho, ubar), _enstrophy(ubar),
@@ -643,14 +626,14 @@ def ns_integrate(
             series[name].append(value)
         extra["cfl"].append(cfl_number(st.u, config.dt))
         extra["uL_smooth_integral"].append(
-            acc_uL.update(st.t, _besov_value(centered(u_L), spec_high, ladder))
+            acc_uL.update(st.t, besov_norm(centered(u_L), spec_high)[0])
         )
         for m in config.monitor_ms:
             a_vals = st.a.values.real
             b_f = SpectralField.from_physical(grid, config.visc.b_values(a_vals))
             lam_f = SpectralField.from_physical(grid, np.asarray(config.visc.lam(a_vals), dtype=float))
-            tail = _besov_value(centered(b_f) - ladder.low_pass(centered(b_f), m), spec_scalar, ladder)
-            tail += _besov_value(centered(lam_f) - ladder.low_pass(centered(lam_f), m), spec_scalar, ladder)
+            tail = besov_norm(centered(b_f) - ladder.low_pass(centered(b_f), m), spec_scalar)[0]
+            tail += besov_norm(centered(lam_f) - ladder.low_pass(centered(lam_f), m), spec_scalar)[0]
             extra[f"smallness_m{m}"].append((1.0 + A_val) ** 3 * tail)
         return Z_val
 
@@ -673,7 +656,6 @@ def ns_integrate(
                     config.split_m,
                     pressure_tol=config.pressure_tol,
                     pressure_max_iter=config.pressure_max_iter,
-                    ladder=ladder,
                     end_pressure=sampled,
                 )
                 a_new = transport_step(a_half, moved.u, 0.5 * config.dt, config.scheme)
@@ -696,7 +678,6 @@ def ns_integrate(
 
     diagnostics = DiagnosticsSeries(
         **{name: tuple(values) for name, values in series.items()},
-        p=p,
         stop_reason=stop_reason,
         extra={k: tuple(v) for k, v in extra.items()},
     )

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dyadic import DyadicLadder, build_ladder
+from .dyadic import build_ladder
 from .elliptic import coefficient_floor
 from .norms import BesovSpec, besov_norm, check_exponent, lp_norm, unpack_trajectory
 from .paraproduct import commutator_block
@@ -317,7 +317,7 @@ def check_transport_estimate(
         ac = centered(a)
         block_norms.append([lp_norm(ladder.block(ac, j), q) for j in js])
         uc = centered(u)
-        u_norms.append(besov_norm(uc, u_spec, ladder)[0])
+        u_norms.append(besov_norm(uc, u_spec)[0])
 
     base_profile = block_norms[0]
     base = sum(2.0 ** (j * sq) * v for j, v in zip(js, base_profile))
@@ -393,7 +393,6 @@ def ij_integral(
     pressure: SpectralField,
     p: float,
     j: int,
-    ladder: DyadicLadder,
     form: str = "divergence",
 ) -> float:
     """Quadrature of the block-commutator pairing at octave j.
@@ -407,8 +406,8 @@ def ij_integral(
     """
     p = check_exponent("p", p)
     grid = a.grid
-    cb = commutator_block(a, gradient(pressure), j, ladder)
-    bp = ladder.block(pressure, j)
+    cb = commutator_block(a, gradient(pressure), j)
+    bp = build_ladder(grid).block(pressure, j)
     w = bp.values.real
     if form == "divergence":
         weight = np.sign(w) * np.abs(w) ** (p - 1.0)
@@ -430,8 +429,6 @@ def check_Ij_bound(
     p: float,
     q: float,
     j: int,
-    *,
-    ladder: DyadicLadder | None = None,
 ) -> RatioReport:
     """Measure the commutator pairing against its octave-weighted bound.
 
@@ -450,25 +447,24 @@ def check_Ij_bound(
         raise ValueError(
             f"exponents (p={p}, q={q}) lie outside both admissible regimes"
         )
-    if ladder is None:
-        ladder = build_ladder(a.grid)
+    ladder = build_ladder(a.grid)
     if j not in ladder.js:
         raise ValueError(f"octave {j} outside the ladder range {ladder.js}")
 
-    value = ij_integral(a, pressure, p, j, ladder, form="divergence")
+    value = ij_integral(a, pressure, p, j, form="divergence")
 
     ac = centered(a)
     if regime_i:
         regime = "i"
-        a_norm, profile = besov_norm(ac, BesovSpec(2.0 / q, q, 1.0), ladder)
+        a_norm, profile = besov_norm(ac, BesovSpec(2.0 / q, q, 1.0))
         grad_norm = lp_norm(gradient(pressure), 2.0)
     else:
         regime = "ii"
-        a_norm, profile = besov_norm(ac, BesovSpec(2.0 / p, p, 1.0), ladder)
+        a_norm, profile = besov_norm(ac, BesovSpec(2.0 / p, p, 1.0))
         if p < 2.0:
             grad_norm = lp_norm(gradient(pressure), 2.0)
         else:
-            grad_norm = besov_norm(gradient(pressure), BesovSpec(2.0 / p - 1.0, p, 2.0), ladder)[0]
+            grad_norm = besov_norm(gradient(pressure), BesovSpec(2.0 / p - 1.0, p, 2.0))[0]
 
     d_j = profile.d_sequence()[list(profile.js).index(j)]
     block_pow = lp_norm(ladder.block(pressure, j), p) ** (p - 1.0)
@@ -488,7 +484,7 @@ def check_Ij_bound(
         "regime": regime,
     }
     if p >= 2.0:
-        extra["parts_route"] = ij_integral(a, pressure, p, j, ladder, form="parts")
+        extra["parts_route"] = ij_integral(a, pressure, p, j, form="parts")
     return RatioReport(
         check="commutator_pairing",
         config={"p": p, "q": q, "j": int(j), "grid_n": a.grid.n},
@@ -507,8 +503,6 @@ def check_elliptic_estimate(
     forcing: VectorField,
     solution: VectorField,
     p: float,
-    *,
-    ladder: DyadicLadder | None = None,
 ) -> RatioReport:
     """Measure the pressure-gradient norm against the forcing-side bound.
 
@@ -523,16 +517,14 @@ def check_elliptic_estimate(
     p = check_exponent("p", p)
     if not (1.0 < p < 4.0):
         raise ValueError(f"pressure estimate needs p in (1, 4), got {p}")
-    if ladder is None:
-        ladder = build_ladder(a.grid)
     k = 1 if p <= 2.0 else 2
     qf = gradient_part(forcing)
 
     ac = centered(a)
     s_low = 2.0 / p - 1.0
-    a_norm = besov_norm(ac, BesovSpec(2.0 / p, p, 1.0), ladder)[0]
-    num = besov_norm(solution, BesovSpec(s_low, p, 1.0), ladder)[0]
-    den = (1.0 + a_norm) ** k * besov_norm(qf, BesovSpec(s_low, p, 1.0), ladder)[0]
+    a_norm = besov_norm(ac, BesovSpec(2.0 / p, p, 1.0))[0]
+    num = besov_norm(solution, BesovSpec(s_low, p, 1.0))[0]
+    den = (1.0 + a_norm) ** k * besov_norm(qf, BesovSpec(s_low, p, 1.0))[0]
     if den <= 0.0:
         raise ValueError("forcing has no gradient part to compare against")
     ratio = num / den
@@ -551,8 +543,8 @@ def check_elliptic_estimate(
 
     # with q = p the flat estimate's exponent conditions reduce to these p windows
     if commutator_p_lower() < p < 2.0 or 2.0 < p < pressure_p_upper():
-        num2 = besov_norm(solution, BesovSpec(s_low, p, 2.0), ladder)[0]
-        den2 = (1.0 + a_norm) * besov_norm(qf, BesovSpec(s_low, p, 2.0), ladder)[0]
+        num2 = besov_norm(solution, BesovSpec(s_low, p, 2.0))[0]
+        den2 = (1.0 + a_norm) * besov_norm(qf, BesovSpec(s_low, p, 2.0))[0]
         extra["flat_ratio"] = num2 / den2
         extra["flat_q"] = p
 

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import DyadicLadder, build_ladder
 from .interpolation import PeriodicSampler
 from .norms import BesovSpec, besov_norm, unpack_trajectory
 from .spectral import (
@@ -88,21 +87,21 @@ def _entry_linf(M: np.ndarray) -> float:
     return float(np.max(np.abs(M)))
 
 
-def _matrix_besov(M: np.ndarray, grid: Grid, spec: BesovSpec, ladder: DyadicLadder) -> float:
+def _matrix_besov(M: np.ndarray, grid: Grid, spec: BesovSpec) -> float:
     """Besov size of a matrix field: sum of the entries' norms, means dropped."""
     total = 0.0
     for i in range(2):
         for j in range(2):
             plane = M[..., i, j]
             f = SpectralField.from_physical(grid, plane - plane.mean())
-            total += besov_norm(f, spec, ladder)[0]
+            total += besov_norm(f, spec)[0]
     return total
 
 
-def _vector_besov(V: VectorField, spec: BesovSpec, ladder: DyadicLadder) -> float:
+def _vector_besov(V: VectorField, spec: BesovSpec) -> float:
     total = 0.0
     for comp in centered(V).components:
-        total += besov_norm(comp, spec, ladder)[0]
+        total += besov_norm(comp, spec)[0]
     return total
 
 
@@ -132,7 +131,10 @@ class _VelocityInTime:
 
     def __init__(self, times, fields):
         self.times = times
-        self.samplers = [PeriodicSampler.of_vector(u, _UPSAMPLE) for u in fields]
+        # a steady flow stores one field object at every time: one sampler per object
+        distinct = {id(u): u for u in fields}
+        built = {key: PeriodicSampler.of_vector(u, _UPSAMPLE) for key, u in distinct.items()}
+        self.samplers = [built[id(u)] for u in fields]
 
     def __call__(self, t: float, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         times = self.times
@@ -427,7 +429,6 @@ class FlowDeltaReport:
     vanishing numerator and denominator are reported as zero.
     """
 
-    p: float
     deviation_ratio: float
     difference_ratio: float
     rate_ratio: float
@@ -464,7 +465,6 @@ def delta_estimates(v1_trajectory, v2_trajectory, p: float = 2.0) -> FlowDeltaRe
         abs(a - b) > 1e-12 * max(1.0, abs(a)) for a, b in zip(times1, times2)
     ):
         raise ValueError("trajectories must share their sample times")
-    ladder = build_ladder(grid)
     times = np.asarray(times1)
     reg = BesovSpec(s=2.0 / p, p=p, r=1.0)
     low = BesovSpec(s=2.0 / p - 1.0, p=p, r=1.0)
@@ -484,44 +484,43 @@ def delta_estimates(v1_trajectory, v2_trajectory, p: float = 2.0) -> FlowDeltaRe
 
     # size of either inverse Jacobian's deviation vs the integrated gradient
     grad_norms = [
-        np.array([_matrix_besov(G, grid, reg, ladder) for G in g]) for g in grads
+        np.array([_matrix_besov(G, grid, reg) for G in g]) for g in grads
     ]
     integrals = tuple(float(np.trapezoid(gn, times)) for gn in grad_norms)
     dev_ratios = []
     rate_ratios = []
     for i in (0, 1):
-        dev = max(_matrix_besov(A - _IDENTITY, grid, reg, ladder) for A in inv[i])
+        dev = max(_matrix_besov(A - _IDENTITY, grid, reg) for A in inv[i])
         dev_ratios.append(_safe_ratio(dev, integrals[i]))
         for R, gn in zip(rates[i], grad_norms[i]):
-            rate_ratios.append(_safe_ratio(_matrix_besov(R, grid, reg, ladder), float(gn)))
+            rate_ratios.append(_safe_ratio(_matrix_besov(R, grid, reg), float(gn)))
 
     # difference bounds
     delta_grad_norms = np.array(
-        [_matrix_besov(g2 - g1, grid, reg, ladder) for g1, g2 in zip(grads[0], grads[1])]
+        [_matrix_besov(g2 - g1, grid, reg) for g1, g2 in zip(grads[0], grads[1])]
     )
     delta_grad_integral = float(np.trapezoid(delta_grad_norms, times))
     delta_dev = max(
-        _matrix_besov(A2 - A1, grid, reg, ladder) for A1, A2 in zip(inv[0], inv[1])
+        _matrix_besov(A2 - A1, grid, reg) for A1, A2 in zip(inv[0], inv[1])
     )
     delta_rate = np.array(
-        [_matrix_besov(R2 - R1, grid, low, ladder) for R1, R2 in zip(rates[0], rates[1])]
+        [_matrix_besov(R2 - R1, grid, low) for R1, R2 in zip(rates[0], rates[1])]
     )
     delta_rate_l2 = float(np.sqrt(np.trapezoid(delta_rate**2, times)))
 
     pair_norms = np.array(
         [
-            _vector_besov(u1, reg, ladder) + _vector_besov(u2, reg, ladder)
+            _vector_besov(u1, reg) + _vector_besov(u2, reg)
             for u1, u2 in zip(fields1, fields2)
         ]
     )
     pair_l2 = float(np.sqrt(np.trapezoid(pair_norms**2, times)))
     delta_v_norms = np.array(
-        [_vector_besov(u2 - u1, reg, ladder) for u1, u2 in zip(fields1, fields2)]
+        [_vector_besov(u2 - u1, reg) for u1, u2 in zip(fields1, fields2)]
     )
     delta_v_l2 = float(np.sqrt(np.trapezoid(delta_v_norms**2, times)))
 
     return FlowDeltaReport(
-        p=p,
         deviation_ratio=max(dev_ratios),
         difference_ratio=_safe_ratio(delta_dev, delta_grad_integral),
         rate_ratio=max(rate_ratios),

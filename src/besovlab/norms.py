@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dyadic import DyadicLadder
+from .dyadic import build_ladder
 from .spectral import SpectralField, VectorField
 
 __all__ = [
@@ -160,17 +160,14 @@ def _require_mean_zero(u: SpectralField | VectorField, what: str) -> None:
         raise ValueError(f"homogeneous {what} needs a mean-zero field (|mean| = {mean:.3e})")
 
 
-def besov_norm(
-    u: SpectralField | VectorField,
-    spec: BesovSpec,
-    ladder: DyadicLadder,
-) -> tuple[float, BlockProfile]:
-    """Besov norm and its diagnostic block profile.
+def besov_norm(u: SpectralField | VectorField, spec: BesovSpec) -> tuple[float, BlockProfile]:
+    """Besov norm and its diagnostic block profile, over the ladder of u's grid.
 
     Homogeneous specs demand a mean-zero field: the torus has no substitute
     for the low-frequency tail of the plane, so the mean carries no
     homogeneous-norm content and is rejected rather than silently dropped.
     """
+    ladder = build_ladder(u.grid)
     if spec.homogeneous:
         _require_mean_zero(u, "Besov norm")
         js = list(ladder.js)
@@ -189,7 +186,7 @@ def _time_norm(times: np.ndarray, series: np.ndarray, sigma: float) -> float:
     return float(np.trapezoid(series**sigma, times) ** (1.0 / sigma))
 
 
-def chemin_lerner(snapshots: Sequence, spec: TimeNormSpec, ladder: DyadicLadder) -> float:
+def chemin_lerner(snapshots: Sequence, spec: TimeNormSpec) -> float:
     """Time-space norm: per-block sigma-norm in time first, l^r across octaves second.
 
     ``snapshots`` holds (t, field) pairs, or snapshot objects whose scalar
@@ -202,6 +199,7 @@ def chemin_lerner(snapshots: Sequence, spec: TimeNormSpec, ladder: DyadicLadder)
     pairs = [(t, f) for t, f in pairs if t <= spec.T + 1e-12]
     times = np.array([t for t, _ in pairs])
     space = spec.space
+    ladder = build_ladder(pairs[0][1].grid)
     if space.homogeneous:
         js = list(ladder.js)
         block_of = ladder.block

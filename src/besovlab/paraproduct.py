@@ -11,12 +11,13 @@ that bookkeeping both telescoping identities
 
 hold exactly (to rounding) for every pair of fields, whatever their means.
 All products are dealiased, so each identity is a finite sum of exactly
-bilinear terms.
+bilinear terms.  Every function takes its octaves from the ladder of its
+factors' common grid.
 """
 
 from __future__ import annotations
 
-from .dyadic import DyadicLadder
+from .dyadic import DyadicLadder, build_ladder
 from .spectral import SpectralField, VectorField, advect, multiply, require_solenoidal
 
 __all__ = [
@@ -28,51 +29,54 @@ __all__ = [
 ]
 
 
-def _check_same_grid(u: SpectralField, v: SpectralField, ladder: DyadicLadder) -> None:
-    if u.grid != v.grid or u.grid != ladder.grid:
-        raise ValueError("paraproduct factors and ladder must share one grid")
+def _ladder_of(u: SpectralField, v: SpectralField) -> DyadicLadder:
+    """The ladder of the factors' grid, which they must share."""
+    if u.grid != v.grid:
+        raise ValueError("paraproduct factors must share one grid")
+    return build_ladder(u.grid)
 
 
-def _mean_product(u: SpectralField, v: SpectralField, ladder: DyadicLadder) -> SpectralField:
+def _mean_product(u: SpectralField, v: SpectralField) -> SpectralField:
     # product of the two sub-ladder (mean) parts; constant field
+    ladder = build_ladder(u.grid)
     return multiply(ladder.low_pass(u, ladder.j_min), ladder.low_pass(v, ladder.j_min))
 
 
-def para_T(u: SpectralField, v: SpectralField, ladder: DyadicLadder) -> SpectralField:
+def para_T(u: SpectralField, v: SpectralField) -> SpectralField:
     """Low-high paraproduct: sum over octaves of low_pass(u, j-1) * block_j(v).
 
     The partial sums of u include its mean at every octave, while v enters
     only through annular blocks; with a constant first factor c this returns
     c * (v - mean of v).
     """
-    _check_same_grid(u, v, ladder)
+    ladder = _ladder_of(u, v)
     acc = SpectralField.zero(u.grid)
     for j in ladder.js:
         acc = acc + multiply(ladder.low_pass(u, j - 1), ladder.block(v, j))
     return acc
 
 
-def para_T_conj(u: SpectralField, v: SpectralField, ladder: DyadicLadder) -> SpectralField:
+def para_T_conj(u: SpectralField, v: SpectralField) -> SpectralField:
     """Transpose sum block_j(u) * low_pass(v, j+2), plus the mean-mean product.
 
     Complements para_T exactly: para_T(u, v) + para_T_conj(u, v) == u*v.
     """
-    _check_same_grid(u, v, ladder)
-    acc = _mean_product(u, v, ladder)
+    ladder = _ladder_of(u, v)
+    acc = _mean_product(u, v)
     for j in ladder.js:
         acc = acc + multiply(ladder.block(u, j), ladder.low_pass(v, j + 2))
     return acc
 
 
-def remainder_R(u: SpectralField, v: SpectralField, ladder: DyadicLadder) -> SpectralField:
+def remainder_R(u: SpectralField, v: SpectralField) -> SpectralField:
     """Near-diagonal remainder: block pairs at most one octave apart.
 
     Includes the mean-mean product so that the three-term splitting
     para_T(u, v) + para_T(v, u) + remainder_R(u, v) reproduces u*v exactly.
     Symmetric in its two arguments.
     """
-    _check_same_grid(u, v, ladder)
-    acc = _mean_product(u, v, ladder)
+    ladder = _ladder_of(u, v)
+    acc = _mean_product(u, v)
     blocks_v = {j: ladder.block(v, j) for j in ladder.js}
     for j in ladder.js:
         # one product per octave: by bilinearity, block_j(u) times the sum of
@@ -85,7 +89,7 @@ def remainder_R(u: SpectralField, v: SpectralField, ladder: DyadicLadder) -> Spe
     return acc
 
 
-def commutator_block(a: SpectralField, f: SpectralField | VectorField, j: int, ladder: DyadicLadder):
+def commutator_block(a: SpectralField, f: SpectralField | VectorField, j: int):
     """Commutator of the octave-j block with multiplication by a: block_j(a f) - a block_j(f).
 
     Linear in f; vanishes identically for constant a.  Applied componentwise
@@ -93,20 +97,20 @@ def commutator_block(a: SpectralField, f: SpectralField | VectorField, j: int, l
     """
     if isinstance(f, VectorField):
         return VectorField(
-            commutator_block(a, f.u1, j, ladder),
-            commutator_block(a, f.u2, j, ladder),
+            commutator_block(a, f.u1, j),
+            commutator_block(a, f.u2, j),
         )
-    _check_same_grid(a, f, ladder)
+    ladder = _ladder_of(a, f)
     return ladder.block(multiply(a, f), j) - multiply(a, ladder.block(f, j))
 
 
-def transport_commutator(u: VectorField, a: SpectralField, j: int, ladder: DyadicLadder) -> SpectralField:
+def transport_commutator(u: VectorField, a: SpectralField, j: int) -> SpectralField:
     """Commutator of advection along u with the octave-j block.
 
     Returns u . grad(block_j a) - block_j(u . grad a) for a divergence-free
     velocity; the divergence-free requirement is enforced because only then
     does the commutator carry the one-octave smoothing that makes it useful.
     """
-    _check_same_grid(a, u.u1, ladder)
+    ladder = _ladder_of(a, u.u1)
     require_solenoidal(u, 1e-10)
     return advect(u, ladder.block(a, j)) - ladder.block(advect(u, a), j)

@@ -108,13 +108,12 @@ def test_02_product_decomposition_identity():
     """Low-high, high-low, and resonant parts reassemble the pointwise product."""
     start = time.perf_counter()
     grid = make_grid(64)
-    ladder = build_ladder(grid)
     worst = 0.0
     for t in range(100):
         u = random_band_field(grid, 1.0, 16.0, trial_seed(1202, t, 0), mean=0.4)
         v = random_band_field(grid, 1.0, 16.0, trial_seed(1202, t, 1), mean=-0.7)
         exact = multiply(u, v)
-        recon = para_T(u, v, ladder) + para_T(v, u, ladder) + remainder_R(u, v, ladder)
+        recon = para_T(u, v) + para_T(v, u) + remainder_R(u, v)
         scale = max(_sup(exact), 1e-300)
         worst = max(worst, _sup(recon - exact) / scale)
     elapsed = time.perf_counter() - start
@@ -127,7 +126,6 @@ def test_03_single_mode_norms_match_closed_form():
     """A lone oscillation at octave j has norm 2^(j s) L^(2/p) exactly."""
     start = time.perf_counter()
     grid = make_grid(64)
-    ladder = build_ladder(grid)
     L = grid.L
     combos = [
         (j, p, s)
@@ -138,7 +136,7 @@ def test_03_single_mode_norms_match_closed_form():
     worst = 0.0
     for j, p, s in combos:
         u = single_mode(grid, 2**j, 2**j)
-        value, profile = besov_norm(u, BesovSpec(s, p, 1.0), ladder)
+        value, profile = besov_norm(u, BesovSpec(s, p, 1.0))
         expected = 2.0 ** (j * s) * L ** (2.0 / p)
         worst = max(worst, abs(value - expected) / expected)
         assert sum(v > 0 for v in profile.values) == 1
@@ -163,15 +161,14 @@ def test_04_critical_norm_is_dilation_invariant():
     """In the scale-critical space the norm of lam*u0(lam x) matches u0 within 1%."""
     start = time.perf_counter()
     grid = make_grid(64)
-    ladder = build_ladder(grid)
     u0 = random_band_field(grid, 2.0, 6.0, trial_seed(1404, 0))
     worst = 0.0
     for p in (1.5, 2.0, 3.0):
         spec = BesovSpec(2.0 / p - 1.0, p, 1.0)
-        base, _ = besov_norm(u0, spec, ladder)
+        base, _ = besov_norm(u0, spec)
         for lam in (2, 4):
             scaled_field = _dilate(u0, lam)
-            scaled, _ = besov_norm(scaled_field, spec, build_ladder(scaled_field.grid))
+            scaled, _ = besov_norm(scaled_field, spec)
             worst = max(worst, abs(scaled / base - 1.0))
     elapsed = time.perf_counter() - start
     assert worst <= 0.01
@@ -219,13 +216,12 @@ def test_06_pressure_estimate_ratios_refinement_stable():
 
     def max_ratio(n: int, p: float) -> float:
         grid = make_grid(n, 2.0 * math.pi)
-        ladder = build_ladder(grid)
         worst = 0.0
         for t in range(20):
             a = bounded_coefficient(grid, trial_seed(1606, t, 0), floor=0.3)
             F = band_forcing(grid, 160600 + t)
             grad_pi, _ = solve_pressure(a, F, tol=1e-11)
-            rep = check_elliptic_estimate(a, F, grad_pi, p, ladder=ladder)
+            rep = check_elliptic_estimate(a, F, grad_pi, p)
             assert all(math.isfinite(r) for r in rep.ratios)
             worst = max(worst, max(rep.ratios))
         return worst

@@ -281,11 +281,31 @@ class TestExitCodes:
         assert run_cli(["--version"]) == 0
         assert "besovlab" in capsys.readouterr().out
 
-    def test_non_finite_initial_velocity_fails_naming_the_cause(self, tmp_path, capsys):
-        argv = ["simulate", "--out", str(tmp_path / "out"), "--n", "16", "--T", "0.02", "--amplitude-u", "inf"]
-        with np.errstate(invalid="ignore"):
-            assert run_cli(argv) == 1
-        assert "pressure forcing is not finite" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "argv, config_text, field",
+        [
+            (["elliptic", "--amplitude-a", "nan"], None, "amplitude_a"),
+            (["simulate", "--amplitude-u", "inf"], None, "amplitude_u"),
+            (["simulate", "--T", "nan"], None, "T"),
+            (["verify", "product", "--tolerance", "nan"], None, "tolerance"),
+            (["verify", "product"], "trials = 2.5\n", "trials"),
+            (["verify", "product"], 'seed = "abc"\n', "seed"),
+        ],
+        ids=["amplitude_a-nan", "amplitude_u-inf", "T-nan", "tolerance-nan", "trials-float", "seed-string"],
+    )
+    def test_malformed_value_is_usage_error_naming_the_field(self, argv, config_text, field, tmp_path, capsys):
+        if config_text is not None:
+            (tmp_path / "bad.cfg").write_text(config_text, encoding="utf-8")
+            argv = [*argv, "--config", str(tmp_path / "bad.cfg")]
+        assert run_cli([*argv, "--n", "16", "--out", str(tmp_path / "out")]) == 2
+        assert f"{field} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv", [["--p", "5"], ["--T", "0.1", "--dt", "0.03"], ["--mu0", "-1"]], ids=["p", "dt", "mu0"]
+    )
+    def test_setting_only_the_integrator_rejects_is_usage_error(self, argv, tmp_path, capsys):
+        assert run_cli(["simulate", *argv, "--n", "16", "--out", str(tmp_path / "out")]) == 2
+        assert "usage error" in capsys.readouterr().err
 
     def test_norm_spec_on_constant_field_fails(self, tmp_path, capsys):
         code = run_cli(

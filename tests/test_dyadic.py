@@ -83,6 +83,14 @@ class TestLadder:
         with pytest.raises(ValueError):
             build_ladder(make_grid(4))
 
+    def test_one_read_only_ladder_per_grid(self):
+        ladder = build_ladder(make_grid(64))
+        assert build_ladder(make_grid(64)) is ladder
+        assert build_ladder(make_grid(64, 1.0)) is not ladder
+        for mask in (ladder.phi_mask(ladder.j_min), ladder.phi_mask(ladder.j_max + 3), ladder.chi_mask(2)):
+            with pytest.raises(ValueError):
+                mask[0, 0] = 0.0
+
     def test_reconstruction(self, rng):
         grid = make_grid(64)
         ladder = build_ladder(grid)

@@ -151,7 +151,7 @@ class TestMollify:
         ladder = build_ladder(grid64)
         a0 = smooth_random_field(grid64, rng, amplitude=0.4)
         u0 = smooth_random_divfree(grid64, rng)
-        a0n, u0n = mollify_initial_data(a0, u0, ladder.j_max + 1, ladder=ladder)
+        a0n, u0n = mollify_initial_data(a0, u0, ladder.j_max + 1)
         assert np.max(np.abs(a0n.values - a0.values)) <= 1e-12
         assert rel_l2(u0n, leray_project(u0)) <= 1e-12
 
@@ -164,13 +164,12 @@ class TestMollify:
     def test_velocity_truncation_error_decreases(self, grid64, rng):
         u0 = smooth_random_divfree(grid64, rng, k0=5.0)
         a0 = SpectralField.zero(grid64)
-        ladder = build_ladder(grid64)
         spec = BesovSpec(s=0.0, p=2.0, r=1.0)
         errs = []
         for n in (1, 2, 3, 4):
-            _, u0n = mollify_initial_data(a0, u0, n, ladder=ladder)
+            _, u0n = mollify_initial_data(a0, u0, n)
             diff = leray_project(u0) - u0n
-            errs.append(besov_norm(diff.u1, spec, ladder)[0] + besov_norm(diff.u2, spec, ladder)[0])
+            errs.append(besov_norm(diff.u1, spec)[0] + besov_norm(diff.u2, spec)[0])
         assert all(e2 <= e1 + 1e-12 for e1, e2 in zip(errs, errs[1:]))
         assert errs[-1] < errs[0]
 
@@ -204,7 +203,6 @@ class TestFreeHeat:
 
     def test_smoothing_integral_shrinks_with_horizon(self, grid64, rng):
         u0 = smooth_random_divfree(grid64, rng)
-        ladder = build_ladder(grid64)
         spec = BesovSpec(s=2.0, p=2.0, r=1.0)
 
         def integral(T, samples=33):
@@ -213,7 +211,7 @@ class TestFreeHeat:
             for t in ts:
                 uf = free_heat_reference(u0, 1.0, float(t))
                 vals.append(
-                    besov_norm(uf.u1, spec, ladder)[0] + besov_norm(uf.u2, spec, ladder)[0]
+                    besov_norm(uf.u1, spec)[0] + besov_norm(uf.u2, spec)[0]
                 )
             return np.trapezoid(vals, ts)
 

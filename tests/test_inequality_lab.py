@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from besovlab.dyadic import build_ladder
 from besovlab.elliptic import solve_pressure
 from besovlab.inequality_lab import (
     RatioReport,
@@ -231,25 +230,24 @@ class TestTransportEstimate:
 @pytest.fixture(scope="module")
 def fields64():
     grid = make_grid(64)
-    ladder = build_ladder(grid)
     a = random_band_field(grid, 1.0, 8.0, trial_seed(61, 0), slope=-1.0)
     pi = random_band_field(grid, 1.0, 10.0, trial_seed(61, 1), slope=-1.0)
-    return grid, ladder, a, pi
+    return grid, a, pi
 
 
 class TestIjBound:
     def test_constant_coefficient_vanishes(self, fields64):
-        grid, ladder, _, pi = fields64
+        grid, _, pi = fields64
         const = SpectralField.from_physical(grid, np.full((grid.n, grid.n), 0.7))
-        assert abs(ij_integral(const, pi, 2.0, 2, ladder)) < 1e-12
-        report = check_Ij_bound(const, pi, 2.0, 2.0, 2, ladder=ladder)
+        assert abs(ij_integral(const, pi, 2.0, 2)) < 1e-12
+        report = check_Ij_bound(const, pi, 2.0, 2.0, 2)
         assert report.ratios == (0.0,)
 
     def test_negative_pairing_gives_positive_ratio(self, fields64):
         # the pairing is linear in the coefficient and the bound is even in it
-        _, ladder, a, pi = fields64
-        plus = check_Ij_bound(a, pi, 2.0, 2.0, 2, ladder=ladder)
-        minus = check_Ij_bound(-a, pi, 2.0, 2.0, 2, ladder=ladder)
+        _, a, pi = fields64
+        plus = check_Ij_bound(a, pi, 2.0, 2.0, 2)
+        minus = check_Ij_bound(-a, pi, 2.0, 2.0, 2)
         assert plus.extra["pairing"] != 0.0
         assert minus.extra["pairing"] == pytest.approx(-plus.extra["pairing"], rel=1e-12)
         assert minus.max_ratio > 0.0
@@ -258,46 +256,46 @@ class TestIjBound:
     def test_quadrature_routes_agree_at_p2(self, fields64):
         # fully resolved spectra: the two pairings differ by an exact
         # integration by parts
-        _, ladder, a, pi = fields64
+        _, a, pi = fields64
         for j in (1, 2, 3):
-            div_route = ij_integral(a, pi, 2.0, j, ladder, form="divergence")
-            parts_route = ij_integral(a, pi, 2.0, j, ladder, form="parts")
+            div_route = ij_integral(a, pi, 2.0, j, form="divergence")
+            parts_route = ij_integral(a, pi, 2.0, j, form="parts")
             scale = max(abs(div_route), abs(parts_route), 1e-30)
             assert abs(div_route - parts_route) <= 1e-8 * scale
 
     def test_parts_route_needs_p2(self, fields64):
-        _, ladder, a, pi = fields64
+        _, a, pi = fields64
         with pytest.raises(ValueError):
-            ij_integral(a, pi, 1.5, 2, ladder, form="parts")
+            ij_integral(a, pi, 1.5, 2, form="parts")
         with pytest.raises(ValueError):
-            ij_integral(a, pi, 2.0, 2, ladder, form="sideways")
+            ij_integral(a, pi, 2.0, 2, form="sideways")
 
     def test_regime_validation(self, fields64):
-        _, ladder, a, pi = fields64
+        _, a, pi = fields64
         with pytest.raises(ValueError, match="regime"):
-            check_Ij_bound(a, pi, 1.1, 2.0, 2, ladder=ladder)
+            check_Ij_bound(a, pi, 1.1, 2.0, 2)
         with pytest.raises(ValueError, match="regime"):
-            check_Ij_bound(a, pi, 4.5, 4.5, 2, ladder=ladder)
+            check_Ij_bound(a, pi, 4.5, 4.5, 2)
         with pytest.raises(ValueError, match="regime"):
-            check_Ij_bound(a, pi, 1.0, 1.0, 2, ladder=ladder)
+            check_Ij_bound(a, pi, 1.0, 1.0, 2)
         with pytest.raises(ValueError, match="octave"):
-            check_Ij_bound(a, pi, 2.0, 2.0, 99, ladder=ladder)
+            check_Ij_bound(a, pi, 2.0, 2.0, 99)
 
     def test_ratio_recorded_both_regimes(self, fields64):
-        _, ladder, a, pi = fields64
-        r1 = check_Ij_bound(a, pi, 2.0, 2.5, 2, ladder=ladder)
+        _, a, pi = fields64
+        r1 = check_Ij_bound(a, pi, 2.0, 2.5, 2)
         assert r1.extra["regime"] == "i"
         assert r1.max_ratio >= 0.0
         assert "parts_route" in r1.extra
-        r2 = check_Ij_bound(a, pi, 2.5, 2.5, 2, ladder=ladder)
+        r2 = check_Ij_bound(a, pi, 2.5, 2.5, 2)
         assert r2.extra["regime"] == "ii"
         # matching exponents below 2 fall inside the cross-exponent regime,
         # where the two bounds coincide
-        r3 = check_Ij_bound(a, pi, 1.5, 1.5, 2, ladder=ladder)
+        r3 = check_Ij_bound(a, pi, 1.5, 1.5, 2)
         assert r3.extra["regime"] == "i"
         assert "parts_route" not in r3.extra
         # below the cross-exponent threshold only the matched regime remains
-        r4 = check_Ij_bound(a, pi, 1.2, 1.2, 2, ladder=ladder)
+        r4 = check_Ij_bound(a, pi, 1.2, 1.2, 2)
         assert r4.extra["regime"] == "ii"
         assert "parts_route" not in r4.extra
 

@@ -111,6 +111,24 @@ class TestIntegrateFlow:
         assert np.max(np.abs(x1 + dx - xf)) <= 1e-6
         assert np.max(np.abs(y1 + dy - yf)) <= 1e-6
 
+    def test_one_sampler_per_distinct_field(self, grid32, rng, monkeypatch):
+        u = smooth_random_divfree(grid32, rng, k0=3.0) * 0.4
+        times = (0.0, 0.1, 0.2, 0.3)
+        copies = integrate_flow([(t, u * 1.0) for t in times], 5e-3)
+        built = []
+        of_vector = PeriodicSampler.of_vector
+
+        def counting(V, upsample):
+            built.append(V)
+            return of_vector(V, upsample)
+
+        monkeypatch.setattr(PeriodicSampler, "of_vector", counting)
+        shared = integrate_flow(steady_trajectory(u, times), 5e-3)
+        assert len(built) == 1 and built[0] is u
+        for got, want in zip(shared.displacements, copies.displacements):
+            assert np.array_equal(got.u1.modes, want.u1.modes)
+            assert np.array_equal(got.u2.modes, want.u2.modes)
+
     def test_step_size_guards(self, grid32):
         traj = steady_trajectory(VectorField.zero(grid32), (0.0, 0.1))
         with pytest.raises(ValueError, match="exceeds the snapshot spacing"):

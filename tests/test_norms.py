@@ -3,17 +3,11 @@
 import numpy as np
 import pytest
 
-from besovlab.dyadic import build_ladder
 from besovlab.norms import BesovSpec, BlockProfile, TimeNormSpec, besov_norm, chemin_lerner, lp_norm
 from besovlab.spectral import SpectralField, make_grid, refine
 from conftest import single_mode, smooth_random_field
 
 L = 2 * np.pi
-
-
-@pytest.fixture(scope="module")
-def ladder64():
-    return build_ladder(make_grid(64))
 
 
 def band_limited_field(grid, rng, band=7):
@@ -64,29 +58,29 @@ class TestLp:
 
 class TestBesov:
     @pytest.mark.parametrize("j,p,s", [(0, 1.0, 0.5), (1, 1.5, -1.0), (2, 2.0, 2.0 / 3.0), (3, 4.0, 0.0), (4, np.inf, 1.0)])
-    def test_single_mode_closed_form(self, ladder64, j, p, s):
-        grid = ladder64.grid
+    def test_single_mode_closed_form(self, grid64, j, p, s):
+        grid = grid64
         u = single_mode(grid, 2**j, 2**j)  # |k| = sqrt(2) 2^j inside the phi==1 zone
         spec = BesovSpec(s=s, p=p, r=1)
-        val, profile = besov_norm(u, spec, ladder64)
+        val, profile = besov_norm(u, spec)
         expected = 2.0 ** (j * s) * L ** (2.0 / p) if not np.isinf(p) else 2.0 ** (j * s)
         assert val == pytest.approx(expected, rel=1e-12)
         assert sum(v > 0 for v in profile.values) == 1
 
-    def test_zero_field(self, ladder64):
-        assert besov_norm(SpectralField.zero(ladder64.grid), BesovSpec(0.5, 2), ladder64)[0] == 0.0
+    def test_zero_field(self, grid64):
+        assert besov_norm(SpectralField.zero(grid64), BesovSpec(0.5, 2))[0] == 0.0
 
-    def test_homogeneous_rejects_mean(self, ladder64):
-        grid = ladder64.grid
+    def test_homogeneous_rejects_mean(self, grid64):
+        grid = grid64
         c = SpectralField.from_physical(grid, np.full((64, 64), 1.0))
         with pytest.raises(ValueError):
-            besov_norm(c, BesovSpec(0.5, 2), ladder64)
+            besov_norm(c, BesovSpec(0.5, 2))
 
-    def test_inhomogeneous_constant(self, ladder64):
-        grid = ladder64.grid
+    def test_inhomogeneous_constant(self, grid64):
+        grid = grid64
         c = SpectralField.from_physical(grid, np.full((64, 64), 3.0))
         s, p = 0.75, 2.0
-        val, profile = besov_norm(c, BesovSpec(s, p, 1, homogeneous=False), ladder64)
+        val, profile = besov_norm(c, BesovSpec(s, p, 1, homogeneous=False))
         # only the low block at j=-1 holds the constant
         assert val == pytest.approx(2.0**-s * 3.0 * L, rel=1e-12)
         assert profile.js[0] == -1
@@ -95,40 +89,39 @@ class TestBesov:
         # lambda u(lambda .) lives on the torus of side L/lambda with the same
         # integer mode layout; the critical-norm equality is then exact
         grid = make_grid(128)
-        ladder = build_ladder(grid)
         p = 2.0
         u = band_limited_field(grid, rng, band=6)
         lam = 2
         small = make_grid(grid.n, grid.L / lam)
         u_lam = SpectralField(small, lam * u.modes)
         spec = BesovSpec(2.0 / p - 1.0, p, 1)
-        a = besov_norm(u, spec, ladder)[0]
-        b = besov_norm(u_lam, spec, build_ladder(small))[0]
+        a = besov_norm(u, spec)[0]
+        b = besov_norm(u_lam, spec)[0]
         assert abs(a - b) / a < 0.01
 
-    def test_monotone_in_s_exact_power(self, ladder64):
-        u = single_mode(ladder64.grid, 8, 8)
+    def test_monotone_in_s_exact_power(self, grid64):
+        u = single_mode(grid64, 8, 8)
         j = 3
-        lo = besov_norm(u, BesovSpec(0.5, 2), ladder64)[0]
-        hi = besov_norm(u, BesovSpec(1.5, 2), ladder64)[0]
+        lo = besov_norm(u, BesovSpec(0.5, 2))[0]
+        hi = besov_norm(u, BesovSpec(1.5, 2))[0]
         assert hi == pytest.approx(2.0**j * lo, rel=1e-12)
 
-    def test_l1_dominates_l2_aggregation(self, ladder64, rng):
+    def test_l1_dominates_l2_aggregation(self, grid64, rng):
         for _ in range(20):
-            f = smooth_random_field(ladder64.grid, rng, k0=rng.uniform(3, 14))
-            n1 = besov_norm(f, BesovSpec(0.3, 2, 1), ladder64)[0]
-            n2 = besov_norm(f, BesovSpec(0.3, 2, 2), ladder64)[0]
+            f = smooth_random_field(grid64, rng, k0=rng.uniform(3, 14))
+            n1 = besov_norm(f, BesovSpec(0.3, 2, 1))[0]
+            n2 = besov_norm(f, BesovSpec(0.3, 2, 2))[0]
             assert n2 <= n1 * (1 + 1e-12)
 
-    def test_triangle_inequality(self, ladder64, rng):
+    def test_triangle_inequality(self, grid64, rng):
         specs = [BesovSpec(0.5, 1.5, 1), BesovSpec(-0.25, 2, 2), BesovSpec(1.0, np.inf, np.inf)]
         for _ in range(50):
-            f = smooth_random_field(ladder64.grid, rng, k0=rng.uniform(3, 12))
-            g = smooth_random_field(ladder64.grid, rng, k0=rng.uniform(3, 12))
+            f = smooth_random_field(grid64, rng, k0=rng.uniform(3, 12))
+            g = smooth_random_field(grid64, rng, k0=rng.uniform(3, 12))
             for spec in specs:
-                nf = besov_norm(f, spec, ladder64)[0]
-                ng = besov_norm(g, spec, ladder64)[0]
-                nfg = besov_norm(f + g, spec, ladder64)[0]
+                nf = besov_norm(f, spec)[0]
+                ng = besov_norm(g, spec)[0]
+                nfg = besov_norm(f + g, spec)[0]
                 assert nfg <= nf + ng + 1e-12 * (nf + ng)
 
     def test_block_profile_rejects_negative(self):
@@ -137,46 +130,46 @@ class TestBesov:
 
 
 class TestCheminLerner:
-    def test_constant_in_time_matches_instantaneous(self, ladder64, rng):
-        f = smooth_random_field(ladder64.grid, rng)
+    def test_constant_in_time_matches_instantaneous(self, grid64, rng):
+        f = smooth_random_field(grid64, rng)
         spec = BesovSpec(0.4, 2, 1)
         snaps = [(0.0, f), (0.5, f), (1.0, f)]
-        tilde = chemin_lerner(snaps, TimeNormSpec(spec, np.inf, 1.0), ladder64)
-        assert tilde == pytest.approx(besov_norm(f, spec, ladder64)[0], rel=1e-12)
+        tilde = chemin_lerner(snaps, TimeNormSpec(spec, np.inf, 1.0))
+        assert tilde == pytest.approx(besov_norm(f, spec)[0], rel=1e-12)
 
-    def test_single_block_factorizes(self, ladder64):
-        u = single_mode(ladder64.grid, 4, 4)  # octave j=2
+    def test_single_block_factorizes(self, grid64):
+        u = single_mode(grid64, 4, 4)  # octave j=2
         times = np.linspace(0.0, 1.0, 11)
         snaps = [(t, u * (1.0 + t)) for t in times]
         s, p, sigma = 0.5, 2.0, 2.0
-        tilde = chemin_lerner(snaps, TimeNormSpec(BesovSpec(s, p, 1), sigma, 1.0), ladder64)
+        tilde = chemin_lerner(snaps, TimeNormSpec(BesovSpec(s, p, 1), sigma, 1.0))
         g = 1.0 + times
         g_norm = np.trapezoid(g**sigma, times) ** (1.0 / sigma)
         assert tilde == pytest.approx(2.0 ** (2 * s) * L ** (2.0 / p) * g_norm, rel=1e-12)
 
-    def test_tilde_infty_dominates_pointwise_sup(self, ladder64, rng):
+    def test_tilde_infty_dominates_pointwise_sup(self, grid64, rng):
         spec = BesovSpec(0.3, 2, 1)
-        snaps = [(t, smooth_random_field(ladder64.grid, rng, k0=6 + 4 * t)) for t in np.linspace(0, 1, 6)]
-        tilde = chemin_lerner(snaps, TimeNormSpec(spec, np.inf, 1.0), ladder64)
-        sup_inst = max(besov_norm(f, spec, ladder64)[0] for _, f in snaps)
+        snaps = [(t, smooth_random_field(grid64, rng, k0=6 + 4 * t)) for t in np.linspace(0, 1, 6)]
+        tilde = chemin_lerner(snaps, TimeNormSpec(spec, np.inf, 1.0))
+        sup_inst = max(besov_norm(f, spec)[0] for _, f in snaps)
         assert tilde >= sup_inst * (1 - 1e-12)
 
-    def test_tilde_one_below_time_integral_for_r2(self, ladder64, rng):
+    def test_tilde_one_below_time_integral_for_r2(self, grid64, rng):
         # integrate-then-aggregate vs aggregate-then-integrate (Minkowski direction)
         spec = BesovSpec(0.3, 2, 2)
         times = np.linspace(0, 1, 6)
-        snaps = [(t, smooth_random_field(ladder64.grid, rng, k0=5 + 6 * t)) for t in times]
-        tilde = chemin_lerner(snaps, TimeNormSpec(spec, 1.0, 1.0), ladder64)
-        inst = np.array([besov_norm(f, spec, ladder64)[0] for _, f in snaps])
+        snaps = [(t, smooth_random_field(grid64, rng, k0=5 + 6 * t)) for t in times]
+        tilde = chemin_lerner(snaps, TimeNormSpec(spec, 1.0, 1.0))
+        inst = np.array([besov_norm(f, spec)[0] for _, f in snaps])
         lebesgue = float(np.trapezoid(inst, times))
         assert tilde <= lebesgue * (1 + 1e-12)
 
-    def test_unordered_times_rejected(self, ladder64, rng):
-        f = smooth_random_field(ladder64.grid, rng)
+    def test_unordered_times_rejected(self, grid64, rng):
+        f = smooth_random_field(grid64, rng)
         with pytest.raises(ValueError):
-            chemin_lerner([(0.0, f), (0.5, f), (0.4, f)], TimeNormSpec(BesovSpec(0, 2), 1, 0.5), ladder64)
+            chemin_lerner([(0.0, f), (0.5, f), (0.4, f)], TimeNormSpec(BesovSpec(0, 2), 1, 0.5))
 
-    def test_coverage_required(self, ladder64, rng):
-        f = smooth_random_field(ladder64.grid, rng)
+    def test_coverage_required(self, grid64, rng):
+        f = smooth_random_field(grid64, rng)
         with pytest.raises(ValueError):
-            chemin_lerner([(0.0, f), (0.4, f)], TimeNormSpec(BesovSpec(0, 2), 1, 1.0), ladder64)
+            chemin_lerner([(0.0, f), (0.4, f)], TimeNormSpec(BesovSpec(0, 2), 1, 1.0))

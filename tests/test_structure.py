@@ -1,5 +1,5 @@
 """Source-level guards: no private cross-module imports, no duplicated function bodies,
-no defaulted parameter that no call sets, no BLAS-backed call."""
+no defaulted parameter that no call sets, no BLAS-backed call, no ladder passed around."""
 
 import ast
 from collections import defaultdict
@@ -126,6 +126,41 @@ def blas_uses(source: str) -> list[str]:
 def test_no_blas_calls_in_the_package():
     offences = [f"{path.name}:{use}" for path in SOURCES for use in blas_uses(path.read_text(encoding="utf-8"))]
     assert offences == []
+
+
+def ladder_parameters(source: str) -> list[str]:
+    """Line, function and parameter of each parameter named ``ladder`` or annotated ``DyadicLadder``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for arg in node.args.posonlyargs + node.args.args + node.args.kwonlyargs:
+            annotation = ast.unparse(arg.annotation) if arg.annotation is not None else ""
+            if arg.arg == "ladder" or "DyadicLadder" in annotation:
+                found.append(f"{node.lineno}: {node.name}({arg.arg})")
+    return found
+
+
+def test_only_dyadic_takes_a_ladder():
+    """The ladder is a function of the grid: code outside ``dyadic`` takes it from its field's grid."""
+    offences = [
+        f"{path.name}:{use}"
+        for path in SOURCES
+        if path.name != "dyadic.py"
+        for use in ladder_parameters(path.read_text(encoding="utf-8"))
+    ]
+    assert offences == []
+
+
+def test_ladder_guard_sees_each_form():
+    source = (
+        "def f(u, ladder): pass\n"
+        "def g(u, *, ladder=None): pass\n"
+        "def h(u, lad: DyadicLadder | None = None): pass\n"
+        "class A:\n    def __init__(self, spec, steps: 'DyadicLadder'): pass\n"
+        "def k(u, grid: Grid): pass\n"
+    )
+    assert ladder_parameters(source) == ["1: f(ladder)", "2: g(ladder)", "3: h(lad)", "5: __init__(steps)"]
 
 
 def test_blas_guard_sees_each_form():
