@@ -23,12 +23,13 @@ The integrator family:
   low-frequency part of the variable viscosity can be nudged toward implicit
   treatment with one fixed-point sweep (``split_m``).
 * :func:`ns_integrate` — Strang composition of the two steps with running
-  diagnostics: block-norm accumulations of ``a``, of the correction
-  ``u - u_L`` (u_L the exact heat evolution of the data), and of the pressure
-  gradient, plus quadratic energies and optional viscosity-tail monitors.
+  diagnostics: Chemin-Lerner time-space norms (:class:`~besovlab.norms.RunningTimeNorm`)
+  of ``a``, of the correction ``u - u_L`` (u_L the exact heat evolution of
+  the data), and of the pressure gradient, plus quadratic energies and
+  optional viscosity-tail monitors.
 * :func:`energy_diagnostics` — post-hoc energy balance of the correction
-  velocity against a heat reference launched mid-trajectory, valid for
-  constant viscosity.
+  velocity against a heat reference launched at the first snapshot, valid
+  for constant viscosity.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import numpy as np
 from .dyadic import build_ladder
 from .elliptic import coefficient_floor, require_floor, solve_pressure, weight_by
 from .interpolation import PeriodicSampler, cell_bounds
-from .norms import BesovSpec, besov_norm
+from .norms import BesovSpec, RunningTimeNorm, besov_norm
 from .spectral import (
     Grid,
     SpectralField,
@@ -240,9 +241,10 @@ class StateSnapshot:
 class DiagnosticsSeries:
     """Per-sample-time scalar diagnostics of a trajectory.
 
-    ``A`` accumulates the block-wise running supremum of the scalar's critical
-    norm; ``Z`` adds the same accumulation for the heat-corrected velocity to
-    the time integrals of its smoothing norm and of the pressure gradient.
+    ``A`` is the scalar's critical Chemin-Lerner norm sup-in-time so far,
+    L~inf(B^{2/p}_{p,1}); ``Z`` adds the heat-corrected velocity's
+    L~inf(B^{2/p-1}_{p,1}) and L~1(B^{2/p+1}_{p,1}) norms and the pressure
+    gradient's L~1(B^{2/p-1}_{p,1}) norm, each a :class:`RunningTimeNorm`.
     ``E0``/``E1``/``E2`` are the density-weighted kinetic energy, the enstrophy
     of the correction, and the weighted energy of its time derivative.  Extra
     named series (monitors, defects) ride along in ``extra``.
@@ -529,36 +531,6 @@ class IntegrationConfig:
         return round(self.T / self.dt)
 
 
-class _BlockSupAccumulator:
-    """Running per-block supremum of weighted block norms; reports the sum."""
-
-    def __init__(self, spec: BesovSpec):
-        self.spec = spec
-        self.peaks: dict[int, float] = {}
-
-    def update(self, f: SpectralField | VectorField) -> float:
-        _, profile = besov_norm(f, self.spec)
-        for j, v in zip(profile.js, profile.values):
-            if v > self.peaks.get(j, 0.0):
-                self.peaks[j] = v
-        return sum(self.peaks.values())
-
-
-class _TrapezoidAccumulator:
-    """Running time integral of a sampled nonnegative scalar."""
-
-    def __init__(self) -> None:
-        self.total = 0.0
-        self._last: tuple[float, float] | None = None
-
-    def update(self, t: float, value: float) -> float:
-        if self._last is not None:
-            t0, v0 = self._last
-            self.total += 0.5 * (v0 + value) * (t - t0)
-        self._last = (t, value)
-        return self.total
-
-
 def ns_integrate(
     config: IntegrationConfig, a0: SpectralField, u0: VectorField
 ) -> tuple[list[StateSnapshot], DiagnosticsSeries]:
@@ -595,16 +567,16 @@ def ns_integrate(
     )
     state = StateSnapshot(0.0, a0, u_start, grad_pi0, kappa=kappa)
 
-    acc_A = _BlockSupAccumulator(spec_scalar)
-    acc_ubar_sup = _BlockSupAccumulator(spec_low)
-    acc_ubar_smooth = _TrapezoidAccumulator()
-    acc_pressure = _TrapezoidAccumulator()
+    norm_A = RunningTimeNorm(spec_scalar, math.inf)
+    norm_ubar_sup = RunningTimeNorm(spec_low, math.inf)
+    norm_ubar_smooth = RunningTimeNorm(spec_high, 1.0)
+    norm_pressure = RunningTimeNorm(spec_low, 1.0)
+    norm_uL = RunningTimeNorm(spec_high, 1.0)
 
     series: dict[str, list[float]] = {name: [] for name in ("times", "A", "Z", "E0", "E1", "E2")}
     extra: dict[str, list[float]] = {"cfl": [], "uL_smooth_integral": []}
     for m in config.monitor_ms:
         extra[f"smallness_m{m}"] = []
-    acc_uL = _TrapezoidAccumulator()
     prev_ubar: tuple[float, VectorField] | None = None
 
     def sample(st: StateSnapshot) -> float:
@@ -612,12 +584,12 @@ def ns_integrate(
         u_L = heat_propagate(u_start, mu0, st.t)
         ubar = st.u - u_L
         ubar_c = centered(ubar)
-        a_c = centered(st.a)
-        A_val = acc_A.update(a_c)
-        z_sup = acc_ubar_sup.update(ubar_c)
-        z_smooth = acc_ubar_smooth.update(st.t, besov_norm(ubar_c, spec_high)[0])
-        z_press = acc_pressure.update(st.t, besov_norm(centered(st.gradPi), spec_low)[0])
-        Z_val = z_sup + z_smooth + z_press
+        A_val = norm_A.update(st.t, centered(st.a))
+        Z_val = (
+            norm_ubar_sup.update(st.t, ubar_c)
+            + norm_ubar_smooth.update(st.t, ubar_c)
+            + norm_pressure.update(st.t, centered(st.gradPi))
+        )
         rho = st.rho_values()
         values = (st.t, A_val, Z_val, _weighted_energy(rho, ubar), _enstrophy(ubar),
                   _rate_energy(rho, st.t, ubar, prev_ubar))
@@ -625,9 +597,7 @@ def ns_integrate(
         for name, value in zip(series, values):
             series[name].append(value)
         extra["cfl"].append(cfl_number(st.u, config.dt))
-        extra["uL_smooth_integral"].append(
-            acc_uL.update(st.t, besov_norm(centered(u_L), spec_high)[0])
-        )
+        extra["uL_smooth_integral"].append(norm_uL.update(st.t, centered(u_L)))
         for m in config.monitor_ms:
             a_vals = st.a.values.real
             b_f = SpectralField.from_physical(grid, config.visc.b_values(a_vals))
@@ -690,15 +660,14 @@ def ns_integrate(
 
 def energy_diagnostics(
     trajectory: list[StateSnapshot],
-    t1: float,
     *,
     visc: ViscosityLaw | None = None,
 ) -> DiagnosticsSeries:
     """Energy balance of the correction velocity against a heat reference.
 
-    From the snapshot nearest to ``t1`` a pure diffusion reference u_F
-    evolves forward; the correction ubar = u - u_F then satisfies an energy
-    identity whose residual is measured here by finite differences:
+    From the first snapshot a pure diffusion reference u_F evolves forward;
+    the correction ubar = u - u_F then satisfies an energy identity whose
+    residual is measured here by finite differences:
 
         defect(t) = | d/dt E0 / 2 + mu E1 - int ubar . Gforce |
 
@@ -714,12 +683,7 @@ def energy_diagnostics(
     if not trajectory:
         raise ValueError("empty trajectory")
     mu = float(visc.mu_tilde(0.0))
-    times = [s.t for s in trajectory]
-    if not times[0] <= t1 <= times[-1]:
-        raise ValueError(f"sampling time t1={t1} outside trajectory range [{times[0]}, {times[-1]}]")
-    i1 = int(np.argmin([abs(t - t1) for t in times]))
-    base = trajectory[i1]
-    tail = trajectory[i1:]
+    base = trajectory[0]
     grid = base.grid
     area = grid.cell_area
 
@@ -727,7 +691,7 @@ def energy_diagnostics(
         name: [] for name in ("E0", "E1", "E2", "energy_rhs", "convection_l2", "rho_min", "rho_max")
     }
     prev: tuple[float, VectorField] | None = None
-    for st in tail:
+    for st in trajectory:
         u_F = heat_propagate(base.u, mu, st.t - base.t)
         ubar = st.u - u_F
         rho = st.rho_values()
@@ -756,8 +720,8 @@ def energy_diagnostics(
             series[name].append(value)
 
     out = {name: tuple(values) for name, values in series.items()}
-    k = len(tail)
-    t_arr = np.array([s.t for s in tail])
+    k = len(trajectory)
+    t_arr = np.array([s.t for s in trajectory])
     e0_arr = np.array(out["E0"])
     defect: list[float] = []
     for i in range(k):

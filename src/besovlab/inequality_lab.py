@@ -21,7 +21,7 @@ import numpy as np
 
 from .dyadic import build_ladder
 from .elliptic import coefficient_floor
-from .norms import BesovSpec, besov_norm, check_exponent, lp_norm, unpack_trajectory
+from .norms import BesovSpec, RunningTimeNorm, besov_norm, check_exponent, lp_norm, unpack_trajectory
 from .paraproduct import commutator_block
 from .random_fields import random_annulus_field, random_ball_field, trial_seed
 from .spectral import (
@@ -305,38 +305,21 @@ def check_transport_estimate(
     for _, _, u in snaps:
         require_solenoidal(u)
 
-    sq = 2.0 / q
-    a_spec = BesovSpec(sq, q, 1.0)
+    a_spec = BesovSpec(2.0 / q, q, 1.0)
     u_spec = BesovSpec(2.0 / p + 1.0, p, 1.0)
-    js = list(ladder.js)
-
-    # per-snapshot per-block norms of the (centered) transported field
-    block_norms = []
-    u_norms = []
-    for _, a, u in snaps:
-        ac = centered(a)
-        block_norms.append([lp_norm(ladder.block(ac, j), q) for j in js])
-        uc = centered(u)
-        u_norms.append(besov_norm(uc, u_spec)[0])
-
-    base_profile = block_norms[0]
-    base = sum(2.0 ** (j * sq) * v for j, v in zip(js, base_profile))
+    base, base_profile = besov_norm(centered(snaps[0][1]), a_spec)
     if base <= 0.0:
         raise ValueError("initial field has no octave content to transport")
 
-    times = np.array([t for t, _, _ in snaps])
-    # accumulated velocity cost: prefix trapezoid integral
-    U = np.concatenate(
-        [[0.0], np.cumsum(0.5 * (np.array(u_norms[1:]) + np.array(u_norms[:-1])) * np.diff(times))]
-    )
-
-    running = np.zeros(len(js))
-    sup_norms = []
-    for vals in block_norms:
-        running = np.maximum(running, vals)
-        sup_norms.append(sum(2.0 ** (j * sq) * v for j, v in zip(js, running)))
-
-    growth = [v / base for v in sup_norms]
+    # sup-in-time norm of the (centered) transported field, and the
+    # accumulated velocity cost U(t), the time integral of its smoothness norm
+    sup_norm = RunningTimeNorm(a_spec, math.inf)
+    cost = RunningTimeNorm(u_spec, 1.0)
+    growth, U, u_norms = [], [], []
+    for t, a, u in snaps:
+        growth.append(sup_norm.update(t, centered(a)) / base)
+        U.append(cost.update(t, centered(u)))
+        u_norms.append(cost.sample_norm)
     candidates = [
         math.log(g) / u for g, u in zip(growth[1:], U[1:]) if u > 0.0 and g > 1.0
     ]
@@ -346,20 +329,17 @@ def check_transport_estimate(
     # initial tail plus the exponential cost term
     sweep = {}
     for m in range(4):
-        tail = sum(2.0 ** (j * sq) * v for j, v in zip(js, base_profile) if j >= m)
-        running_m = np.zeros(len(js))
+        tail = sum(v for j, v in zip(base_profile.js, base_profile.values) if j >= m)
+        high_norm = RunningTimeNorm(a_spec, math.inf)
         c_m = 0.0
         zero_defect = 0.0
-        for idx, (_, a, _) in enumerate(snaps):
-            high = centered(a) - ladder.low_pass(centered(a), m)
-            vals = [lp_norm(ladder.block(high, j), q) for j in js]
-            running_m = np.maximum(running_m, vals)
-            lhs = sum(2.0 ** (j * sq) * v for j, v in zip(js, running_m))
-            excess = max(0.0, lhs - tail)
-            if idx == 0 or U[idx] <= 0.0:
+        for (t, a, _), cost_t in zip(snaps, U):
+            ac = centered(a)
+            excess = max(0.0, high_norm.update(t, ac - ladder.low_pass(ac, m)) - tail)
+            if cost_t <= 0.0:
                 zero_defect = max(zero_defect, excess / base)
             else:
-                c_m = max(c_m, math.log1p(excess / base) / U[idx])
+                c_m = max(c_m, math.log1p(excess / base) / cost_t)
         sweep[str(m)] = c_m
         if zero_defect > 0.0:
             sweep[f"defect_at_zero_cost_m{m}"] = zero_defect
@@ -370,14 +350,14 @@ def check_transport_estimate(
             "p": p,
             "q": q,
             "snapshots": len(snaps),
-            "t_final": float(times[-1]),
+            "t_final": snaps[-1][0],
             "grid_n": grid.n,
         },
         seed=None,
         ratios=tuple(growth),
         extra={
             "C_min": c_min,
-            "U": tuple(float(u) for u in U),
+            "U": tuple(U),
             "m_sweep": sweep,
             "u_norms": tuple(u_norms),
         },

@@ -3,8 +3,9 @@
 The Besov norm of a field is the l^r aggregation of its weighted block profile
 (2^{js} ||block_j u||_{L^p})_j.  The time-space ("tilde") norms integrate each
 block over time *first* and aggregate over octaves second; that order is the
-whole point and is preserved here with trapezoid time quadrature on stored
-snapshots.
+whole point.  :class:`RunningTimeNorm` is the one implementation: it folds in
+samples one at a time with trapezoid time quadrature, so the integrator's
+running diagnostics and :func:`chemin_lerner` over stored snapshots agree.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ __all__ = [
     "lr_aggregate",
     "besov_norm",
     "chemin_lerner",
+    "RunningTimeNorm",
     "unpack_trajectory",
 ]
 
@@ -160,6 +162,17 @@ def _require_mean_zero(u: SpectralField | VectorField, what: str) -> None:
         raise ValueError(f"homogeneous {what} needs a mean-zero field (|mean| = {mean:.3e})")
 
 
+def _block_norms(u: SpectralField | VectorField, spec: BesovSpec, what: str) -> tuple[range, np.ndarray]:
+    """The octaves of u's ladder that ``spec`` sums over, and u's L^p norm on each block."""
+    ladder = build_ladder(u.grid)
+    if spec.homogeneous:
+        _require_mean_zero(u, what)
+        js, block_of = ladder.js, ladder.block
+    else:
+        js, block_of = ladder.inhomogeneous_js(), ladder.inhomogeneous_block
+    return js, np.array([lp_norm(block_of(u, j), spec.p) for j in js])
+
+
 def besov_norm(u: SpectralField | VectorField, spec: BesovSpec) -> tuple[float, BlockProfile]:
     """Besov norm and its diagnostic block profile, over the ladder of u's grid.
 
@@ -167,27 +180,59 @@ def besov_norm(u: SpectralField | VectorField, spec: BesovSpec) -> tuple[float, 
     for the low-frequency tail of the plane, so the mean carries no
     homogeneous-norm content and is rejected rather than silently dropped.
     """
-    ladder = build_ladder(u.grid)
-    if spec.homogeneous:
-        _require_mean_zero(u, "Besov norm")
-        js = list(ladder.js)
-        blocks = [ladder.block(u, j) for j in js]
-    else:
-        js = list(ladder.inhomogeneous_js())
-        blocks = [ladder.inhomogeneous_block(u, j) for j in js]
-    values = [2.0 ** (j * spec.s) * lp_norm(b, spec.p) for j, b in zip(js, blocks)]
+    js, norms = _block_norms(u, spec, "Besov norm")
+    values = [2.0 ** (j * spec.s) * v for j, v in zip(js, norms)]
     profile = BlockProfile(tuple(js), tuple(values))
     return profile.total(spec.r), profile
 
 
-def _time_norm(times: np.ndarray, series: np.ndarray, sigma: float) -> float:
-    if math.isinf(sigma):
-        return float(np.max(series))
-    return float(np.trapezoid(series**sigma, times) ** (1.0 / sigma))
+class RunningTimeNorm:
+    """Running Chemin-Lerner norm of a sampled field: ``update(t, f)`` returns it over [t0, t].
+
+    Each octave's L^p block norm is integrated in time first, its sigma-th
+    power by the trapezoid rule (sigma = inf keeps a running sup); the octaves
+    are then weighted by 2^{js} and aggregated in l^r.  Sample times must
+    increase strictly and the samples share one grid.  The norm over the
+    first sample alone is its sup-in-time value for sigma = inf and 0 otherwise.
+    ``sample_norm`` is the last sample's own Besov norm, as :func:`besov_norm`
+    gives it.
+    """
+
+    def __init__(self, space: BesovSpec, sigma: float):
+        self.space = space
+        self.sigma = check_exponent("sigma", sigma)
+        self._t = -math.inf
+        self._grid = None
+        self._powers = None  # sigma-th powers of the last sample's block norms
+        self._acc = None  # per-octave time integral of those powers, or running sup
+        self.sample_norm = math.nan
+
+    def update(self, t: float, f: SpectralField | VectorField) -> float:
+        t = float(t)
+        if not (t > self._t):  # also rejects NaN
+            raise ValueError(f"time norm samples must increase strictly in time, got t={t} after {self._t}")
+        if self._grid is not None and f.grid != self._grid:
+            raise ValueError("time norm samples live on different grids")
+        js, values = _block_norms(f, self.space, f"time norm at t={t}")
+        if math.isinf(self.sigma):
+            self._acc = values if self._acc is None else np.maximum(self._acc, values)
+            per_octave = self._acc
+        else:
+            powers = values**self.sigma
+            if self._acc is None:
+                self._acc = np.zeros_like(powers)
+            else:
+                self._acc = self._acc + (t - self._t) * (powers + self._powers) / 2.0
+            self._powers = powers
+            per_octave = self._acc ** (1.0 / self.sigma)
+        self._t, self._grid = t, f.grid
+        weights = np.array([2.0 ** (j * self.space.s) for j in js])
+        self.sample_norm = lr_aggregate(weights * values, self.space.r)
+        return lr_aggregate(weights * per_octave, self.space.r)
 
 
 def chemin_lerner(snapshots: Sequence, spec: TimeNormSpec) -> float:
-    """Time-space norm: per-block sigma-norm in time first, l^r across octaves second.
+    """Time-space norm over [0, T]: the last value of a :class:`RunningTimeNorm` fed the snapshots.
 
     ``snapshots`` holds (t, field) pairs, or snapshot objects whose scalar
     ``a`` is measured.
@@ -196,20 +241,5 @@ def chemin_lerner(snapshots: Sequence, spec: TimeNormSpec) -> float:
     t0, tN = pairs[0][0], pairs[-1][0]
     if t0 > 1e-12 or tN < spec.T - 1e-12:
         raise ValueError(f"snapshots span [{t0}, {tN}] but the norm horizon is [0, {spec.T}]")
-    pairs = [(t, f) for t, f in pairs if t <= spec.T + 1e-12]
-    times = np.array([t for t, _ in pairs])
-    space = spec.space
-    ladder = build_ladder(pairs[0][1].grid)
-    if space.homogeneous:
-        js = list(ladder.js)
-        block_of = ladder.block
-        for t, f in pairs:
-            _require_mean_zero(f, f"time norm at t={t}")
-    else:
-        js = list(ladder.inhomogeneous_js())
-        block_of = ladder.inhomogeneous_block
-    total = []
-    for j in js:
-        series = np.array([lp_norm(block_of(f, j), space.p) for _, f in pairs])
-        total.append(2.0 ** (j * space.s) * _time_norm(times, series, spec.sigma))
-    return lr_aggregate(total, space.r)
+    norm = RunningTimeNorm(spec.space, spec.sigma)
+    return [norm.update(t, f) for t, f in pairs if t <= spec.T + 1e-12][-1]

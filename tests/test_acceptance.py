@@ -398,7 +398,7 @@ def test_11_small_data_run_fits_growth_envelope_with_bounded_energy():
     C, fit_defect = fit_growth_envelope(series)
     assert fit_defect <= 0.0  # no sample exceeds the fitted envelope
 
-    energy = energy_diagnostics(trajectory, trajectory[0].t, visc=run.visc)
+    energy = energy_diagnostics(trajectory, visc=run.visc)
     E0 = np.array(energy.E0)
     E1 = np.array(energy.E1)
     defect = np.array(energy.extra["energy_defect"])

@@ -339,6 +339,14 @@ class TestExitCodes:
         assert code == 2
         assert "power of two" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("check", ["product", "commutator", "envelope"])
+    def test_refine_on_a_check_that_cannot_refine_is_usage_error(self, check, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli(["verify", check, "--refine", "--n", "32", "--trials", "2", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "bernstein, heat, ij, transport, elliptic, deltas" in err
+        assert not out.exists()  # rejected before any work
+
     @pytest.mark.parametrize("verb", [["elliptic"], ["verify", "elliptic"]])
     def test_coefficient_amplitude_beyond_the_floor_is_usage_error(self, verb, tmp_path, capsys):
         common = ["--n", "32", "--trials", "1"]
@@ -543,6 +551,18 @@ class TestSimulateCommand:
         )
         assert code == 0
         capsys.readouterr()
+
+    def test_zero_velocity_amplitude_means_zero_velocity(self, tmp_path, capsys):
+        common = ["--n", "32", "--amplitude-u", "0"]
+        assert run_cli(["lagrangian", *common, "--out", str(tmp_path / "lag")]) == 0
+        assert run_cli(["verify", "transport", *common, "--out", str(tmp_path / "tr")]) == 0
+        capsys.readouterr()
+        report = json.loads((tmp_path / "lag" / "report.json").read_text())
+        for key in ("volume_defect", "inverse_consistency", "div_identity_trace", "div_identity_flux"):
+            assert report[key] == 0.0
+        report = json.loads((tmp_path / "tr" / "report.json").read_text())
+        assert report["extra"]["C_min"] == 0.0
+        assert set(report["extra"]["U"]) == {0.0}
 
     def test_lagrangian_command_passes_on_cellular_flow(self, tmp_path, capsys):
         out = tmp_path / "lag"

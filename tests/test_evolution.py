@@ -28,7 +28,9 @@ from besovlab.norms import BesovSpec, besov_norm
 from besovlab.spectral import (
     SpectralField,
     VectorField,
+    centered,
     divergence,
+    heat_propagate,
     leray_project,
     make_grid,
 )
@@ -396,6 +398,35 @@ class TestNsIntegrate:
         assert diag.A[0] == pytest.approx(diag.A[-1], rel=1e-10)
         assert np.max(np.abs(traj[-1].a.values - a0.values)) <= 1e-12
 
+    def test_A_and_Z_are_the_time_norms_of_the_trajectory(self, grid32, rng):
+        p = 3.0
+        a0 = smooth_random_field(grid32, rng, k0=4.0, amplitude=0.3)
+        u0 = smooth_random_divfree(grid32, rng, k0=3.0, amplitude=0.3)
+        traj, diag = ns_integrate(IntegrationConfig(T=0.04, dt=0.01, p=p), a0, u0)
+        assert diag.stop_reason == "completed" and len(traj) == 5
+        low, mid, high = (BesovSpec(2.0 / p + ds, p, 1.0) for ds in (-1.0, 0.0, 1.0))
+        times = np.array([st.t for st in traj])
+
+        def blocks(fields, spec):
+            """Weighted block norms of the centered fields, one row per sample."""
+            return np.array([besov_norm(centered(f), spec)[1].values for f in fields])
+
+        u_start = leray_project(u0)
+        ubar = [st.u - heat_propagate(u_start, 1.0, st.t) for st in traj]
+        a_blocks = blocks([st.a for st in traj], mid)
+        ubar_low, ubar_high = blocks(ubar, low), blocks(ubar, high)
+        pressure = blocks([st.gradPi for st in traj], low)
+        for i in range(len(traj)):
+            now = slice(0, i + 1)
+            A = a_blocks[now].max(axis=0).sum()
+            Z = (
+                ubar_low[now].max(axis=0).sum()
+                + np.trapezoid(ubar_high[now], times[now], axis=0).sum()
+                + np.trapezoid(pressure[now], times[now], axis=0).sum()
+            )
+            assert diag.A[i] == pytest.approx(A, rel=1e-12)
+            assert diag.Z[i] == pytest.approx(Z, rel=1e-12)
+
     def test_taylor_green_trajectory(self, grid64):
         u0, _ = taylor_green(grid64, 1.0, 0.0)
         config = IntegrationConfig(T=0.05, dt=2.5e-3, snapshot_every=4)
@@ -511,7 +542,7 @@ class TestEnergyDiagnostics:
         u0, _ = taylor_green(grid64, 1.0, 0.0)
         config = IntegrationConfig(T=0.04, dt=2e-3, snapshot_every=2)
         traj, _ = ns_integrate(config, SpectralField.zero(grid64), u0)
-        diag = energy_diagnostics(traj, 0.0)
+        diag = energy_diagnostics(traj)
         assert max(diag.E0) <= 1e-18
         assert max(diag.extra["energy_defect"]) <= 1e-10
         assert all(c < 10.0 for c in diag.extra["convection_l2"])
@@ -520,7 +551,7 @@ class TestEnergyDiagnostics:
         u0 = smooth_random_divfree(grid32, rng, k0=3.0) * 0.4
         config = IntegrationConfig(T=0.03, dt=1e-3)
         traj, _ = ns_integrate(config, SpectralField.zero(grid32), u0)
-        diag = energy_diagnostics(traj, 0.0)
+        diag = energy_diagnostics(traj)
         assert max(diag.extra["energy_defect"][1:-1]) <= 1e-4
         assert diag.E2[1] > 0.0
 
@@ -529,7 +560,7 @@ class TestEnergyDiagnostics:
         u0 = smooth_random_divfree(grid32, rng, k0=3.0) * 0.2
         config = IntegrationConfig(T=0.03, dt=0.01)
         traj, _ = ns_integrate(config, a0, u0)
-        diag = energy_diagnostics(traj, 0.0)
+        diag = energy_diagnostics(traj)
         kappa = traj[0].kappa
         amax = a0.linf()
         lo = (1.0 / (1.0 + amax)) * (1.0 - 1e-3)
@@ -543,9 +574,7 @@ class TestEnergyDiagnostics:
             StateSnapshot(0.1, SpectralField.zero(grid32), VectorField.zero(grid32), VectorField.zero(grid32)),
         ]
         with pytest.raises(ValueError, match="constant viscosity"):
-            energy_diagnostics(traj, 0.0, visc=ViscosityLaw.affine(1.0, 0.5))
-        with pytest.raises(ValueError, match="outside trajectory"):
-            energy_diagnostics(traj, 0.5)
+            energy_diagnostics(traj, visc=ViscosityLaw.affine(1.0, 0.5))
 
 
 class TestDiagnosticsSeries:

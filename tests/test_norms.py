@@ -3,8 +3,18 @@
 import numpy as np
 import pytest
 
-from besovlab.norms import BesovSpec, BlockProfile, TimeNormSpec, besov_norm, chemin_lerner, lp_norm
-from besovlab.spectral import SpectralField, make_grid, refine
+from besovlab.dyadic import build_ladder
+from besovlab.norms import (
+    BesovSpec,
+    BlockProfile,
+    RunningTimeNorm,
+    TimeNormSpec,
+    besov_norm,
+    chemin_lerner,
+    lp_norm,
+    lr_aggregate,
+)
+from besovlab.spectral import SpectralField, VectorField, make_grid, refine
 from conftest import single_mode, smooth_random_field
 
 L = 2 * np.pi
@@ -173,3 +183,75 @@ class TestCheminLerner:
         f = smooth_random_field(grid64, rng)
         with pytest.raises(ValueError):
             chemin_lerner([(0.0, f), (0.4, f)], TimeNormSpec(BesovSpec(0, 2), 1, 1.0))
+
+
+def batch_time_norm(samples, space, sigma):
+    """Oracle: per block, the sigma-norm in time of its L^p norms, then weighted and l^r-aggregated."""
+    times = np.array([t for t, _ in samples])
+    ladder = build_ladder(samples[0][1].grid)
+    if space.homogeneous:
+        js, block_of = ladder.js, ladder.block
+    else:
+        js, block_of = ladder.inhomogeneous_js(), ladder.inhomogeneous_block
+    total = []
+    for j in js:
+        series = np.array([lp_norm(block_of(f, j), space.p) for _, f in samples])
+        if np.isinf(sigma):
+            time_norm = np.max(series)
+        else:
+            time_norm = np.trapezoid(series**sigma, times) ** (1.0 / sigma)
+        total.append(2.0 ** (j * space.s) * time_norm)
+    return lr_aggregate(total, space.r)
+
+
+class TestRunningTimeNorm:
+    @pytest.mark.parametrize("sigma", [1.0, 2.0, np.inf])
+    @pytest.mark.parametrize("r", [1.0, 2.0])
+    @pytest.mark.parametrize("homogeneous", [True, False], ids=["homog", "inhomog"])
+    @pytest.mark.parametrize("kind", ["scalar", "vector"])
+    def test_matches_the_batch_formula_after_every_sample(self, grid32, rng, sigma, r, homogeneous, kind):
+        space = BesovSpec(0.7, 3.0, r, homogeneous=homogeneous)
+        times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 0.3, 6))])
+
+        def field(k0):
+            f = smooth_random_field(grid32, rng, k0=k0, mean_zero=homogeneous)
+            return f if kind == "scalar" else VectorField(f, smooth_random_field(grid32, rng, k0=k0 + 1))
+
+        samples = [(t, field(2.0 + 3.0 * t)) for t in times]
+        norm = RunningTimeNorm(space, sigma)
+        for i, (t, f) in enumerate(samples):
+            expected = batch_time_norm(samples[: i + 1], space, sigma)
+            assert norm.update(t, f) == pytest.approx(expected, rel=1e-12)
+            assert norm.sample_norm == besov_norm(f, space)[0]
+
+    def test_chemin_lerner_is_its_last_value(self, grid32, rng):
+        space = BesovSpec(0.4, 2.0, 2.0)
+        samples = [(t, smooth_random_field(grid32, rng, k0=3 + 4 * t)) for t in np.linspace(0.0, 1.0, 9)]
+        norm = RunningTimeNorm(space, 2.0)
+        running = [norm.update(t, f) for t, f in samples]
+        assert chemin_lerner(samples, TimeNormSpec(space, 2.0, 1.0)) == running[-1]
+
+    @pytest.mark.parametrize("t", [0.0, -0.5, np.nan], ids=["repeated", "earlier", "nan"])
+    def test_time_must_increase(self, grid32, rng, t):
+        f = smooth_random_field(grid32, rng)
+        norm = RunningTimeNorm(BesovSpec(0.0, 2.0), 1.0)
+        norm.update(0.0, f)
+        with pytest.raises(ValueError, match="increase strictly"):
+            norm.update(t, f)
+
+    def test_nan_first_time_rejected(self, grid32, rng):
+        with pytest.raises(ValueError, match="increase strictly"):
+            RunningTimeNorm(BesovSpec(0.0, 2.0), np.inf).update(np.nan, smooth_random_field(grid32, rng))
+
+    def test_homogeneous_spec_needs_mean_zero_samples(self, grid32, rng):
+        f = smooth_random_field(grid32, rng) + SpectralField.from_physical(grid32, np.ones((32, 32)))
+        with pytest.raises(ValueError, match="time norm at t=0.25 needs a mean-zero field"):
+            RunningTimeNorm(BesovSpec(0.0, 2.0), 1.0).update(0.25, f)
+        # the inhomogeneous norm measures the mean in its low block
+        assert RunningTimeNorm(BesovSpec(0.0, 2.0, homogeneous=False), np.inf).update(0.25, f) > 0.0
+
+    def test_samples_share_one_grid(self, grid32, grid64, rng):
+        norm = RunningTimeNorm(BesovSpec(0.0, 2.0), 1.0)
+        norm.update(0.0, smooth_random_field(grid32, rng))
+        with pytest.raises(ValueError, match="different grids"):
+            norm.update(0.1, smooth_random_field(grid64, rng))
