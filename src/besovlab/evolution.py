@@ -343,7 +343,7 @@ def _transport_spectral(a: SpectralField, u: VectorField, dt: float) -> Spectral
 
 def _departure_points(u: VectorField, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Backward fourth-order particle step from every node under steady u."""
-    vel = PeriodicSampler.of_vector(u, upsample=4).at
+    vel = PeriodicSampler.of_vector(u).at
     xg, yg = u.grid.coords
     k1x, k1y = vel(xg, yg)
     k2x, k2y = vel(xg - 0.5 * dt * k1x, yg - 0.5 * dt * k1y)
@@ -375,7 +375,7 @@ def transport_step(
     if scheme == "spectral":
         return _transport_spectral(a, u, dt)
     xd, yd = _departure_points(u, dt)
-    vals = PeriodicSampler.of_scalar(a, upsample=4).scalar_at(xd, yd)
+    vals = PeriodicSampler.of_scalar(a).scalar_at(xd, yd)
     if scheme == "semi_lagrangian_monotone":
         lo, hi = cell_bounds(a, xd, yd)
         vals = np.clip(vals, lo, hi)

@@ -46,7 +46,6 @@ __all__ = [
     "delta_estimates",
 ]
 
-_UPSAMPLE = 4
 _IDENTITY = np.eye(2)
 
 
@@ -127,14 +126,22 @@ def _require_stored_time(times: tuple[float, ...], t: float) -> None:
 
 
 class _VelocityInTime:
-    """Piecewise-linear-in-time velocity built on cubic spatial samplers."""
+    """Piecewise-linear-in-time velocity built on cubic spatial samplers.
+
+    Each interval's sampler joins both neighbours' planes, so a blended
+    sample evaluates one shared stencil per point for all four planes.
+    """
 
     def __init__(self, times, fields):
         self.times = times
         # a steady flow stores one field object at every time: one sampler per object
         distinct = {id(u): u for u in fields}
-        built = {key: PeriodicSampler.of_vector(u, _UPSAMPLE) for key, u in distinct.items()}
+        built = {key: PeriodicSampler.of_vector(u) for key, u in distinct.items()}
         self.samplers = [built[id(u)] for u in fields]
+        self.intervals = [
+            a if a is b else PeriodicSampler.joined(a, b)
+            for a, b in zip(self.samplers, self.samplers[1:])
+        ]
 
     def __call__(self, t: float, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         times = self.times
@@ -143,10 +150,11 @@ class _VelocityInTime:
         i = min(max(i, 0), len(times) - 2)
         span = times[i + 1] - times[i]
         w = min(max((t - times[i]) / span, 0.0), 1.0)
-        a1, a2 = self.samplers[i].at(x, y)
         if w == 0.0:
-            return a1, a2
-        b1, b2 = self.samplers[i + 1].at(x, y)
+            return self.samplers[i].at(x, y)
+        values = self.intervals[i].at(x, y)
+        # a steady interval's sampler holds one field, whose two planes serve both ends
+        (a1, a2), (b1, b2) = values[:2], values[-2:]
         return (1.0 - w) * a1 + w * b1, (1.0 - w) * a2 + w * b2
 
 
@@ -357,10 +365,11 @@ def to_lagrangian(state, flow: FlowMap):
     grid = flow.grid
     if state.a.grid != grid:
         raise ValueError("snapshot and flow map live on different grids")
-    eta = PeriodicSampler.of_scalar(state.a, _UPSAMPLE).scalar_at(xs, ys)
-    v1, v2 = PeriodicSampler.of_vector(state.u, _UPSAMPLE).at(xs, ys)
-    pressure = potential_from_gradient(state.gradPi)
-    p_vals = PeriodicSampler.of_scalar(pressure, _UPSAMPLE).scalar_at(xs, ys)
+    eta, v1, v2, p_vals = PeriodicSampler.joined(
+        PeriodicSampler.of_scalar(state.a),
+        PeriodicSampler.of_vector(state.u),
+        PeriodicSampler.of_scalar(potential_from_gradient(state.gradPi)),
+    ).at(xs, ys)
     return (
         SpectralField.from_physical(grid, eta),
         VectorField.from_physical(grid, v1, v2),
@@ -390,11 +399,12 @@ def check_div_identity(u: VectorField, state, flow: FlowMap) -> DivergenceIdenti
     k = flow.index_of(float(t))
     xs, ys = flow.position_arrays(k)
     grid = flow.grid
-    v1, v2 = PeriodicSampler.of_vector(u, _UPSAMPLE).at(xs, ys)
+    v1, v2, lhs = PeriodicSampler.joined(
+        PeriodicSampler.of_vector(u), PeriodicSampler.of_scalar(divergence(u))
+    ).at(xs, ys)
     v = VectorField.from_physical(grid, v1, v2)
     Dv = gradient_tensor(v)
     A = flow.inverse_jacobians[k]
-    lhs = PeriodicSampler.of_scalar(divergence(u), _UPSAMPLE).scalar_at(xs, ys)
 
     area = grid.cell_area
     grad_scale = np.sqrt(np.sum(Dv**2) * area)

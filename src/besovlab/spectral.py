@@ -44,6 +44,7 @@ __all__ = [
     "heat_propagate",
     "inverse_laplacian",
     "potential_from_gradient",
+    "real_samples",
     "refine",
 ]
 
@@ -334,20 +335,22 @@ def refine(f: SpectralField, factor: int = 2) -> SpectralField:
     return SpectralField(Grid(N, f.grid.L), np.fft.ifftshift(P) * factor**2, real=f.real)
 
 
-def _product_samples(f: SpectralField) -> np.ndarray:
-    """Samples of the real part of f on the M x M product grid.
+def real_samples(f: SpectralField, M: int) -> np.ndarray:
+    """Samples of the real part of f on an M x M grid of the same box, M >= n.
 
     The half spectrum is built by corner slicing.  Its entries are the
     Hermitian part of the coarse modes (so the samples are those of the real
     part, as the ``real`` flag promises even for non-Hermitian input), with
-    the Nyquist lines split evenly between +n/2 and -n/2 as in `refine`.
-    A field made by `reused_factor` carries these samples already.
+    the Nyquist lines split evenly between +n/2 and -n/2 as in `refine`; one
+    real inverse transform then evaluates them.  At M = n the two halves of a
+    split line would land on the same line, so the node values are returned.
     """
-    held = f.__dict__.get("_product_samples")
-    if held is not None:
-        return held
     grid = f.grid
-    n, M, h = grid.n, grid.product_size, grid.n // 2
+    n, h = grid.n, grid.n // 2
+    if M < n:
+        raise ValueError(f"sample grid side must be at least n={n}, got {M}")
+    if M == n:
+        return np.ascontiguousarray(f.values.real)
     flip = grid.flip_index
     c = f.modes
     half = (0.5 * (M / n) ** 2) * (c[:, : h + 1] + np.conj(c[np.ix_(flip, flip[: h + 1])]))
@@ -358,6 +361,17 @@ def _product_samples(f: SpectralField) -> np.ndarray:
     padded[: h + 1] = half[: h + 1]
     padded[M - h :] = half[h:]
     return np.fft.irfft2(padded, s=(M, M))
+
+
+def _product_samples(f: SpectralField) -> np.ndarray:
+    """Samples of the real part of f on the M x M product grid.
+
+    A field made by `reused_factor` carries these samples already.
+    """
+    held = f.__dict__.get("_product_samples")
+    if held is not None:
+        return held
+    return real_samples(f, f.grid.product_size)
 
 
 def _coarse_modes(q: np.ndarray, grid: Grid) -> np.ndarray:

@@ -175,6 +175,8 @@ class TestTransportEstimate:
         assert all(abs(r - 1.0) < 1e-12 for r in report.ratios)
         assert report.extra["C_min"] == 0.0
         assert all(u == 0.0 for u in report.extra["U"])
+        # each octave tail is measured against its own initial norm: no defect without transport
+        assert report.extra["m_sweep"] == {"0": 0.0, "1": 0.0, "2": 0.0, "3": 0.0}
 
     def test_translation_is_isometric(self, grid64):
         # constant velocity translates the field; block L^2 norms are blind
@@ -194,6 +196,8 @@ class TestTransportEstimate:
         report = check_transport_estimate(traj, 2.0, 2.0)
         assert all(abs(r - 1.0) < 1e-12 for r in report.ratios)
         assert report.extra["C_min"] == 0.0
+        # the phase shift leaves every octave tail at its initial norm, up to rounding
+        assert all(v < 1e-12 for v in report.extra["m_sweep"].values())
 
     def test_shear_growth_is_finite(self, grid64):
         traj = shear_trajectory(grid64, (0.0, 0.25, 0.5))

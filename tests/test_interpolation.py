@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from besovlab.interpolation import PeriodicSampler, cell_bounds
+from besovlab.interpolation import _CHUNK, PeriodicSampler, cell_bounds
 from besovlab.random_fields import random_band_field
 from besovlab.spectral import SpectralField, VectorField, make_grid, refine
 
@@ -20,7 +20,7 @@ def _random_points(rng, count, L):
 class TestCubicSampling:
     def test_samples_nodes_exactly(self, grid64, rng):
         f = random_band_field(grid64, 1.0, 8.0, seed=401)
-        sampler = PeriodicSampler.of_scalar(f)
+        sampler = PeriodicSampler.of_scalar(f, upsample=1)
         x, y = _node_points(grid64)
         got = sampler.scalar_at(x, y)
         assert np.max(np.abs(got - f.values.real)) <= 1e-12 * f.linf()
@@ -77,7 +77,7 @@ class TestCubicSampling:
 
     def test_broadcasting_shapes(self, grid32):
         f = random_band_field(grid32, 1.0, 4.0, seed=407)
-        sampler = PeriodicSampler.of_scalar(f)
+        sampler = PeriodicSampler.of_scalar(f, upsample=1)
         out = sampler.scalar_at(1.0, np.linspace(0.0, 6.0, 7))
         assert out.shape == (7,)
         out2 = sampler.scalar_at(np.zeros((3, 1)), np.zeros((1, 5)))
@@ -92,6 +92,89 @@ class TestCubicSampling:
         V = VectorField(f, f)
         with pytest.raises(ValueError, match="one plane"):
             PeriodicSampler.of_vector(V).scalar_at(0.0, 0.0)
+
+
+def fancy_index_at(sampler, x, y):
+    """Reference evaluation: one 2-D fancy-index gather of the 4x4 stencil and one sum per plane."""
+
+    def weights(s):
+        w = np.empty(s.shape + (4,))
+        w[..., 0] = -s * (s - 1.0) * (s - 2.0) / 6.0
+        w[..., 1] = (s + 1.0) * (s - 1.0) * (s - 2.0) / 2.0
+        w[..., 2] = -(s + 1.0) * s * (s - 2.0) / 2.0
+        w[..., 3] = (s + 1.0) * s * (s - 1.0) / 6.0
+        return w
+
+    def split(c):
+        ic = c / sampler.h
+        base = np.floor(ic)
+        return base.astype(np.int64) % sampler.n, ic - base
+
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    (bx, sx), (by, sy) = split(x), split(y)
+    offsets = np.array([-1, 0, 1, 2])
+    rows = ((bx[..., None] + offsets) % sampler.n)[..., :, None]
+    cols = ((by[..., None] + offsets) % sampler.n)[..., None, :]
+    w = weights(sx)[..., :, None] * weights(sy)[..., None, :]
+    return tuple((p[rows, cols] * w).sum(axis=(-2, -1)) for p in sampler.planes)
+
+
+def _nyquist_field(grid, seed):
+    # white noise carries content on the Nyquist lines
+    return SpectralField.from_physical(grid, np.random.default_rng(seed).standard_normal((grid.n, grid.n)))
+
+
+class TestSharedStencil:
+    """The chunked one-stencil evaluation is bitwise the fancy-index reference."""
+
+    @pytest.mark.parametrize("planes", [1, 2, 3, 4])
+    @pytest.mark.parametrize("upsample", [1, 4])
+    def test_matches_reference_for_every_plane_count(self, grid32, rng, planes, upsample):
+        sampler = PeriodicSampler.joined(
+            *(PeriodicSampler.of_scalar(_nyquist_field(grid32, 420 + k), upsample) for k in range(planes))
+        )
+        L = grid32.L
+        inputs = [
+            (0.3, -7.0),
+            (rng.uniform(-3 * L, 3 * L, (3, 1)), rng.uniform(-3 * L, 3 * L, (1, 5))),
+            grid32.coords,
+        ]
+        for x, y in inputs:
+            got, want = sampler.at(x, y), fancy_index_at(sampler, x, y)
+            assert len(got) == planes
+            for g, w in zip(got, want):
+                assert type(g) is type(w) and np.shape(g) == np.shape(w)
+                assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("count", [1, 100, _CHUNK, 2 * _CHUNK + 37])
+    def test_matches_reference_across_chunk_boundaries(self, grid32, rng, count):
+        V = VectorField(_nyquist_field(grid32, 430), _nyquist_field(grid32, 431))
+        sampler = PeriodicSampler.of_vector(V)
+        # negative and out-of-box coordinates wrap
+        x = rng.uniform(-2 * grid32.L, 3 * grid32.L, count)
+        y = rng.uniform(-2 * grid32.L, 3 * grid32.L, count)
+        for g, w in zip(sampler.at(x, y), fancy_index_at(sampler, x, y)):
+            assert np.array_equal(g, w)
+
+    def test_empty_point_set(self, grid32):
+        sampler = PeriodicSampler.of_scalar(_nyquist_field(grid32, 432))
+        assert sampler.scalar_at(np.zeros(0), np.zeros(0)).shape == (0,)
+
+    def test_joined_shares_planes(self, grid32):
+        a = PeriodicSampler.of_scalar(_nyquist_field(grid32, 433))
+        b = PeriodicSampler.of_vector(VectorField(_nyquist_field(grid32, 434), _nyquist_field(grid32, 435)))
+        joined = PeriodicSampler.joined(a, b)
+        assert all(p is q for p, q in zip(joined.planes, a.planes + b.planes))
+        with pytest.raises(ValueError, match="one box"):
+            PeriodicSampler.joined(a, PeriodicSampler.of_scalar(_nyquist_field(make_grid(32, 1.0), 436)))
+
+    @pytest.mark.parametrize("factor", [1, 2, 4, 8])
+    def test_planes_are_the_refined_samples(self, grid32, factor):
+        for seed in (440, 441):
+            f = _nyquist_field(grid32, seed)
+            want = refine(f, factor).values.real
+            got = PeriodicSampler.of_scalar(f, upsample=factor).planes[0]
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 class TestCellBounds:

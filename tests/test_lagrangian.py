@@ -11,6 +11,7 @@ from besovlab.evolution import StateSnapshot
 from besovlab.interpolation import PeriodicSampler
 from besovlab.lagrangian import (
     FlowMap,
+    _VelocityInTime,
     check_div_identity,
     delta_estimates,
     gradient_tensor,
@@ -118,9 +119,9 @@ class TestIntegrateFlow:
         built = []
         of_vector = PeriodicSampler.of_vector
 
-        def counting(V, upsample):
+        def counting(V, *upsample):
             built.append(V)
-            return of_vector(V, upsample)
+            return of_vector(V, *upsample)
 
         monkeypatch.setattr(PeriodicSampler, "of_vector", counting)
         shared = integrate_flow(steady_trajectory(u, times), 5e-3)
@@ -128,6 +129,25 @@ class TestIntegrateFlow:
         for got, want in zip(shared.displacements, copies.displacements):
             assert np.array_equal(got.u1.modes, want.u1.modes)
             assert np.array_equal(got.u2.modes, want.u2.modes)
+
+    def test_blend_matches_two_samplers(self, grid32, rng):
+        times = (0.0, 0.1, 0.2)
+        fields = [smooth_random_divfree(grid32, rng, k0=3.0) for _ in times]
+        velocity = _VelocityInTime(times, fields)
+        x = rng.uniform(-grid32.L, 2 * grid32.L, (40, 3))
+        y = rng.uniform(-grid32.L, 2 * grid32.L, (40, 3))
+        for t in (0.0, 0.03, 0.1, 0.17, 0.2):
+            i = min(int(t / 0.1), 1)
+            w = (t - times[i]) / 0.1
+            a1, a2 = PeriodicSampler.of_vector(fields[i]).at(x, y)
+            b1, b2 = PeriodicSampler.of_vector(fields[i + 1]).at(x, y)
+            got1, got2 = velocity(t, x, y)
+            assert np.array_equal(got1, a1 if w == 0.0 else (1.0 - w) * a1 + w * b1)
+            assert np.array_equal(got2, a2 if w == 0.0 else (1.0 - w) * a2 + w * b2)
+        # each interval samples its neighbours' own planes, not copies
+        for i, joined in enumerate(velocity.intervals):
+            neighbours = velocity.samplers[i].planes + velocity.samplers[i + 1].planes
+            assert all(p is q for p, q in zip(joined.planes, neighbours))
 
     def test_step_size_guards(self, grid32):
         traj = steady_trajectory(VectorField.zero(grid32), (0.0, 0.1))

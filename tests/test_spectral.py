@@ -18,10 +18,12 @@ from besovlab.spectral import (
     make_grid,
     multiply,
     potential_from_gradient,
+    real_samples,
     refine,
     require_solenoidal,
     reused_factor,
 )
+from besovlab.spectral import _product_samples
 from conftest import smooth_random_field
 
 
@@ -176,6 +178,37 @@ class TestProducts:
         assert np.max(np.abs(fine.values[::factor, ::factor] - f.values)) < 1e-12 * f.linf()
         # the Nyquist split keeps the samples between the coarse nodes real
         assert np.max(np.abs(np.fft.ifft2(fine.modes).imag)) < 1e-12 * f.linf()
+
+    @pytest.mark.parametrize("factor", [1, 2, 4, 8])
+    @pytest.mark.parametrize("n", [8, 32])
+    def test_real_samples_match_refined_values(self, n, factor):
+        g = make_grid(n)
+        rng = np.random.default_rng(n + factor)
+        # white noise carries Nyquist content; the complex field is not Hermitian
+        real = SpectralField.from_physical(g, rng.standard_normal((n, n)))
+        cplx = SpectralField.from_physical(g, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        for f in (real, cplx):
+            want = refine(f, factor).values.real
+            got = real_samples(f, factor * n)
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+        with pytest.raises(ValueError, match="at least"):
+            real_samples(real, n - 1)
+
+    @pytest.mark.parametrize("n", [8, 16, 64])
+    def test_product_samples_are_the_product_grid_formula(self, n):
+        g = make_grid(n)
+        M, h, flip = g.product_size, n // 2, g.flip_index
+        rng = np.random.default_rng(n)
+        f = SpectralField.from_physical(g, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        # the product grid's samples written out for that one size
+        c = f.modes
+        half = (0.5 * (M / n) ** 2) * (c[:, : h + 1] + np.conj(c[np.ix_(flip, flip[: h + 1])]))
+        half[h] *= 0.5
+        half[:, h] *= 0.5
+        padded = np.zeros((M, h + 1), dtype=np.complex128)
+        padded[: h + 1] = half[: h + 1]
+        padded[M - h :] = half[h:]
+        assert np.array_equal(_product_samples(f), np.fft.irfft2(padded, s=(M, M)))
 
     @pytest.mark.parametrize("n, size", [(8, 15), (16, 25), (64, 100), (128, 200)])
     def test_product_grid_is_smallest_5_smooth_above_three_halves(self, n, size):

@@ -6,6 +6,7 @@ from collections import defaultdict
 from pathlib import Path
 
 import besovlab
+from besovlab.interpolation import PeriodicSampler
 
 SOURCES = sorted(Path(besovlab.__file__).parent.glob("*.py"))
 TESTS = sorted(Path(__file__).parent.glob("*.py"))
@@ -166,3 +167,11 @@ def test_ladder_guard_sees_each_form():
 def test_blas_guard_sees_each_form():
     source = "a @ b\nc @= d\nnp.vdot(u, v)\nnp.dot(u, v)\nx.dot(y)\nnp.linalg.norm(m)\nnp.sum(m * m)\n"
     assert sorted(blas_uses(source)) == ["1: @", "2: @", "3: np.vdot", "4: np.dot", "5: x.dot", "6: np.linalg.norm"]
+
+
+def test_sampler_keeps_the_traced_entry_points():
+    """The benchmark's tracer wraps these by name on the class: ``at`` and the two classmethod builders."""
+    attrs = PeriodicSampler.__dict__
+    assert callable(attrs.get("at"))
+    assert isinstance(attrs.get("of_scalar"), classmethod)
+    assert isinstance(attrs.get("of_vector"), classmethod)
