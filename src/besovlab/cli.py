@@ -1025,6 +1025,7 @@ def _simulate(config: ExperimentConfig, args) -> _Outcome:
     payload = {
         "check": "simulate",
         "stop_reason": diag.stop_reason,
+        "stop_cause": diag.stop_cause,
         "snapshots": len(snapshots),
         "final_time": snapshots[-1].t if snapshots else 0.0,
         "final_A": diag.A[-1] if diag.A else 0.0,
@@ -1034,6 +1035,7 @@ def _simulate(config: ExperimentConfig, args) -> _Outcome:
     summary = (
         f"simulate: {'completed' if completed else 'stopped: ' + diag.stop_reason}"
         f" ({len(snapshots)} snapshots, t={snapshots[-1].t:.6g})"
+        + (f"; {diag.stop_cause}" if diag.stop_cause else "")
     )
     return _Outcome(None, [], payload, completed, summary)
 

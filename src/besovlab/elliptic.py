@@ -7,9 +7,9 @@ criterion measures the gradient part of the defect.
 
 Two mechanisms are provided:
 
-* preconditioned conjugate gradients on the symmetric positive form
-  <(1+a) grad p, grad q>, with the constant-coefficient inverse Laplacian as
-  preconditioner (the default, and the robust choice for any 1+a >= kappa);
+* conjugate gradients on the symmetric positive form <(1+a) grad p, grad q>,
+  Q (1+a) Q in gradient variables, preconditioned by B = Q (1+a)^-1 Q, that is
+  -Delta^-1 div((1+a)^-1 grad Delta^-1) (the default, for any 1+a >= kappa);
 * an outer low/high coefficient splitting: the low-frequency part of the
   coefficient is handled by an inner conjugate-gradient solve while the
   high-frequency remainder is iterated explicitly.  Its convergence rate is an
@@ -18,9 +18,9 @@ Two mechanisms are provided:
 
 The problem is posed on the subspace of modes with well-defined first
 derivatives (the unpaired half-Nyquist lines of an even grid are excluded, see
-spectral.drop_nyquist).  On that subspace the discrete form is symmetric
-positive definite, the constant-coefficient preconditioner is exact, and the
-residual below is the full defect of the projected equation.
+spectral.drop_nyquist).  On that subspace the discrete form and B are
+symmetric positive definite, B inverts the form exactly when 1+a is constant,
+and the residual below is the full defect of the projected equation.
 """
 
 from __future__ import annotations
@@ -36,9 +36,9 @@ from .spectral import (
     VectorField,
     divergence,
     drop_nyquist,
+    from_half_spectrum,
     gradient,
     gradient_part,
-    inverse_laplacian,
     l2_norm,
     multiply,
     potential_from_gradient,
@@ -85,9 +85,7 @@ def weight_by(coeff: SpectralField, w: VectorField) -> VectorField:
 def _q_norm_of_divergence(r: SpectralField) -> float:
     # L2 norm of the gradient field whose divergence is r (mean mode ignored)
     grid = r.grid
-    ksq = grid.k_squared.copy()
-    ksq[0, 0] = 1.0
-    weighted = np.abs(r.modes) ** 2 / ksq
+    weighted = np.abs(r.modes) ** 2 / np.maximum(grid.k_squared, grid.k_min_nonzero**2)
     weighted[0, 0] = 0.0
     return math.sqrt(float(np.sum(weighted))) * grid.L / grid.n**2
 
@@ -112,6 +110,21 @@ def _apply_form(a: SpectralField, p: SpectralField) -> SpectralField:
     return drop_nyquist(-1.0 * divergence(weight_by(a, gradient(p))))
 
 
+def _precondition(a: SpectralField, r: SpectralField) -> SpectralField:
+    """B r = -Delta^-1 div(c^-1 grad Delta^-1 r) on half spectra, c = 1+a.
+
+    CG needs only a symmetric positive B, so c^-1 multiplies at the n-grid
+    nodes, with no padding; it is kept on the solve's `reused_factor` handle.
+    """
+    grid, h = r.grid, r.grid.n // 2
+    if "_inverse_coefficient" not in a.__dict__:
+        a.__dict__["_inverse_coefficient"] = 1.0 / (1.0 + a.values.real)
+    symbols = grid.half_grad_inverse_neg_laplacian
+    grad = np.fft.irfft2(symbols * r.modes[:, : h + 1], s=(grid.n, grid.n))
+    half = np.fft.rfft2(grad * a.__dict__["_inverse_coefficient"]) * symbols
+    return SpectralField(grid, from_half_spectrum(-(half[0] + half[1]), grid))
+
+
 def _pcg_potential(
     a: SpectralField,
     rhs_div: SpectralField,
@@ -120,7 +133,7 @@ def _pcg_potential(
     max_iter: int,
     pi0: SpectralField | None = None,
 ) -> tuple[SpectralField, int, float]:
-    """Conjugate gradients for -div((1+a) grad pi) = rhs_div, mean-free pi."""
+    """Conjugate gradients for -div((1+a) grad pi) = rhs_div, mean-free pi, preconditioned by B."""
     grid = a.grid
     pi = SpectralField.zero(grid) if pi0 is None else pi0
     r = rhs_div - _apply_form(a, pi)
@@ -130,7 +143,7 @@ def _pcg_potential(
     iterations = 0
     while qres > tol and iterations < max_iter:
         iterations += 1
-        z = -inverse_laplacian(r)
+        z = _precondition(a, r)
         rz = _inner(r, z)
         p = z if p is None else z + (rz / rz_old) * p
         rz_old = rz
@@ -179,7 +192,7 @@ def solve_pressure(
 
     rhs = drop_nyquist(-1.0 * divergence(F))
     pi = None if initial_guess is None else potential_from_gradient(drop_nyquist(initial_guess))
-    total = 0
+    total, true_res = 0, math.inf
     while total < max_iter:
         pi, iters, _ = _pcg_potential(a, rhs, q_den, tol, max_iter - total, pi0=pi)
         total += max(iters, 1)
@@ -187,7 +200,9 @@ def solve_pressure(
         true_res = residual(a, g, F) / q_den
         if true_res <= tol:
             return g, EllipticSolveStats(total, true_res, None)
-    raise RuntimeError(f"pressure solve did not reach tol={tol:.1e} in {max_iter} iterations")
+    raise RuntimeError(
+        f"pressure solve did not reach tol={tol:.1e} in {max_iter} iterations (residual {true_res:.3e})"
+    )
 
 
 def _solve_split(
@@ -203,7 +218,7 @@ def _solve_split(
     a_high = reused_factor(a - a_low)
     if coefficient_floor(a_low) <= 0.0:
         raise ValueError("low-frequency coefficient part loses positivity; raise split_m")
-    g = VectorField.zero(grid)
+    g, qres = VectorField.zero(grid), math.inf
     inner_tol = max(0.1 * tol, 1e-14)
     for it in range(1, max_iter + 1):
         hg = VectorField(multiply(a_high, g.u1), multiply(a_high, g.u2))
@@ -215,5 +230,5 @@ def _solve_split(
             return g, EllipticSolveStats(it, qres, split_m)
     raise RuntimeError(
         f"splitting iteration (m={split_m}) did not reach tol={tol:.1e}"
-        f" in {max_iter} outer steps"
+        f" in {max_iter} outer steps (residual {qres:.3e})"
     )

@@ -257,6 +257,7 @@ class DiagnosticsSeries:
     E1: tuple[float, ...]
     E2: tuple[float, ...]
     stop_reason: str = "completed"
+    stop_cause: str | None = None
     extra: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -544,6 +545,7 @@ def ns_integrate(
     exceeds the budget (``budget_exceeded``), the velocity outgrows the CFL
     bound (``cfl_violation``), a step yields a non-finite velocity or pressure
     forcing (``non_finite``), or a pressure solve fails (``solver_failure``).
+    An error stop keeps its step index and message in ``stop_cause``.
     """
     grid = a0.grid
     kappa = require_floor(a0)
@@ -608,7 +610,7 @@ def ns_integrate(
         return Z_val
 
     trajectory = [state]
-    stop_reason = "completed"
+    stop_reason, stop_cause = "completed", None
     z_now = sample(state)
     if z_now > config.epsilon_budget:
         stop_reason = "budget_exceeded"
@@ -630,14 +632,10 @@ def ns_integrate(
                 )
                 a_new = transport_step(a_half, moved.u, 0.5 * config.dt, config.scheme)
                 state = StateSnapshot(moved.t, a_new, moved.u, moved.gradPi, kappa=kappa)
-            except CFLViolation:
-                stop_reason = "cfl_violation"
-                break
-            except FloatingPointError:
-                stop_reason = "non_finite"
-                break
-            except RuntimeError:
-                stop_reason = "solver_failure"
+            except (FloatingPointError, RuntimeError) as exc:  # CFLViolation is a RuntimeError
+                stop_reason = ("cfl_violation" if isinstance(exc, CFLViolation)
+                               else "non_finite" if isinstance(exc, FloatingPointError) else "solver_failure")
+                stop_cause = f"step {step}: {exc}"
                 break
             if sampled:
                 trajectory.append(state)
@@ -649,6 +647,7 @@ def ns_integrate(
     diagnostics = DiagnosticsSeries(
         **{name: tuple(values) for name, values in series.items()},
         stop_reason=stop_reason,
+        stop_cause=stop_cause,
         extra={k: tuple(v) for k, v in extra.items()},
     )
     return trajectory, diagnostics

@@ -43,6 +43,7 @@ __all__ = [
     "gradient_part",
     "heat_propagate",
     "inverse_laplacian",
+    "from_half_spectrum",
     "potential_from_gradient",
     "real_samples",
     "refine",
@@ -156,6 +157,15 @@ class Grid:
         k2 = kx * kx + ky * ky
         k2[k2 == 0.0] = 1.0
         return _freeze(kx / np.sqrt(k2)), _freeze(ky / np.sqrt(k2))
+
+    @cached_property
+    def half_grad_inverse_neg_laplacian(self) -> np.ndarray:
+        """Half-spectrum symbols i k_j/|k|^2 of grad (-Laplace)^-1, zero on the mean and both -n/2 lines."""
+        h = self.n // 2
+        ksq = np.maximum(self.k_squared[:, : h + 1], self.k_min_nonzero**2)  # k = 0 has a zero numerator
+        symbols = 1j * np.stack((self.kx, self.ky))[:, :, : h + 1] / ksq
+        symbols[:, h] = symbols[:, :, h] = 0.0
+        return _freeze(symbols)
 
     @cached_property
     def coords(self) -> tuple[np.ndarray, np.ndarray]:
@@ -381,14 +391,20 @@ def _coarse_modes(q: np.ndarray, grid: Grid) -> np.ndarray:
     Nyquist split) and the negative-ky half follows by conjugate symmetry.
     """
     n, M, h = grid.n, grid.product_size, grid.n // 2
-    flip = grid.flip_index
     half = np.concatenate((q[:h], q[M - h :]))
     half[h] += q[h]
-    half[:, h] += np.conj(half[flip, h])
+    half[:, h] += np.conj(half[grid.flip_index, h])
+    half *= (n / M) ** 2
+    return from_half_spectrum(half, grid)
+
+
+def from_half_spectrum(half: np.ndarray, grid: Grid) -> np.ndarray:
+    """The n x n modes of a real field from its first n/2+1 columns, by conjugate symmetry."""
+    n, h = grid.n, grid.n // 2
+    flip = grid.flip_index
     out = np.empty((n, n), dtype=np.complex128)
     out[:, : h + 1] = half
     out[:, h + 1 :] = np.conj(half[np.ix_(flip, flip[h + 1 :])])
-    out *= (n / M) ** 2
     return out
 
 

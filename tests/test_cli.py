@@ -7,6 +7,7 @@ import struct
 import numpy as np
 import pytest
 
+from besovlab import evolution
 from besovlab.cli import (
     ExperimentConfig,
     load_snapshot,
@@ -14,6 +15,7 @@ from besovlab.cli import (
     run_cli,
     save_snapshot,
 )
+from besovlab.elliptic import solve_pressure
 from besovlab.evolution import StateSnapshot
 from besovlab.random_fields import random_band_field, random_divergence_free, trial_seed
 from besovlab.spectral import (
@@ -551,6 +553,32 @@ class TestSimulateCommand:
         )
         assert code == 0
         capsys.readouterr()
+
+    def test_report_and_summary_name_the_stop_cause(self, tmp_path, capsys, monkeypatch):
+        argv = [
+            "simulate", "--n", "32", "--T", "0.01", "--dt", "0.002",
+            "--initial", "random", "--amplitude-a", "0.2", "--amplitude-u", "0.005",
+        ]
+        assert run_cli([*argv, "--out", str(tmp_path / "ok")]) == 0
+        capsys.readouterr()
+        assert json.loads((tmp_path / "ok" / "report.json").read_text())["stop_cause"] is None
+
+        calls = []
+
+        def failing_solve(*args, **kwargs):
+            # solve 3 is the end-of-step solve of step 1
+            calls.append(1)
+            if len(calls) == 3:
+                kwargs.update(tol=1e-14, max_iter=1)
+            return solve_pressure(*args, **kwargs)
+
+        monkeypatch.setattr(evolution, "solve_pressure", failing_solve)
+        assert run_cli([*argv, "--out", str(tmp_path / "failed")]) == 1
+        out = capsys.readouterr().out
+        report = json.loads((tmp_path / "failed" / "report.json").read_text())
+        assert report["stop_reason"] == "solver_failure"
+        assert report["stop_cause"].startswith("step 1: pressure solve did not reach tol=1.0e-14")
+        assert f"stopped: solver_failure (1 snapshots, t=0); {report['stop_cause']}" in out
 
     def test_zero_velocity_amplitude_means_zero_velocity(self, tmp_path, capsys):
         common = ["--n", "32", "--amplitude-u", "0"]

@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from besovlab.elliptic import (
     EllipticSolveStats,
+    _inner,
+    _precondition,
     coefficient_floor,
     residual,
     solve_pressure,
@@ -13,10 +17,12 @@ from besovlab.random_fields import random_band_field, random_divergence_free, tr
 from besovlab.spectral import (
     SpectralField,
     VectorField,
+    centered,
     divergence,
     drop_nyquist,
     gradient,
     gradient_part,
+    inverse_laplacian,
     make_grid,
     multiply,
 )
@@ -73,6 +79,71 @@ def dense_gradient_solve(a, F):
     x, *_ = np.linalg.lstsq(A, b, rcond=None)
     pi = SpectralField.from_physical(grid, x.reshape(n, n))
     return gradient(pi)
+
+
+def composed_preconditioner(a, r):
+    """-Delta^-1 div(c^-1 grad Delta^-1 r) from the full-spectrum operators, c^-1 = 1/(1+a) at the nodes.
+
+    Restricted to the derivative-resolved subspace the solve is posed on.
+    """
+    grid = a.grid
+    c_inv = 1.0 / (1.0 + a.values.real)
+    g = gradient(inverse_laplacian(r))
+    w = VectorField.from_physical(grid, c_inv * g.u1.values.real, c_inv * g.u2.values.real)
+    return drop_nyquist(-inverse_laplacian(divergence(w)))
+
+
+def resolved_noise(grid, rng):
+    """Real white noise with no mean and no half-Nyquist content."""
+    return centered(drop_nyquist(SpectralField.from_physical(grid, rng.standard_normal((grid.n, grid.n)))))
+
+
+class TestPreconditioner:
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(
+        n=st.sampled_from([8, 16, 32]),
+        amplitude=st.floats(0.0, 0.7),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_symmetric_positive_and_equal_to_the_composed_operator(self, n, amplitude, seed):
+        rng = np.random.default_rng(seed)
+        grid = make_grid(n)
+        raw = rng.standard_normal((n, n))
+        a = SpectralField.from_physical(grid, amplitude * raw / np.max(np.abs(raw)))
+        r, s = resolved_noise(grid, rng), resolved_noise(grid, rng)
+        br, bs = _precondition(a, r), _precondition(a, s)
+        rbr, sbs = _inner(r, br), _inner(s, bs)
+        assert rbr > 0.0 and sbs > 0.0
+        assert abs(_inner(s, br) - _inner(bs, r)) <= 1e-12 * np.sqrt(rbr * sbs)
+        oracle = composed_preconditioner(a, r)
+        assert np.max(np.abs(br.modes - oracle.modes)) <= 1e-13 * np.max(np.abs(oracle.modes))
+
+    def test_constant_coefficient_takes_one_iteration(self):
+        # B inverts the form exactly when 1+a is constant
+        grid = make_grid(32)
+        a = SpectralField.from_physical(grid, np.full((grid.n, grid.n), 0.5))
+        _, stats = solve_pressure(a, band_forcing(grid, 101))
+        assert stats.iterations == 1
+
+    def test_x_only_coefficient_takes_two_iterations(self):
+        # for c(x) and an x-only forcing the form is 1-D, where B inverts it up
+        # to a rank-one term: the exact solution c^-1 (f + C) carries a constant
+        # C that keeps it mean free, which B's projection drops
+        grid = make_grid(32)
+        x, _ = grid.coords
+        a = SpectralField.from_physical(grid, 0.3 * np.sin(x))
+        F = VectorField.from_physical(grid, np.cos(2 * x) + np.sin(x) ** 3, np.zeros_like(x))
+        _, stats = solve_pressure(a, F)
+        assert stats.iterations == 2
+
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_cold_rough_solves_stay_under_twelve_iterations(self, n):
+        # the constant-coefficient preconditioner needs 17-25 on these
+        grid = make_grid(n)
+        for trial in range(3):
+            a = bounded_coefficient(grid, trial_seed(31, trial))
+            _, stats = solve_pressure(a, band_forcing(grid, 3100 + trial, k_high=20.0))
+            assert stats.iterations <= 12, trial
 
 
 class TestTrivialCoefficients:
@@ -246,6 +317,11 @@ class TestErrors:
         F = band_forcing(grid, 126)
         with pytest.raises(RuntimeError):
             solve_pressure(a, F, tol=1e-13, max_iter=1)
+
+    def test_nonconvergence_names_the_residual_reached(self):
+        grid = make_grid(32)
+        with pytest.raises(RuntimeError, match=r"in 1 iterations \(residual \d\.\d{3}e[-+]\d+\)"):
+            solve_pressure(bounded_coefficient(grid, 125), band_forcing(grid, 126), tol=1e-13, max_iter=1)
 
     def test_stats_shape(self):
         s = EllipticSolveStats(iterations=3, residual=1e-12, split_m=None)

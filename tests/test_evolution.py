@@ -530,6 +530,28 @@ class TestNsIntegrate:
         assert [st.t for st in traj] == pytest.approx([0.0, 0.01])
         assert diag.times == pytest.approx((0.0, 0.01))
 
+    def test_solver_failure_names_its_step_and_residual(self, grid32, rng, monkeypatch):
+        # solve 6 is the second stage of step 2 (see above); it gets one iteration
+        # at an unreachable tolerance, so it fails as a real solve does
+        calls = []
+
+        def failing_solve(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 6:
+                kwargs.update(tol=1e-14, max_iter=1)
+            return solve_pressure(*args, **kwargs)
+
+        monkeypatch.setattr(evolution, "solve_pressure", failing_solve)
+        config = IntegrationConfig(T=0.04, dt=0.01, visc=ViscosityLaw.affine(1.0, 0.5))
+        traj, diag = ns_integrate(config, *coupled_data(grid32, rng))
+        assert diag.stop_reason == "solver_failure"
+        assert diag.stop_cause.startswith("step 2: pressure solve did not reach tol=1.0e-14 in 1 iterations")
+        assert "(residual " in diag.stop_cause
+        assert [st.t for st in traj] == pytest.approx([0.0, 0.01])
+        monkeypatch.undo()
+        _, completed = ns_integrate(config, *coupled_data(grid32, rng))
+        assert completed.stop_reason == "completed" and completed.stop_cause is None
+
     def test_rejects_bad_floor(self, grid32):
         x, _ = grid32.coords
         a0 = SpectralField.from_physical(grid32, -1.5 * np.cos(x) ** 2)
