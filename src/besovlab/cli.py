@@ -449,12 +449,12 @@ def _fmt_num(value) -> str:
     return f"{float(value):.17g}"
 
 
-def _write_report_csv(path: Path, rows) -> None:
+def _write_report_csv(path: Path, config: ExperimentConfig, rows) -> None:
+    """One ``config_id,seed`` keyed line per ``(j, lhs, rhs, ratio)`` row."""
+    key = f"{config.config_id()},{config.seed}"
     lines = ["config_id,seed,j,lhs,rhs,ratio"]
-    for config_id, seed, j, lhs, rhs, ratio in rows:
-        lines.append(
-            f"{config_id},{seed},{j},{_fmt_num(lhs)},{_fmt_num(rhs)},{_fmt_num(ratio)}"
-        )
+    for j, lhs, rhs, ratio in rows:
+        lines.append(f"{key},{j},{_fmt_num(lhs)},{_fmt_num(rhs)},{_fmt_num(ratio)}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -528,10 +528,10 @@ class _Outcome:
     summary: str
 
 
-def _finish(outdir: Path, outcome: _Outcome) -> int:
+def _finish(outdir: Path, config: ExperimentConfig, outcome: _Outcome) -> int:
     """Write a verb's report files, log and print its summary line, and return its exit code."""
     if outcome.csv is not None:
-        _write_report_csv(outdir / outcome.csv, outcome.rows)
+        _write_report_csv(outdir / outcome.csv, config, outcome.rows)
     (outdir / "report.json").write_text(
         json.dumps(outcome.payload, indent=2, sort_keys=True, default=_json_default) + "\n",
         encoding="utf-8",
@@ -548,21 +548,18 @@ def _check_outcome(check: str, rows, payload: dict, passed: bool, note: str) -> 
     return _Outcome(f"{check}.csv", list(rows), payload, passed, summary)
 
 
-def _report_rows(config: ExperimentConfig, report: RatioReport, js=None):
-    cid = config.config_id()
+def _report_rows(report: RatioReport, js=None):
     if js is None:
         js = report.extra.get("js")
     for idx, ratio in enumerate(report.ratios):
         j = js[idx] if js is not None and idx < len(js) else idx
-        yield (cid, config.seed, j, ratio, 1.0, ratio)
+        yield (j, ratio, 1.0, ratio)
 
 
-def _ratio_outcome(
-    config: ExperimentConfig, report: RatioReport, passed: bool, note: str, rows=None
-) -> _Outcome:
+def _ratio_outcome(report: RatioReport, passed: bool, note: str, rows=None) -> _Outcome:
     """Outcome of a RatioReport check; a failed --refine comparison fails it too."""
     passed = passed and report.refinement_stable is not False
-    rows = _report_rows(config, report) if rows is None else rows
+    rows = _report_rows(report) if rows is None else rows
     return _check_outcome(report.check, rows, report.to_dict(), passed, note)
 
 
@@ -646,9 +643,8 @@ def _decompose(config: ExperimentConfig, args) -> _Outcome:
         field = _synthetic_scalar(config.grid(), config, 1)
     spec = config.besov_spec()
     total, profile = besov_norm(field, spec)
-    cid = config.config_id()
     rows = [
-        (cid, config.seed, j, value, total, value / total if total > 0 else 0.0)
+        (j, value, total, value / total if total > 0 else 0.0)
         for j, value in zip(profile.js, profile.values)
     ]
     payload = {
@@ -729,7 +725,7 @@ def _norm(config: ExperimentConfig, args) -> _Outcome:
             field = _synthetic_scalar(grid, config, 1)
         value, _ = besov_norm(field, spec)
         label = "norm"
-    rows = [(config.config_id(), config.seed, 0, value, value, 1.0)]
+    rows = [(0, value, value, 1.0)]
     payload = {"check": "norm", "value": value, "spec": args.spec or config.s}
     return _Outcome("norm.csv", rows, payload, True, f"{label}: {value:.12e}")
 
@@ -759,11 +755,10 @@ def _verify_bernstein(config: ExperimentConfig, args) -> _Outcome:
     passed = all(r > 0 for r in report.ratios)
     js = [j for j in octaves for _ in range(config.trials)]
     return _ratio_outcome(
-        config,
         report,
         passed,
         f"max ratio {report.max_ratio:.4e}, annulus drift {drift:.2%}",
-        rows=_report_rows(config, report, js),
+        rows=_report_rows(report, js),
     )
 
 
@@ -777,18 +772,13 @@ def _verify_heat(config: ExperimentConfig, args) -> _Outcome:
     report = _refined(args, measure, max(config.n, _min_grid_for_octave(config.j)))
     lo, hi = report.extra["c_window"]
     c_fit = report.extra["c_fit"]
-    cid = config.config_id()
-    rows = [
-        (cid, config.seed, idx, c, C, c / C if C > 0 else 0.0)
-        for idx, (c, C) in enumerate(zip(c_fit, report.ratios))
-    ]
+    rows = [(idx, c, C, c / C if C > 0 else 0.0) for idx, (c, C) in enumerate(zip(c_fit, report.ratios))]
     note = f"decay rates in [{lo:.4f}, {hi:.4f}]: {min(c_fit):.4f}..{max(c_fit):.4f}"
-    return _ratio_outcome(config, report, all(lo <= c <= hi for c in c_fit), note, rows=rows)
+    return _ratio_outcome(report, all(lo <= c <= hi for c in c_fit), note, rows=rows)
 
 
 def _verify_product(config: ExperimentConfig, args) -> _Outcome:
     grid = config.grid()
-    cid = config.config_id()
     rows = []
     worst = 0.0
     tol = max(config.tolerance, 1e-12)
@@ -804,7 +794,7 @@ def _verify_product(config: ExperimentConfig, args) -> _Outcome:
         scale = math.sqrt(float(np.mean(exact.values**2)))
         defect = math.sqrt(float(np.mean((recon.values - exact.values) ** 2))) / max(scale, 1e-300)
         worst = max(worst, defect)
-        rows.append((cid, config.seed, t, defect, tol, defect / tol))
+        rows.append((t, defect, tol, defect / tol))
     payload = {"max_defect": worst, "tolerance": tol}
     return _check_outcome("product_decomposition", rows, payload, worst <= tol, f"max defect {worst:.3e}")
 
@@ -813,7 +803,6 @@ def _verify_commutator(config: ExperimentConfig, args) -> _Outcome:
     if config.p < 2.0:
         raise _UsageError("the integration-by-parts cross-check needs p >= 2")
     grid = config.grid()
-    cid = config.config_id()
     rows = []
     worst = 0.0
     for t in range(config.trials):
@@ -824,7 +813,7 @@ def _verify_commutator(config: ExperimentConfig, args) -> _Outcome:
         scale = max(abs(lhs), abs(rhs), 1e-300)
         defect = abs(lhs - rhs) / scale
         worst = max(worst, defect)
-        rows.append((cid, config.seed, t, lhs, rhs, defect))
+        rows.append((t, lhs, rhs, defect))
     payload = {"max_relative_gap": worst, "tolerance": config.tolerance}
     passed = worst <= config.tolerance
     return _check_outcome("commutator_integral", rows, payload, passed, f"max gap {worst:.3e}")
@@ -848,7 +837,7 @@ def _verify_ij(config: ExperimentConfig, args) -> _Outcome:
         )
 
     report = _refined(args, measure, config.n)
-    return _ratio_outcome(config, report, True, f"max ratio {report.max_ratio:.4e}")
+    return _ratio_outcome(report, True, f"max ratio {report.max_ratio:.4e}")
 
 
 def _transport_trajectory(config: ExperimentConfig):
@@ -877,7 +866,7 @@ def _verify_transport(config: ExperimentConfig, args) -> _Outcome:
     report = _refined(args, measure, config.n)
     passed = all(r > 0 for r in report.ratios)
     note = f"C_min {report.extra.get('C_min', float('nan')):.4e}"
-    return _ratio_outcome(config, report, passed, note)
+    return _ratio_outcome(report, passed, note)
 
 
 def _verify_elliptic(config: ExperimentConfig, args) -> _Outcome:
@@ -905,7 +894,7 @@ def _verify_elliptic(config: ExperimentConfig, args) -> _Outcome:
 
     report = _refined(args, measure, config.n)
     l2_ok = report.extra["l2_ok"]
-    return _ratio_outcome(config, report, bool(l2_ok), f"max ratio {report.max_ratio:.4e}, l2_ok={l2_ok}")
+    return _ratio_outcome(report, bool(l2_ok), f"max ratio {report.max_ratio:.4e}, l2_ok={l2_ok}")
 
 
 def _integration(config: ExperimentConfig) -> IntegrationConfig:
@@ -931,18 +920,17 @@ def _verify_envelope(config: ExperimentConfig, args) -> _Outcome:
             f" (integration stopped: {diag.stop_reason})"
         )
     C, defect = fit_growth_envelope(series)
-    cid = config.config_id()
     rows = []
     for idx, (t, value) in enumerate(series):
         bound = C * math.exp(C * math.exp(C * math.sqrt(t)))
-        rows.append((cid, config.seed, idx, value, bound, value / bound))
+        rows.append((idx, value, bound, value / bound))
     passed = defect <= 0.0 and diag.stop_reason == "completed"
     payload = {"C": C, "defect": defect, "stop_reason": diag.stop_reason}
     return _check_outcome("growth_envelope", rows, payload, passed, f"C={C:.4e}, defect {defect:.3e}")
 
 
 def _verify_deltas(config: ExperimentConfig, args) -> _Outcome:
-    def measure(n: int):
+    def measure(n: int) -> RatioReport:
         grid = make_grid(n, config.L)
         base = random_divergence_free(grid, 1.0, 5.0, trial_seed(config.seed, 41))
         # Keep the integrated velocity gradient well inside the series'
@@ -959,28 +947,8 @@ def _verify_deltas(config: ExperimentConfig, args) -> _Outcome:
         traj2 = [(float(t), (base + bump) * math.exp(-t)) for t in times]
         return delta_estimates(traj1, traj2, config.p)
 
-    report = measure(config.n)
-    ratios = report.ratios()
-    stable = None
-    if args.refine:
-        fine = measure(2 * config.n).ratios()
-        drift = max(
-            abs(f - c) / max(abs(c), 1e-300) for c, f in zip(ratios, fine)
-        )
-        stable = drift <= 0.5
-    passed = all(math.isfinite(r) and r >= 0 for r in ratios) and stable is not False
-    cid = config.config_id()
-    rows = [
-        (cid, config.seed, idx, ratio, 1.0, ratio) for idx, ratio in enumerate(ratios)
-    ]
-    payload = {
-        "ratio_names": ("deviation", "difference", "rate", "difference_rate"),
-        "ratios": ratios,
-        "gradient_integrals": report.gradient_integrals,
-        "refinement_stable": stable,
-    }
-    note = f"ratios {[f'{r:.3e}' for r in ratios]}"
-    return _check_outcome("flow_map_deltas", rows, payload, passed, note)
+    report = _refined(args, measure, config.n)
+    return _ratio_outcome(report, True, f"ratios {[f'{r:.3e}' for r in report.ratios]}")
 
 
 def _elliptic(config: ExperimentConfig, args) -> _Outcome:
@@ -994,8 +962,7 @@ def _elliptic(config: ExperimentConfig, args) -> _Outcome:
         a, F, tol=config.pressure_tol, max_iter=config.pressure_max_iter,
         split_m=config.split_m,
     )
-    rows = [(config.config_id(), config.seed, 0, stats.residual, config.pressure_tol,
-             stats.residual / config.pressure_tol)]
+    rows = [(0, stats.residual, config.pressure_tol, stats.residual / config.pressure_tol)]
     payload = {
         "check": "elliptic_solve",
         "iterations": stats.iterations,
@@ -1057,12 +1024,9 @@ def _lagrangian(config: ExperimentConfig, args) -> _Outcome:
     volume = flow.volume_defect()
     consistency = flow.inverse_consistency_defect()
     identity = check_div_identity(steady, config.T, flow)
-    cid = config.config_id()
     tol = config.tolerance
     checks = ((volume, tol), (consistency, 1e-8), (identity.trace_form, tol), (identity.flux_form, tol))
-    rows = [
-        (cid, config.seed, idx, value, bound, value / bound) for idx, (value, bound) in enumerate(checks)
-    ]
+    rows = [(idx, value, bound, value / bound) for idx, (value, bound) in enumerate(checks)]
     passed = all(value <= bound for value, bound in checks)
     payload = {
         "volume_defect": volume,
@@ -1212,7 +1176,7 @@ def run_cli(argv=None) -> int:
         if check and args.refine and check not in _REFINING:
             raise _UsageError(f"--refine applies only to the checks {', '.join(_REFINING)}, not {check}")
         config, outdir = _prepare(args, f"verify {check}" if check else args.command)
-        return _finish(outdir, body(config, args))
+        return _finish(outdir, config, body(config, args))
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -132,7 +132,7 @@ def _pcg_potential(
     tol: float,
     max_iter: int,
     pi0: SpectralField | None = None,
-) -> tuple[SpectralField, int, float]:
+) -> tuple[SpectralField, int]:
     """Conjugate gradients for -div((1+a) grad pi) = rhs_div, mean-free pi, preconditioned by B."""
     grid = a.grid
     pi = SpectralField.zero(grid) if pi0 is None else pi0
@@ -152,7 +152,7 @@ def _pcg_potential(
         pi = pi + alpha * p
         r = r - alpha * ap
         qres = _q_norm_of_divergence(r) / q_denominator
-    return pi, iterations, qres
+    return pi, iterations
 
 
 def solve_pressure(
@@ -194,7 +194,7 @@ def solve_pressure(
     pi = None if initial_guess is None else potential_from_gradient(drop_nyquist(initial_guess))
     total, true_res = 0, math.inf
     while total < max_iter:
-        pi, iters, _ = _pcg_potential(a, rhs, q_den, tol, max_iter - total, pi0=pi)
+        pi, iters = _pcg_potential(a, rhs, q_den, tol, max_iter - total, pi0=pi)
         total += max(iters, 1)
         g = gradient(pi)
         true_res = residual(a, g, F) / q_den
@@ -223,7 +223,7 @@ def _solve_split(
     for it in range(1, max_iter + 1):
         hg = VectorField(multiply(a_high, g.u1), multiply(a_high, g.u2))
         rhs = drop_nyquist(-1.0 * divergence(F - hg))
-        pi, _, _ = _pcg_potential(a_low, rhs, q_den, inner_tol, 10 * max_iter)
+        pi, _ = _pcg_potential(a_low, rhs, q_den, inner_tol, 10 * max_iter)
         g = gradient(pi)
         qres = residual(a, g, F) / q_den
         if qres <= tol:

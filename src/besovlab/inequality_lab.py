@@ -6,8 +6,8 @@ transported fields, the commutator pairing that powers the pressure bounds,
 the pressure-solution estimates, and the double-exponential growth envelope)
 is exercised numerically: draw a seeded random ensemble, evaluate left- and
 right-hand sides by quadrature, and record the ratio.  The "constant" of each
-estimate is thus a measured quantity; the pass criterion is that the recorded
-max ratio is finite and stable when the grid is refined.
+estimate is thus a measured quantity; the pass criterion is that each recorded
+ratio is finite and stable when the grid is refined.
 """
 
 from __future__ import annotations
@@ -115,16 +115,20 @@ class RatioReport:
 
 
 def mark_refinement(coarse: RatioReport, fine: RatioReport) -> RatioReport:
-    """Flag the fine-grid report by its max-ratio drift against the coarse run.
+    """Flag the fine-grid report by the largest drift of any ratio against the coarse run.
 
     Estimate constants are discretization independent once the fields are
-    resolved, so the recorded max ratio must move by at most 50% (relative)
-    when the grid doubles.
+    resolved, so each recorded ratio must move by at most 50% (relative to
+    its coarse value) when the grid doubles.  The two reports must record the
+    same ratios, in the same order.
     """
     if coarse.check != fine.check:
         raise ValueError(f"cannot compare reports {coarse.check!r} and {fine.check!r}")
-    scale = max(coarse.max_ratio, 1e-300)
-    drift = abs(fine.max_ratio - coarse.max_ratio) / scale
+    if len(coarse.ratios) != len(fine.ratios):
+        raise ValueError(
+            f"cannot compare {len(coarse.ratios)} coarse ratios with {len(fine.ratios)} fine ones"
+        )
+    drift = max(abs(f - c) / max(c, 1e-300) for c, f in zip(coarse.ratios, fine.ratios))
     extra = dict(fine.extra)
     extra["refinement_drift"] = drift
     return replace(fine, refinement_stable=bool(drift <= 0.5), extra=extra)

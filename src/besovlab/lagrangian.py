@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .inequality_lab import RatioReport
 from .interpolation import PeriodicSampler
 from .norms import BesovSpec, besov_norm, unpack_trajectory
 from .spectral import (
@@ -36,7 +37,6 @@ from .spectral import (
 
 __all__ = [
     "FlowMap",
-    "FlowDeltaReport",
     "DivergenceIdentityResidual",
     "gradient_tensor",
     "integrate_flow",
@@ -424,48 +424,30 @@ def check_div_identity(u: VectorField, state, flow: FlowMap) -> DivergenceIdenti
 # stability ratios for nearby trajectories
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FlowDeltaReport:
-    """Measured left/right ratios of the inverse-Jacobian stability bounds.
-
-    Each field is sized so that boundedness under refinement supports the
-    corresponding inequality: deviation of either inverse Jacobian from the
-    identity against the integrated gradient (``deviation_ratio``), the
-    difference of the two inverse Jacobians against the integrated gradient
-    of the velocity difference (``difference_ratio``), the instantaneous rate
-    of either inverse Jacobian against the instantaneous gradient
-    (``rate_ratio``), and the rate of the difference against the mixed
-    velocity/difference sizes (``difference_rate_ratio``).  Ratios with a
-    vanishing numerator and denominator are reported as zero.
-    """
-
-    deviation_ratio: float
-    difference_ratio: float
-    rate_ratio: float
-    difference_rate_ratio: float
-    gradient_integrals: tuple[float, float]
-
-    def ratios(self) -> tuple[float, float, float, float]:
-        return (
-            self.deviation_ratio,
-            self.difference_ratio,
-            self.rate_ratio,
-            self.difference_rate_ratio,
-        )
-
-
 def _safe_ratio(num: float, den: float) -> float:
     if num <= 1e-300:
         return 0.0
     return num / den if den > 1e-300 else float("inf")
 
 
-def delta_estimates(v1_trajectory, v2_trajectory, p: float = 2.0) -> FlowDeltaReport:
+def delta_estimates(v1_trajectory, v2_trajectory, p: float = 2.0) -> RatioReport:
     """Measure the stability bounds linking two nearby co-moving velocities.
 
     Both trajectories must share times and a grid and stay in the regime
     where the inverse-Jacobian series converges (divergence there raises, as
     the bounds are only claimed for small integrated gradients).
+
+    The report's four ratios, named in ``extra["ratio_names"]``, are each
+    sized so that boundedness under refinement supports the corresponding
+    inequality: deviation of either inverse Jacobian from the identity
+    against the integrated gradient, the difference of the two inverse
+    Jacobians against the integrated gradient of the velocity difference, the
+    instantaneous rate of either inverse Jacobian against the instantaneous
+    gradient, and the rate of the difference against the mixed
+    velocity/difference sizes.  Ratios with a vanishing numerator are
+    reported as zero; a nonzero one over a vanishing denominator is infinite,
+    which the report rejects with ``ValueError``.  ``extra["gradient_integrals"]``
+    holds the integrated gradient of each trajectory.
     """
     times1, fields1, grid = _velocity_history(v1_trajectory)
     times2, fields2, grid2 = _velocity_history(v2_trajectory)
@@ -530,12 +512,18 @@ def delta_estimates(v1_trajectory, v2_trajectory, p: float = 2.0) -> FlowDeltaRe
     )
     delta_v_l2 = float(np.sqrt(np.trapezoid(delta_v_norms**2, times)))
 
-    return FlowDeltaReport(
-        deviation_ratio=max(dev_ratios),
-        difference_ratio=_safe_ratio(delta_dev, delta_grad_integral),
-        rate_ratio=max(rate_ratios),
-        difference_rate_ratio=_safe_ratio(
-            delta_rate_l2, pair_l2 * delta_grad_integral + delta_v_l2
+    return RatioReport(
+        check="flow_map_deltas",
+        config={"p": p, "grid_n": grid.n, "samples": len(times)},
+        seed=None,
+        ratios=(
+            max(dev_ratios),
+            _safe_ratio(delta_dev, delta_grad_integral),
+            max(rate_ratios),
+            _safe_ratio(delta_rate_l2, pair_l2 * delta_grad_integral + delta_v_l2),
         ),
-        gradient_integrals=integrals,
+        extra={
+            "ratio_names": ("deviation", "difference", "rate", "difference_rate"),
+            "gradient_integrals": integrals,
+        },
     )

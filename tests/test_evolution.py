@@ -480,6 +480,23 @@ class TestNsIntegrate:
         assert rows[0].startswith("t,A,Z,E0,E1,E2")
         assert len(rows) == len(diag.times) + 1
 
+    def test_smallness_monitors_sample_the_viscosity_tail(self, grid32, rng):
+        a0, u0 = coupled_data(grid32, rng)
+        config = IntegrationConfig(
+            T=0.03, dt=0.01, visc=ViscosityLaw.exponential(1.0, 0.5), monitor_ms=(1, 2)
+        )
+        for a, positive in ((a0, True), (SpectralField.zero(grid32), False)):
+            _, diag = ns_integrate(config, a, u0)
+            assert diag.stop_reason == "completed"
+            for name in ("smallness_m1", "smallness_m2"):
+                series = diag.extra[name]
+                assert len(series) == len(diag.times) == 4
+                assert all(math.isfinite(v) and v >= 0.0 for v in series)
+                if positive:
+                    assert all(v > 0.0 for v in series)
+                else:
+                    assert all(v == 0.0 for v in series)
+
     def test_pressure_solved_at_each_stage_and_at_sampled_ends(self, grid32, rng, monkeypatch):
         calls = []
 

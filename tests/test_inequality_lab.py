@@ -64,6 +64,16 @@ class TestRatioReport:
         with pytest.raises(ValueError):
             mark_refinement(coarse, make_report([1.0], check="other"))
 
+    def test_mark_refinement_bounds_every_ratio(self):
+        # the max ratio stays at 2.0, but each ratio moves by 100% or 50%
+        flagged = mark_refinement(make_report([1.0, 2.0]), make_report([2.0, 1.0]))
+        assert flagged.refinement_stable is False
+        assert flagged.extra["refinement_drift"] == pytest.approx(1.0)
+
+    def test_mark_refinement_rejects_unequal_lengths(self):
+        with pytest.raises(ValueError, match="2 coarse ratios with 3 fine"):
+            mark_refinement(make_report([1.0, 2.0]), make_report([1.0, 2.0, 2.0]))
+
 
 class TestThresholds:
     def test_exact_expressions(self):

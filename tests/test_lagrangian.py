@@ -8,6 +8,7 @@ import pytest
 from conftest import smooth_random_divfree, smooth_random_field
 
 from besovlab.evolution import StateSnapshot
+from besovlab.inequality_lab import RatioReport
 from besovlab.interpolation import PeriodicSampler
 from besovlab.lagrangian import (
     FlowMap,
@@ -311,11 +312,25 @@ class TestDeltaEstimates:
         v = smooth_random_divfree(grid32, rng, k0=3.0) * 0.2
         traj = [(0.0, v), (0.2, v * 0.8), (0.4, v * 0.64)]
         report = delta_estimates(traj, traj)
-        assert report.difference_ratio == 0.0
-        assert report.difference_rate_ratio == 0.0
-        assert report.deviation_ratio > 0.0
-        assert report.rate_ratio > 0.0
-        assert report.gradient_integrals[0] == pytest.approx(report.gradient_integrals[1])
+        named = dict(zip(report.extra["ratio_names"], report.ratios))
+        assert named["difference"] == 0.0
+        assert named["difference_rate"] == 0.0
+        assert named["deviation"] > 0.0
+        assert named["rate"] > 0.0
+        integrals = report.extra["gradient_integrals"]
+        assert integrals[0] == pytest.approx(integrals[1])
+
+    def test_reports_named_ratios(self, grid32, rng):
+        v = smooth_random_divfree(grid32, rng, k0=3.0) * 0.2
+        traj = [(0.0, v), (0.2, v * 0.8), (0.4, v * 0.64)]
+        report = delta_estimates(traj, traj)
+        assert isinstance(report, RatioReport)
+        assert report.check == "flow_map_deltas"
+        assert report.config == {"p": 2.0, "grid_n": 32, "samples": 3}
+        assert report.extra["ratio_names"] == ("deviation", "difference", "rate", "difference_rate")
+        # identical trajectories have no difference: the zeros sit where the
+        # names put the two difference ratios
+        assert [r > 0.0 for r in report.ratios] == [True, False, True, False]
 
     def test_ratio_invariance_under_perturbation_scaling(self, grid32, rng):
         base = smooth_random_divfree(grid32, rng, k0=3.0) * 3e-7
@@ -328,7 +343,7 @@ class TestDeltaEstimates:
             return delta_estimates(t1, t2)
 
         r1, r2 = report(1.0), report(0.5)
-        for a, b in zip(r1.ratios(), r2.ratios()):
+        for a, b in zip(r1.ratios, r2.ratios):
             assert abs(a - b) <= 1e-6 * max(1.0, abs(a))
 
     def test_ratios_stable_under_refinement(self, rng):
@@ -342,7 +357,7 @@ class TestDeltaEstimates:
             t1 = [(t, v1 * math.exp(-t)) for t in times]
             t2 = [(t, (v1 + dv) * math.exp(-t)) for t in times]
             reports.append(delta_estimates(t1, t2))
-        for a, b in zip(reports[0].ratios(), reports[1].ratios()):
+        for a, b in zip(reports[0].ratios, reports[1].ratios):
             assert b <= 1.5 * a + 1e-12
             assert b >= a / 1.5 - 1e-12
 

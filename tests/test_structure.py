@@ -1,5 +1,6 @@
 """Source-level guards: no private cross-module imports, no duplicated function bodies,
-no defaulted parameter that no call sets, no BLAS-backed call, no ladder passed around."""
+no defaulted parameter that no call sets, no BLAS-backed call, no ladder passed around,
+no report type besides ``RatioReport``."""
 
 import ast
 from collections import defaultdict
@@ -167,6 +168,32 @@ def test_ladder_guard_sees_each_form():
 def test_blas_guard_sees_each_form():
     source = "a @ b\nc @= d\nnp.vdot(u, v)\nnp.dot(u, v)\nx.dot(y)\nnp.linalg.norm(m)\nnp.sum(m * m)\n"
     assert sorted(blas_uses(source)) == ["1: @", "2: @", "3: np.vdot", "4: np.dot", "5: x.dot", "6: np.linalg.norm"]
+
+
+def report_classes(source: str) -> list[str]:
+    """Line and name of each class whose name ends in ``Report``, other than ``RatioReport``."""
+    return [
+        f"{node.lineno}: {node.name}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef) and node.name.endswith("Report") and node.name != "RatioReport"
+    ]
+
+
+def test_one_report_type():
+    """Every measured-ratio check reports through ``inequality_lab.RatioReport``."""
+    offences = [f"{path.name}:{use}" for path in SOURCES for use in report_classes(path.read_text(encoding="utf-8"))]
+    assert offences == []
+
+
+def test_report_guard_sees_each_form():
+    source = (
+        "class RatioReport: pass\n"
+        "class StepReport: pass\n"
+        "@dataclass(frozen=True)\nclass Report(Base): pass\n"
+        "class Reporter: pass\n"
+        "def f():\n    class LocalReport: pass\n"
+    )
+    assert report_classes(source) == ["2: StepReport", "4: Report", "7: LocalReport"]
 
 
 def test_sampler_keeps_the_traced_entry_points():
