@@ -36,7 +36,6 @@ from .spectral import (
     gradient,
     gradient_part,
     heat_propagate,
-    inverse_laplacian,
     leray_project,
     make_grid,
     multiply,
@@ -87,5 +86,4 @@ __all__ = [
     "leray_project",
     "gradient_part",
     "heat_propagate",
-    "inverse_laplacian",
 ]

@@ -581,7 +581,7 @@ def _synthetic_scalar(grid: Grid, config: ExperimentConfig, stream: int):
         min(2.0 * config.k0, grid.n / 3.0),
         trial_seed(config.seed, stream),
     )
-    vals = raw.values.real
+    vals = raw.values
     vals = vals / max(np.max(np.abs(vals)), 1e-300)
     return SpectralField.from_physical(grid, vals)
 
@@ -595,7 +595,7 @@ def _bounded_coefficient(grid: Grid, config: ExperimentConfig, stream: int):
             " that keeps the coefficient floor min(1 + a) at 0.3"
         )
     raw = random_band_field(grid, 1.0, 6.0, trial_seed(config.seed, stream), slope=-0.5)
-    vals = raw.values.real
+    vals = raw.values
     amp = config.amplitude_a if config.amplitude_a > 0 else limit
     vals = vals * (amp / max(np.max(np.abs(vals)), 1e-300))
     return SpectralField.from_physical(grid, vals)
@@ -830,7 +830,7 @@ def _verify_ij(config: ExperimentConfig, args) -> _Outcome:
             ratios.extend(rep.ratios)
         return RatioReport(
             check="pressure_flux_bound",
-            config=f"p={config.p} q={config.q} j={config.j} n={n}",
+            config={"p": config.p, "q": config.q, "j": config.j, "grid_n": n},
             seed=config.seed,
             ratios=tuple(ratios),
             extra={"js": (config.j,) * len(ratios)},
@@ -880,13 +880,13 @@ def _verify_elliptic(config: ExperimentConfig, args) -> _Outcome:
                 random_band_field(grid, 1.0, grid.n / 4.0, trial_seed(config.seed, t, 1)),
                 random_band_field(grid, 1.0, grid.n / 4.0, trial_seed(config.seed, t, 2)),
             )
-            grad_pi, _ = solve_pressure(a, F, tol=config.pressure_tol)
+            grad_pi, _, _ = solve_pressure(a, F, tol=config.pressure_tol)
             rep = check_elliptic_estimate(a, F, grad_pi, config.p)
             ratios.extend(rep.ratios)
             l2_ok = l2_ok and bool(rep.extra.get("l2_ok", True))
         return RatioReport(
             check="pressure_estimate",
-            config=f"p={config.p} n={n}",
+            config={"p": config.p, "grid_n": n},
             seed=config.seed,
             ratios=tuple(ratios),
             extra={"l2_ok": l2_ok},
@@ -958,7 +958,7 @@ def _elliptic(config: ExperimentConfig, args) -> _Outcome:
         random_band_field(grid, 1.0, grid.n / 4.0, trial_seed(config.seed, 1)),
         random_band_field(grid, 1.0, grid.n / 4.0, trial_seed(config.seed, 2)),
     )
-    grad_pi, stats = solve_pressure(
+    grad_pi, stats, _ = solve_pressure(
         a, F, tol=config.pressure_tol, max_iter=config.pressure_max_iter,
         split_m=config.split_m,
     )

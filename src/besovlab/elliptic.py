@@ -36,7 +36,6 @@ from .spectral import (
     VectorField,
     divergence,
     drop_nyquist,
-    from_half_spectrum,
     gradient,
     gradient_part,
     l2_norm,
@@ -66,7 +65,7 @@ class EllipticSolveStats:
 
 def coefficient_floor(a: SpectralField) -> float:
     """Minimum of 1 + a over the grid nodes."""
-    return float(1.0 + np.min(a.values.real))
+    return float(1.0 + np.min(a.values))
 
 
 def require_floor(a: SpectralField) -> float:
@@ -87,13 +86,15 @@ def _q_norm_of_divergence(r: SpectralField) -> float:
     grid = r.grid
     weighted = np.abs(r.modes) ** 2 / np.maximum(grid.k_squared, grid.k_min_nonzero**2)
     weighted[0, 0] = 0.0
-    return math.sqrt(float(np.sum(weighted))) * grid.L / grid.n**2
+    return math.sqrt(float(np.sum(weighted * grid.parseval_weights))) * grid.L / grid.n**2
 
 
 def _inner(u: SpectralField, v: SpectralField) -> float:
-    # a plain sum, not np.vdot, which would wake a spinning BLAS thread (see l2_norm)
-    w = u.grid.L / u.grid.n**2
-    return float(np.sum(u.modes.real * v.modes.real + u.modes.imag * v.modes.imag)) * w**2
+    # L2 inner product by Parseval on half spectra; a plain sum, not np.vdot,
+    # which would wake a spinning BLAS thread (see l2_norm)
+    grid = u.grid
+    products = u.modes.real * v.modes.real + u.modes.imag * v.modes.imag
+    return float(np.sum(products * grid.parseval_weights)) * (grid.L / grid.n**2) ** 2
 
 
 def residual(a: SpectralField, grad_pi: VectorField, F: VectorField) -> float:
@@ -102,8 +103,12 @@ def residual(a: SpectralField, grad_pi: VectorField, F: VectorField) -> float:
     Measured on the derivative-resolved subspace (half-Nyquist lines dropped),
     matching how the solve itself is posed.
     """
-    defect = drop_nyquist(F - weight_by(a, grad_pi))
-    return l2_norm(gradient_part(defect))
+    return _defect_norm(F, weight_by(a, grad_pi))
+
+
+def _defect_norm(F: VectorField, flux: VectorField) -> float:
+    """`residual` for the flux (1+a) grad Pi already formed."""
+    return l2_norm(gradient_part(drop_nyquist(F - flux)))
 
 
 def _apply_form(a: SpectralField, p: SpectralField) -> SpectralField:
@@ -116,13 +121,13 @@ def _precondition(a: SpectralField, r: SpectralField) -> SpectralField:
     CG needs only a symmetric positive B, so c^-1 multiplies at the n-grid
     nodes, with no padding; it is kept on the solve's `reused_factor` handle.
     """
-    grid, h = r.grid, r.grid.n // 2
+    grid = r.grid
     if "_inverse_coefficient" not in a.__dict__:
-        a.__dict__["_inverse_coefficient"] = 1.0 / (1.0 + a.values.real)
+        a.__dict__["_inverse_coefficient"] = 1.0 / (1.0 + a.values)
     symbols = grid.half_grad_inverse_neg_laplacian
-    grad = np.fft.irfft2(symbols * r.modes[:, : h + 1], s=(grid.n, grid.n))
+    grad = np.fft.irfft2(symbols * r.modes, s=(grid.n, grid.n))
     half = np.fft.rfft2(grad * a.__dict__["_inverse_coefficient"]) * symbols
-    return SpectralField(grid, from_half_spectrum(-(half[0] + half[1]), grid))
+    return SpectralField(grid, -(half[0] + half[1]))
 
 
 def _pcg_potential(
@@ -163,14 +168,15 @@ def solve_pressure(
     *,
     split_m: int | None = None,
     initial_guess: VectorField | None = None,
-) -> tuple[VectorField, EllipticSolveStats]:
+) -> tuple[VectorField, EllipticSolveStats, VectorField]:
     """Solve div((1+a) grad Pi) = div F for the mean-free gradient field grad Pi.
 
-    The relative stopping criterion is on the gradient part of the defect:
-    |Q(F - (1+a) grad Pi)| <= tol |QF| in L2.  The solve is preconditioned
-    conjugate gradients; passing split_m switches to the outer low/high
-    splitting iteration at that octave.  A non-finite forcing raises
-    ``FloatingPointError``.
+    Returns grad Pi, the solve's stats and the flux (1+a) grad Pi that the
+    final residual check formed.  The relative stopping criterion is on the
+    gradient part of the defect: |Q(F - (1+a) grad Pi)| <= tol |QF| in L2.
+    The solve is preconditioned conjugate gradients; passing split_m
+    switches to the outer low/high splitting iteration at that octave.  A
+    non-finite forcing raises ``FloatingPointError``.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
@@ -185,7 +191,8 @@ def solve_pressure(
     if not math.isfinite(q_den):
         raise FloatingPointError("pressure forcing is not finite")
     if q_den == 0.0:
-        return VectorField.zero(grid), EllipticSolveStats(0, 0.0, split_m)
+        zero = VectorField.zero(grid)
+        return zero, EllipticSolveStats(0, 0.0, split_m), zero
 
     if split_m is not None:
         return _solve_split(a, F, tol, max_iter, split_m, q_den)
@@ -197,9 +204,10 @@ def solve_pressure(
         pi, iters = _pcg_potential(a, rhs, q_den, tol, max_iter - total, pi0=pi)
         total += max(iters, 1)
         g = gradient(pi)
-        true_res = residual(a, g, F) / q_den
+        flux = weight_by(a, g)
+        true_res = _defect_norm(F, flux) / q_den
         if true_res <= tol:
-            return g, EllipticSolveStats(total, true_res, None)
+            return g, EllipticSolveStats(total, true_res, None), flux
     raise RuntimeError(
         f"pressure solve did not reach tol={tol:.1e} in {max_iter} iterations (residual {true_res:.3e})"
     )
@@ -212,7 +220,7 @@ def _solve_split(
     max_iter: int,
     split_m: int,
     q_den: float,
-) -> tuple[VectorField, EllipticSolveStats]:
+) -> tuple[VectorField, EllipticSolveStats, VectorField]:
     grid = a.grid
     a_low = reused_factor(build_ladder(grid).low_pass(a, split_m))
     a_high = reused_factor(a - a_low)
@@ -225,9 +233,10 @@ def _solve_split(
         rhs = drop_nyquist(-1.0 * divergence(F - hg))
         pi, _ = _pcg_potential(a_low, rhs, q_den, inner_tol, 10 * max_iter)
         g = gradient(pi)
-        qres = residual(a, g, F) / q_den
+        flux = weight_by(a, g)
+        qres = _defect_norm(F, flux) / q_den
         if qres <= tol:
-            return g, EllipticSolveStats(it, qres, split_m)
+            return g, EllipticSolveStats(it, qres, split_m), flux
     raise RuntimeError(
         f"splitting iteration (m={split_m}) did not reach tol={tol:.1e}"
         f" in {max_iter} outer steps (residual {qres:.3e})"

@@ -98,7 +98,7 @@ def _require_cfl(u: VectorField, dt: float) -> None:
 
 def _weighted_energy(rho: np.ndarray, w: VectorField) -> float:
     """Density-weighted energy: the quadrature of rho |w|^2."""
-    return float(np.sum(rho * (w.u1.values.real**2 + w.u2.values.real**2))) * w.grid.cell_area
+    return float(np.sum(rho * (w.u1.values**2 + w.u2.values**2))) * w.grid.cell_area
 
 
 def _enstrophy(w: VectorField) -> float:
@@ -234,7 +234,7 @@ class StateSnapshot:
 
     def rho_values(self) -> np.ndarray:
         """Density values 1/(1+a) on the grid nodes."""
-        return 1.0 / (1.0 + self.a.values.real)
+        return 1.0 / (1.0 + self.a.values)
 
 
 @dataclass(frozen=True)
@@ -441,7 +441,7 @@ def momentum_step(
     _require_cfl(state.u, dt)
     grid = state.grid
     a = state.a
-    a_vals = a.values.real
+    a_vals = a.values
     visc.require_positive(float(a_vals.min()), float(a_vals.max()))
     mu0 = float(visc.mu_tilde(0.0))
     mu_a = reused_factor(
@@ -452,10 +452,10 @@ def momentum_step(
     coeff = reused_factor(a)
 
     def explicit_rate(F: VectorField, w: VectorField, guess: VectorField | None):
-        grad_pi, _ = solve_pressure(
+        grad_pi, _, flux = solve_pressure(
             coeff, F, tol=pressure_tol, max_iter=pressure_max_iter, initial_guess=guess
         )
-        return F - weight_by(coeff, grad_pi) - _vector_laplacian(w) * mu0, grad_pi
+        return F - flux - _vector_laplacian(w) * mu0, grad_pi
 
     def heat(w: VectorField) -> VectorField:
         return heat_propagate(w, mu0, dt)
@@ -480,7 +480,7 @@ def momentum_step(
     if not all(np.isfinite(c.modes).all() for c in u_new.components):
         raise FloatingPointError(f"momentum step from t={state.t:.6g} gave a non-finite velocity")
     if end_pressure:
-        gp2, _ = solve_pressure(
+        gp2, _, _ = solve_pressure(
             coeff, _forcing(coeff, mu_a, u_new), tol=pressure_tol, max_iter=pressure_max_iter, initial_guess=gp2
         )
     return StateSnapshot(state.t + dt, a, u_new, gp2, kappa=state.kappa)
@@ -549,7 +549,7 @@ def ns_integrate(
     """
     grid = a0.grid
     kappa = require_floor(a0)
-    a_range = (float(a0.values.real.min()), float(a0.values.real.max()))
+    a_range = (float(a0.values.min()), float(a0.values.max()))
     config.visc.require_positive(*a_range)
 
     ladder = build_ladder(grid)
@@ -560,8 +560,8 @@ def ns_integrate(
     spec_high = BesovSpec(s=2.0 / p + 1.0, p=p, r=1.0)
 
     u_start = leray_project(u0)
-    mu_a0 = SpectralField.from_physical(grid, np.asarray(config.visc.mu_tilde(a0.values.real), dtype=float))
-    grad_pi0, _ = solve_pressure(
+    mu_a0 = SpectralField.from_physical(grid, np.asarray(config.visc.mu_tilde(a0.values), dtype=float))
+    grad_pi0, _, _ = solve_pressure(
         a0,
         _forcing(a0, mu_a0, u_start),
         tol=config.pressure_tol,
@@ -601,7 +601,7 @@ def ns_integrate(
         extra["cfl"].append(cfl_number(st.u, config.dt))
         extra["uL_smooth_integral"].append(norm_uL.update(st.t, centered(u_L)))
         for m in config.monitor_ms:
-            a_vals = st.a.values.real
+            a_vals = st.a.values
             b_f = SpectralField.from_physical(grid, config.visc.b_values(a_vals))
             lam_f = SpectralField.from_physical(grid, np.asarray(config.visc.lam(a_vals), dtype=float))
             tail = besov_norm(centered(b_f) - ladder.low_pass(centered(b_f), m), spec_scalar)[0]
@@ -708,8 +708,8 @@ def energy_diagnostics(
             _weighted_energy(rho, ubar),
             _enstrophy(ubar),
             _rate_energy(rho, st.t, ubar, prev),
-            float(np.sum(ubar.u1.values.real * gforce.u1.values.real
-                         + ubar.u2.values.real * gforce.u2.values.real)) * area,
+            float(np.sum(ubar.u1.values * gforce.u1.values
+                         + ubar.u2.values * gforce.u2.values)) * area,
             l2_norm(conv_F),
             float(rho.min()),
             float(rho.max()),

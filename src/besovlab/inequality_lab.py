@@ -394,15 +394,15 @@ def ij_integral(
     grid = a.grid
     cb = commutator_block(a, gradient(pressure), j)
     bp = build_ladder(grid).block(pressure, j)
-    w = bp.values.real
+    w = bp.values
     if form == "divergence":
         weight = np.sign(w) * np.abs(w) ** (p - 1.0)
-        integrand = divergence(cb).values.real * weight
+        integrand = divergence(cb).values * weight
     elif form == "parts":
         if p < 2.0:
             raise ValueError("the integrated-by-parts route needs p >= 2")
         gb = gradient(bp)
-        dot = cb.u1.values.real * gb.u1.values.real + cb.u2.values.real * gb.u2.values.real
+        dot = cb.u1.values * gb.u1.values + cb.u2.values * gb.u2.values
         integrand = -(p - 1.0) * np.abs(w) ** (p - 2.0) * dot
     else:
         raise ValueError(f"unknown quadrature form {form!r}")

@@ -175,7 +175,7 @@ def cell_bounds(
     them guarantees values stay within the range of the stored data.
     """
     grid: Grid = f.grid
-    vals = f.values.real
+    vals = f.values
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     bx, _ = _index_split(x, grid.h, grid.n)
     by, _ = _index_split(y, grid.h, grid.n)

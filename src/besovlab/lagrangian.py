@@ -59,7 +59,7 @@ def gradient_tensor(V: VectorField) -> np.ndarray:
     for comp in (V.u1, V.u2):
         rows.append(
             np.stack(
-                (derivative(comp, (1, 0)).values.real, derivative(comp, (0, 1)).values.real),
+                (derivative(comp, (1, 0)).values, derivative(comp, (0, 1)).values),
                 axis=-1,
             )
         )
@@ -212,7 +212,7 @@ class FlowMap:
         """Absolute particle positions at a stored time (may leave the box)."""
         x, y = self.grid.coords
         disp = self.displacements[index]
-        return x + disp.u1.values.real, y + disp.u2.values.real
+        return x + disp.u1.values, y + disp.u2.values
 
     def jacobian(self, index: int) -> np.ndarray:
         return _IDENTITY + gradient_tensor(self.displacements[index])
@@ -416,7 +416,7 @@ def check_div_identity(u: VectorField, state, flow: FlowMap) -> DivergenceIdenti
 
     w = np.einsum("...ij,...j->...i", A, np.stack((v1, v2), axis=-1))
     flux = divergence(VectorField.from_physical(grid, w[..., 0], w[..., 1]))
-    res_flux = np.sqrt(np.sum((flux.values.real - lhs) ** 2) * area) / scale
+    res_flux = np.sqrt(np.sum((flux.values - lhs) ** 2) * area) / scale
     return DivergenceIdentityResidual(float(res_trace), float(res_flux))
 
 

@@ -91,7 +91,7 @@ def random_band_field(
         modes[m1 % n, m2 % n] += c * n**2
         modes[(-m1) % n, (-m2) % n] += np.conj(c) * n**2
     modes[0, 0] = mean * n**2
-    return SpectralField(grid, modes, real=True)
+    return SpectralField(grid, modes[:, : n // 2 + 1])
 
 
 def random_annulus_field(grid: Grid, j: int, seed) -> SpectralField:

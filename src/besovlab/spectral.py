@@ -1,10 +1,18 @@
 """Periodic pseudo-spectral core: grids, transform-backed fields, exact operators.
 
 Everything downstream (dyadic decompositions, norms, solvers, integrators)
-manipulates fields through this module.  A field is stored by its 2-D DFT
-coefficients on an ``n x n`` torus of side ``L``; derivatives, projections and
-heat propagation act as exact spectral multipliers, and all pointwise products
-are dealiased by zero padding onto a finer grid before multiplication.
+manipulates fields through this module.  A field is a real function on an
+``n x n`` torus of side ``L``, stored by its half spectrum: the ``rfft2``
+coefficients, shape ``(n, n/2+1)``, with ky = 0, 1, ..., n/2 along the columns
+and the negative ky implied by conjugate symmetry.  Every 2-D grid table
+(wavenumbers, projector symbols, heat factors, dyadic masks) has those n/2+1
+columns.  Derivatives, projections and heat propagation act as exact spectral
+multipliers, and all pointwise products are dealiased by zero padding onto a
+finer grid before multiplication.
+
+Parseval on a half spectrum: the columns 1..n/2-1 stand for themselves and
+their conjugate mirrors, so sums of |c|^2 weight them twice
+(`Grid.parseval_weights`); the self-conjugate columns 0 and n/2 count once.
 
 The product grid follows the 3/2 rule (Orszag 1971): both factors are
 band-limited to |k| <= n/2 per axis (the Nyquist line is split evenly between
@@ -42,8 +50,6 @@ __all__ = [
     "leray_project",
     "gradient_part",
     "heat_propagate",
-    "inverse_laplacian",
-    "from_half_spectrum",
     "potential_from_gradient",
     "real_samples",
     "refine",
@@ -95,18 +101,18 @@ class Grid:
 
     @cached_property
     def mode_index(self) -> np.ndarray:
-        """Integer frequency indices in FFT layout (0, 1, ..., -n/2, ..., -1)."""
+        """Integer frequency indices in FFT layout (0, 1, ..., -n/2, ..., -1); the columns take the first n/2+1."""
         return np.fft.fftfreq(self.n, d=1.0 / self.n).astype(np.int64)
 
     @cached_property
     def kx(self) -> np.ndarray:
         k1 = 2.0 * np.pi / self.L * self.mode_index
-        return np.broadcast_to(k1[:, None], (self.n, self.n))
+        return np.broadcast_to(k1[:, None], (self.n, self.n // 2 + 1))
 
     @cached_property
     def ky(self) -> np.ndarray:
-        k1 = 2.0 * np.pi / self.L * self.mode_index
-        return np.broadcast_to(k1[None, :], (self.n, self.n))
+        k1 = 2.0 * np.pi / self.L * self.mode_index[: self.n // 2 + 1]
+        return np.broadcast_to(k1[None, :], (self.n, self.n // 2 + 1))
 
     @cached_property
     def k_squared(self) -> np.ndarray:
@@ -117,9 +123,11 @@ class Grid:
         return np.sqrt(self.k_squared)
 
     @cached_property
-    def flip_index(self) -> np.ndarray:
-        """FFT-layout position of -k for the frequency at each position k."""
-        return _freeze(-np.arange(self.n) % self.n)
+    def parseval_weights(self) -> np.ndarray:
+        """Column weights that turn a half-spectrum sum of |c|^2 into the full-spectrum sum."""
+        w = np.full(self.n // 2 + 1, 2.0)
+        w[0] = w[-1] = 1.0
+        return _freeze(w)
 
     @cached_property
     def product_size(self) -> int:
@@ -133,7 +141,7 @@ class Grid:
 
         An odd power of (ik) at -n/2 has no conjugate partner and would inject
         a spurious imaginary part into real fields, so odd orders use the
-        second table.
+        second table.  The columns take the first n/2+1 entries.
         """
         ik = 1j * (2.0 * np.pi / self.L * self.mode_index)
         ik_odd = ik.copy()
@@ -149,21 +157,21 @@ class Grid:
         component as zero or projected fields would fail the divergence check.
         The mean mode and the corner where both lines cross get ex = ey = 0.
         """
-        idx = self.mode_index == -(self.n // 2)
+        h = self.n // 2
         kx = self.kx.copy()
         ky = self.ky.copy()
-        kx[idx, :] = 0.0
-        ky[:, idx] = 0.0
+        kx[h, :] = 0.0
+        ky[:, h] = 0.0
         k2 = kx * kx + ky * ky
         k2[k2 == 0.0] = 1.0
         return _freeze(kx / np.sqrt(k2)), _freeze(ky / np.sqrt(k2))
 
     @cached_property
     def half_grad_inverse_neg_laplacian(self) -> np.ndarray:
-        """Half-spectrum symbols i k_j/|k|^2 of grad (-Laplace)^-1, zero on the mean and both -n/2 lines."""
+        """Symbols i k_j/|k|^2 of grad (-Laplace)^-1, zero on the mean and both -n/2 lines."""
         h = self.n // 2
-        ksq = np.maximum(self.k_squared[:, : h + 1], self.k_min_nonzero**2)  # k = 0 has a zero numerator
-        symbols = 1j * np.stack((self.kx, self.ky))[:, :, : h + 1] / ksq
+        ksq = np.maximum(self.k_squared, self.k_min_nonzero**2)  # k = 0 has a zero numerator
+        symbols = 1j * np.stack((self.kx, self.ky)) / ksq
         symbols[:, h] = symbols[:, :, h] = 0.0
         return _freeze(symbols)
 
@@ -191,22 +199,19 @@ def make_grid(n: int, L: float = 2.0 * np.pi) -> Grid:
 
 @dataclass(frozen=True)
 class SpectralField:
-    """Scalar field on a Grid, stored by its DFT coefficients (FFT layout).
+    """Real scalar field on a Grid, stored by its half spectrum (``rfft2`` layout, n x (n/2+1)).
 
     Fields are immutable values: every operator returns a new instance and the
-    coefficient array is marked read-only.  ``real`` records whether the field
-    is a real-valued function (coefficients Hermitian-symmetric); complex
-    probe fields such as single Fourier modes carry ``real=False``.
+    coefficient array is marked read-only.
     """
 
     grid: Grid
     modes: np.ndarray
-    real: bool = True
 
     def __post_init__(self) -> None:
         m = np.asarray(self.modes, dtype=np.complex128)
-        if m.shape != (self.grid.n, self.grid.n):
-            raise ValueError(f"coefficient array shape {m.shape} does not match grid n={self.grid.n}")
+        if m.shape != (self.grid.n, self.grid.n // 2 + 1):
+            raise ValueError(f"half-spectrum shape {m.shape} does not match grid n={self.grid.n}")
         object.__setattr__(self, "modes", _freeze(m))
 
     @classmethod
@@ -214,29 +219,28 @@ class SpectralField:
         v = np.asarray(values)
         if v.shape != (grid.n, grid.n):
             raise ValueError(f"value array shape {v.shape} does not match grid n={grid.n}")
-        real = not np.iscomplexobj(v)
-        return cls(grid, np.fft.fft2(v), real=real)
+        if np.iscomplexobj(v):
+            raise ValueError("fields are real: node values must not be complex")
+        return cls(grid, np.fft.rfft2(v))
 
     @classmethod
     def zero(cls, grid: Grid) -> "SpectralField":
-        return cls(grid, np.zeros((grid.n, grid.n), dtype=np.complex128), real=True)
+        return cls(grid, np.zeros((grid.n, grid.n // 2 + 1), dtype=np.complex128))
 
     @cached_property
     def values(self) -> np.ndarray:
-        """Physical node values (real array when the field is real)."""
-        v = np.fft.ifft2(self.modes)
-        return _freeze(v.real.copy() if self.real else v)
+        """Physical node values."""
+        return _freeze(np.fft.irfft2(self.modes, s=(self.grid.n, self.grid.n)))
 
     @property
-    def mean(self) -> complex | float:
-        m = self.modes[0, 0] / self.grid.n**2
-        return m.real if self.real else m
+    def mean(self) -> float:
+        return float(self.modes[0, 0].real) / self.grid.n**2
 
     def linf(self) -> float:
         return float(np.max(np.abs(self.values)))
 
-    def with_modes(self, modes: np.ndarray, real: bool | None = None) -> "SpectralField":
-        return SpectralField(self.grid, modes, real=self.real if real is None else real)
+    def with_modes(self, modes: np.ndarray) -> "SpectralField":
+        return SpectralField(self.grid, modes)
 
     def filtered(self, multiplier: np.ndarray) -> "SpectralField":
         """Apply a real, radially symmetric spectral multiplier table."""
@@ -244,21 +248,23 @@ class SpectralField:
 
     def __add__(self, other: "SpectralField") -> "SpectralField":
         _check_same_grid(self.grid, other.grid)
-        return SpectralField(self.grid, self.modes + other.modes, real=self.real and other.real)
+        return SpectralField(self.grid, self.modes + other.modes)
 
     def __sub__(self, other: "SpectralField") -> "SpectralField":
         _check_same_grid(self.grid, other.grid)
-        return SpectralField(self.grid, self.modes - other.modes, real=self.real and other.real)
+        return SpectralField(self.grid, self.modes - other.modes)
 
     def __mul__(self, c: float) -> "SpectralField":
         if isinstance(c, SpectralField):
             raise TypeError("use multiply(f, g) for pointwise field products (dealiased)")
-        return SpectralField(self.grid, self.modes * c, real=self.real and not np.iscomplexobj(np.asarray(c)))
+        if np.iscomplexobj(np.asarray(c)):
+            raise ValueError("fields are real: a complex factor would leave them")
+        return SpectralField(self.grid, self.modes * c)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "SpectralField":
-        return SpectralField(self.grid, -self.modes, real=self.real)
+        return SpectralField(self.grid, -self.modes)
 
 
 @dataclass(frozen=True)
@@ -289,7 +295,7 @@ class VectorField:
 
     def magnitude_values(self) -> np.ndarray:
         """Pointwise Euclidean magnitude on the grid."""
-        return np.sqrt(np.abs(self.u1.values) ** 2 + np.abs(self.u2.values) ** 2)
+        return np.sqrt(self.u1.values**2 + self.u2.values**2)
 
     def linf(self) -> float:
         return float(np.max(self.magnitude_values()))
@@ -331,81 +337,72 @@ def refine(f: SpectralField, factor: int = 2) -> SpectralField:
         raise ValueError(f"refinement factor must be a positive integer, got {factor}")
     if factor == 1:
         return f
-    n = f.grid.n
-    N = factor * n
-    off = (N - n) // 2
-    P = np.zeros((N, N), dtype=np.complex128)
-    P[off : off + n, off : off + n] = np.fft.fftshift(f.modes)
-    # axis 0 Nyquist split
-    P[off + n, off : off + n] = 0.5 * P[off, off : off + n]
-    P[off, off : off + n] *= 0.5
-    # axis 1 Nyquist split (includes the freshly created +n/2 row)
-    P[off : off + n + 1, off + n] = 0.5 * P[off : off + n + 1, off]
-    P[off : off + n + 1, off] *= 0.5
-    return SpectralField(Grid(N, f.grid.L), np.fft.ifftshift(P) * factor**2, real=f.real)
+    N = factor * f.grid.n
+    fine = np.zeros((N, N // 2 + 1), dtype=np.complex128)
+    _spread(f.modes * factor**2, fine)
+    return SpectralField(Grid(N, f.grid.L), fine)
+
+
+def _spread(c: np.ndarray, out: np.ndarray) -> None:
+    """Copy the half spectrum c into the first n/2+1 columns of the zeroed, larger half spectrum out.
+
+    The -n/2 row lands on +n/2 and -n/2, half on each; the -n/2 column becomes
+    +n/2 at half weight, its -n/2 half implied by conjugate symmetry.
+    """
+    h = c.shape[0] // 2
+    out[: h + 1, : h + 1] = c[: h + 1]
+    out[len(out) - h :, : h + 1] = c[h:]
+    out[h] *= 0.5
+    out[len(out) - h] *= 0.5
+    out[:, h] *= 0.5
 
 
 def real_samples(f: SpectralField, M: int) -> np.ndarray:
-    """Samples of the real part of f on an M x M grid of the same box, M >= n.
+    """Samples of f on an M x M grid of the same box, M >= n.
 
-    The half spectrum is built by corner slicing.  Its entries are the
-    Hermitian part of the coarse modes (so the samples are those of the real
-    part, as the ``real`` flag promises even for non-Hermitian input), with
-    the Nyquist lines split evenly between +n/2 and -n/2 as in `refine`; one
-    real inverse transform then evaluates them.  At M = n the two halves of a
-    split line would land on the same line, so the node values are returned.
+    The stored half spectrum is spread into an M x (n/2+1) half spectrum,
+    with the Nyquist lines split evenly between +n/2 and -n/2 as in `refine`;
+    one real inverse transform then evaluates it (irfft2 zero-fills the
+    columns beyond n/2).  At M = n the two halves of a split line would land
+    on the same line, so the node values are returned.
     """
-    grid = f.grid
-    n, h = grid.n, grid.n // 2
+    n = f.grid.n
     if M < n:
         raise ValueError(f"sample grid side must be at least n={n}, got {M}")
     if M == n:
-        return np.ascontiguousarray(f.values.real)
-    flip = grid.flip_index
-    c = f.modes
-    half = (0.5 * (M / n) ** 2) * (c[:, : h + 1] + np.conj(c[np.ix_(flip, flip[: h + 1])]))
-    half[h] *= 0.5
-    half[:, h] *= 0.5
-    # only the first n/2+1 columns are nonzero; irfft2 zero-fills the rest
-    padded = np.zeros((M, h + 1), dtype=np.complex128)
-    padded[: h + 1] = half[: h + 1]
-    padded[M - h :] = half[h:]
+        return np.ascontiguousarray(f.values)
+    return _padded_samples(f.modes * (M / n) ** 2, M)
+
+
+def _padded_samples(c: np.ndarray, M: int) -> np.ndarray:
+    padded = np.zeros((M, c.shape[1]), dtype=np.complex128)
+    _spread(c, padded)
     return np.fft.irfft2(padded, s=(M, M))
 
 
 def _product_samples(f: SpectralField) -> np.ndarray:
-    """Samples of the real part of f on the M x M product grid.
+    """Samples of f on the M x M product grid, scaled by (n/M)^2; `multiply` undoes the scale once.
 
     A field made by `reused_factor` carries these samples already.
     """
     held = f.__dict__.get("_product_samples")
     if held is not None:
         return held
-    return real_samples(f, f.grid.product_size)
+    return _padded_samples(f.modes, f.grid.product_size)
 
 
 def _coarse_modes(q: np.ndarray, grid: Grid) -> np.ndarray:
-    """Restrict the first n/2+1 columns of a real product's half spectrum to the n x n modes.
+    """Restrict the first n/2+1 columns of a real product's half spectrum to the n-grid half spectrum.
 
-    Frequencies +-n/2 fold onto the stored -n/2 line (the adjoint of the
-    Nyquist split) and the negative-ky half follows by conjugate symmetry.
+    Frequencies +-n/2 fold onto the stored -n/2 lines (the adjoint of the
+    Nyquist split); the -n/2 column takes the +n/2 column and its conjugate
+    mirror, so it stays self-conjugate.
     """
     n, M, h = grid.n, grid.product_size, grid.n // 2
     half = np.concatenate((q[:h], q[M - h :]))
     half[h] += q[h]
-    half[:, h] += np.conj(half[grid.flip_index, h])
-    half *= (n / M) ** 2
-    return from_half_spectrum(half, grid)
-
-
-def from_half_spectrum(half: np.ndarray, grid: Grid) -> np.ndarray:
-    """The n x n modes of a real field from its first n/2+1 columns, by conjugate symmetry."""
-    n, h = grid.n, grid.n // 2
-    flip = grid.flip_index
-    out = np.empty((n, n), dtype=np.complex128)
-    out[:, : h + 1] = half
-    out[:, h + 1 :] = np.conj(half[np.ix_(flip, flip[h + 1 :])])
-    return out
+    half[:, h] += np.conj(half[-np.arange(n) % n, h])
+    return half
 
 
 def reused_factor(f: SpectralField) -> SpectralField:
@@ -413,51 +410,30 @@ def reused_factor(f: SpectralField) -> SpectralField:
 
     For a factor that enters many products (a coefficient across a pressure
     solve or a time step), this transforms it once instead of once per
-    product.  Complex fields take the complex product path and are returned
-    as they are.
+    product.
     """
-    if not f.real or "_product_samples" in f.__dict__:
+    if "_product_samples" in f.__dict__:
         return f
     held = SpectralField(f.grid, f.modes)
     held.__dict__["_product_samples"] = _freeze(_product_samples(f))
     return held
 
 
-def _real_product(f: SpectralField, g: SpectralField) -> np.ndarray:
-    """Coarse modes of the product of the real parts of f and g."""
-    # rfft2, with the column transforms skipping the columns _coarse_modes does not read
-    rows = np.fft.rfft(_product_samples(f) * _product_samples(g), axis=1)
-    return _coarse_modes(np.fft.fft(rows[:, : f.grid.n // 2 + 1], axis=0), f.grid)
-
-
-def _real_parts(f: SpectralField) -> list[tuple[complex, SpectralField]]:
-    """Terms (c, r) with f = sum of c * r over fields r flagged ``real``.
-
-    A field flagged ``real`` is its own real part.  A complex field is
-    Re f + i Im f: its Hermitian part plus i times its anti-Hermitian part
-    divided by i, which is the real part of -i f.
-    """
-    if f.real:
-        return [(1.0, f)]
-    return [(1.0, f.with_modes(f.modes, real=True)), (1j, f.with_modes(-1j * f.modes, real=True))]
-
-
 def multiply(f: SpectralField, g: SpectralField) -> SpectralField:
     """Pointwise product fg, dealiased by forming it on the 3/2 product grid.
 
-    Real fields multiply through real-input transforms on the M x M grid of
-    `Grid.product_size` (M >= 3n/2 + 1, see the module docstring); a field
-    flagged ``real`` enters through its real part.  A complex factor splits
-    into real and imaginary parts, and the result combines their real
-    products.
+    The factors are sampled by real-input transforms on the M x M grid of
+    `Grid.product_size` (M >= 3n/2 + 1, see the module docstring); the
+    product's half spectrum is folded back to the n grid.
     """
     _check_same_grid(f.grid, g.grid)
-    if f.real and g.real:
-        return SpectralField(f.grid, _real_product(f, g))
-    modes = sum(
-        cf * cg * _real_product(rf, rg) for cf, rf in _real_parts(f) for cg, rg in _real_parts(g)
-    )
-    return SpectralField(f.grid, modes, real=False)
+    grid = f.grid
+    # rfft2, with the column transforms skipping the columns _coarse_modes does not read
+    rows = np.fft.rfft(_product_samples(f) * _product_samples(g), axis=1)
+    q = np.fft.fft(rows[:, : grid.n // 2 + 1], axis=0)
+    half = _coarse_modes(q, grid)
+    half *= (grid.product_size / grid.n) ** 2
+    return SpectralField(grid, half)
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +457,7 @@ def derivative(f: SpectralField | VectorField, alpha: tuple[int, int]):
     if ax:
         modes = modes * _axis_derivative_multiplier(f.grid, ax)[:, None]
     if ay:
-        modes = modes * _axis_derivative_multiplier(f.grid, ay)[None, :]
+        modes = modes * _axis_derivative_multiplier(f.grid, ay)[None, : f.grid.n // 2 + 1]
     return f.with_modes(modes)
 
 
@@ -494,11 +470,11 @@ def drop_nyquist(f: SpectralField | VectorField):
     """
     if isinstance(f, VectorField):
         return f.map(drop_nyquist)
-    idx = f.grid.mode_index == -(f.grid.n // 2)
+    h = f.grid.n // 2
     modes = f.modes.copy()
-    modes[idx, :] = 0.0
-    modes[:, idx] = 0.0
-    return SpectralField(f.grid, modes, real=f.real)
+    modes[h, :] = 0.0
+    modes[:, h] = 0.0
+    return f.with_modes(modes)
 
 
 def gradient(f: SpectralField) -> VectorField:
@@ -510,12 +486,13 @@ def divergence(V: VectorField) -> SpectralField:
 
 
 def l2_norm(f: SpectralField | VectorField) -> float:
-    """L2 norm over the torus, from the coefficients by Parseval.
+    """L2 norm over the torus, from the half spectrum by Parseval (`Grid.parseval_weights`).
 
     A plain sum: a BLAS call (np.linalg.norm, np.vdot) wakes a second thread that then spins.
     """
     fields = f.components if isinstance(f, VectorField) else (f,)
-    total = sum(float(np.sum(c.modes.real**2 + c.modes.imag**2)) for c in fields)
+    w = f.grid.parseval_weights
+    total = sum(float(np.sum((c.modes.real**2 + c.modes.imag**2) * w)) for c in fields)
     return math.sqrt(total) * f.grid.L / f.grid.n**2
 
 
@@ -579,18 +556,6 @@ def centered(f: SpectralField | VectorField):
     return f.with_modes(modes)
 
 
-def inverse_laplacian(f: SpectralField) -> SpectralField:
-    """Solve Laplace(g) = f for the mean-zero g; requires mean-zero input."""
-    scale = max(1.0, float(np.max(np.abs(f.modes))) / f.grid.n**2)
-    if abs(f.mean) > 1e-12 * scale:
-        raise ValueError(f"inverse Laplacian needs mean-zero input, got mean {f.mean:.3e}")
-    k2 = f.grid.k_squared.copy()
-    k2[0, 0] = 1.0
-    out = f.modes / (-k2)
-    out[0, 0] = 0.0
-    return f.with_modes(out)
-
-
 def potential_from_gradient(V: VectorField) -> SpectralField:
     """Recover the mean-zero scalar g with grad(g) = V (V must be curl-free)."""
     grid = V.grid
@@ -598,4 +563,4 @@ def potential_from_gradient(V: VectorField) -> SpectralField:
     k2[0, 0] = 1.0
     g = (grid.kx * V.u1.modes + grid.ky * V.u2.modes) / (1j * k2)
     g[0, 0] = 0.0
-    return SpectralField(grid, g, real=V.u1.real and V.u2.real)
+    return SpectralField(grid, g)

@@ -52,7 +52,7 @@ from besovlab.spectral import (
     multiply,
 )
 
-from conftest import smooth_random_field, single_mode
+from conftest import single_mode, single_mode_lp_norm, smooth_random_field
 from test_elliptic import band_forcing, bounded_coefficient, dense_gradient_solve, vec_l2, vec_linf
 from test_evolution import rel_l2, taylor_green
 
@@ -123,10 +123,9 @@ def test_02_product_decomposition_identity():
 
 
 def test_03_single_mode_norms_match_closed_form():
-    """A lone oscillation at octave j has norm 2^(j s) L^(2/p) exactly."""
+    """A lone cosine at octave j has norm 2^(j s) times its node-quadrature L^p norm exactly."""
     start = time.perf_counter()
     grid = make_grid(64)
-    L = grid.L
     combos = [
         (j, p, s)
         for j in (0, 1, 2, 3, 4)
@@ -137,7 +136,7 @@ def test_03_single_mode_norms_match_closed_form():
     for j, p, s in combos:
         u = single_mode(grid, 2**j, 2**j)
         value, profile = besov_norm(u, BesovSpec(s, p, 1.0))
-        expected = 2.0 ** (j * s) * L ** (2.0 / p)
+        expected = 2.0 ** (j * s) * single_mode_lp_norm(grid, 2**j, 2**j, p)
         worst = max(worst, abs(value - expected) / expected)
         assert sum(v > 0 for v in profile.values) == 1
     elapsed = time.perf_counter() - start
@@ -186,7 +185,7 @@ def test_05_pressure_solver_against_dense_oracle_and_l2_bound():
         a = bounded_coefficient(grid8, trial_seed(1505, t, 0), floor=0.3, k_high=3.0)
         F = band_forcing(grid8, 150500 + t, k_high=3.0)
         ref = dense_gradient_solve(a, F)
-        got, _ = solve_pressure(a, F, tol=1e-12)
+        got, _, _ = solve_pressure(a, F, tol=1e-12)
         worst_oracle = max(
             worst_oracle, vec_linf(got - ref) / max(1.0, vec_linf(ref))
         )
@@ -197,7 +196,7 @@ def test_05_pressure_solver_against_dense_oracle_and_l2_bound():
     for t in range(20):
         a = bounded_coefficient(grid64, trial_seed(1506, t, 0), floor=0.3)
         F = band_forcing(grid64, 150600 + t)
-        grad_pi, _ = solve_pressure(a, F, tol=1e-11)
+        grad_pi, _, _ = solve_pressure(a, F, tol=1e-11)
         kappa = coefficient_floor(a)
         lhs = kappa * vec_l2(grad_pi)
         rhs = vec_l2(gradient_part(F))
@@ -220,7 +219,7 @@ def test_06_pressure_estimate_ratios_refinement_stable():
         for t in range(20):
             a = bounded_coefficient(grid, trial_seed(1606, t, 0), floor=0.3)
             F = band_forcing(grid, 160600 + t)
-            grad_pi, _ = solve_pressure(a, F, tol=1e-11)
+            grad_pi, _, _ = solve_pressure(a, F, tol=1e-11)
             rep = check_elliptic_estimate(a, F, grad_pi, p)
             assert all(math.isfinite(r) for r in rep.ratios)
             worst = max(worst, max(rep.ratios))

@@ -424,7 +424,7 @@ class TestVerifyVerbs:
         assert len(lines) == 3
         assert [line.split(",")[2] for line in lines[1:]] == ["3", "3"]
         report = json.loads((out / "report.json").read_text())
-        assert "n=64" in report["config"]
+        assert report["config"]["grid_n"] == 64
 
     def test_envelope_failure_names_the_stop_reason(self, tmp_path, capsys):
         # this velocity amplitude breaks the CFL bound at t=0 on the default grid

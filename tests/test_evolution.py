@@ -537,8 +537,10 @@ class TestNsIntegrate:
 
         def poisoned_solve(*args, **kwargs):
             calls.append(1)
-            grad_pi, stats = solve_pressure(*args, **kwargs)
-            return (grad_pi * math.nan if len(calls) == poisoned_call else grad_pi), stats
+            grad_pi, stats, flux = solve_pressure(*args, **kwargs)
+            if len(calls) == poisoned_call:
+                grad_pi, flux = grad_pi * math.nan, flux * math.nan
+            return grad_pi, stats, flux
 
         monkeypatch.setattr(evolution, "solve_pressure", poisoned_solve)
         config = IntegrationConfig(T=0.04, dt=0.01, visc=ViscosityLaw.affine(1.0, 0.5))

@@ -31,10 +31,11 @@ def ladder():
 def rough_random_field(grid, rng, slope=-1.0, with_mean=True):
     """Random field with a power-law spectrum, rough enough to stress the splitting."""
     phases = np.exp(2j * np.pi * rng.random((grid.n, grid.n)))
-    amp = np.where(grid.k_magnitude > 0, (1.0 + grid.k_magnitude) ** slope, 0.0)
+    k1 = 2.0 * np.pi / grid.L * grid.mode_index
+    kmag = np.hypot(k1[:, None], k1[None, :])  # the full n x n lattice
+    amp = np.where(kmag > 0, (1.0 + kmag) ** slope, 0.0)
     modes = amp * phases * grid.n**2 / grid.n
-    f = SpectralField(grid, modes, real=False)
-    f = SpectralField.from_physical(grid, np.fft.ifft2(f.modes).real)  # hermitize
+    f = SpectralField.from_physical(grid, np.fft.ifft2(modes).real)  # hermitize
     if with_mean:
         f = f + SpectralField.from_physical(grid, np.full((grid.n, grid.n), rng.uniform(-1, 1)))
     return f
@@ -111,11 +112,13 @@ class TestSupportProperty:
         kmag = grid.k_magnitude
         for j in ladder.js:
             term = multiply(ladder.low_pass(u, j - 1), ladder.block(v, j))
-            energy = np.sum(np.abs(term.modes) ** 2)
+            # Parseval on the half spectrum: interior columns stand for two modes
+            spectrum = np.abs(term.modes) ** 2 * grid.parseval_weights
+            energy = np.sum(spectrum)
             if energy == 0.0:
                 continue
             outside = (kmag < 2.0**j / 12.0) | (kmag > 2.0**j * 10.0 / 3.0)
-            leak = np.sum(np.abs(term.modes[outside]) ** 2)
+            leak = np.sum(spectrum[outside])
             assert leak <= 1e-12 * energy, j
 
 
@@ -165,22 +168,22 @@ class TestTransportCommutator:
         assert max_mode(comm) < 1e-12 * scale
 
     def test_single_mode_oracle(self, ladder):
-        # u = (cos 7y, 0), a = exp(2ix): the advection has modes at (2, +-7),
-        # the block of a at octave 2 vanishes (phi(0.5)=0), so the commutator
-        # is exactly -block_2(u . grad a) with hand-computable coefficients.
+        # u = (cos 7y, 0), a = cos 2x: the advection -2 sin 2x cos 7y =
+        # -sin(2x + 7y) - sin(2x - 7y) has modes at (+-2, +-7), the block of a
+        # at octave 2 vanishes (phi(0.5)=0), so the commutator is exactly
+        # -block_2(u . grad a) with hand-computable coefficients: -phi i/2 at
+        # (2, 7) and +phi i/2 at (-2, 7) in the half spectrum, their
+        # conjugates at (-2, -7) and (2, -7) implied.
         grid = ladder.grid
         n2 = grid.n**2
         j = 2
-        u_modes = np.zeros((grid.n, grid.n), dtype=np.complex128)
-        u_modes[0, 7] = 0.5 * n2
-        u_modes[0, (-7) % grid.n] = 0.5 * n2
-        u = VectorField(SpectralField(grid, u_modes), SpectralField.zero(grid))
+        u = VectorField(single_mode(grid, 0, 7), SpectralField.zero(grid))
         a = single_mode(grid, 2, 0)
         comm = transport_commutator(u, a, j)
         r = np.hypot(2.0, 7.0) / 2.0**j
-        expected = np.zeros((grid.n, grid.n), dtype=np.complex128)
-        expected[2, 7] = -phi(np.array(r)) * 1j * n2
-        expected[2, (-7) % grid.n] = -phi(np.array(r)) * 1j * n2
+        expected = np.zeros((grid.n, grid.n // 2 + 1), dtype=np.complex128)
+        expected[2, 7] = -phi(np.array(r)) * 0.5j * n2
+        expected[(-2) % grid.n, 7] = phi(np.array(r)) * 0.5j * n2
         assert np.max(np.abs(comm.modes - expected)) < 1e-12 * n2
 
     def test_bilinear_in_u(self, ladder, rng):

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from besovlab.dyadic import build_ladder, phi
+from besovlab.elliptic import _inner
 from besovlab.spectral import (
     SpectralField,
     VectorField,
@@ -13,7 +15,7 @@ from besovlab.spectral import (
     gradient,
     gradient_part,
     heat_propagate,
-    inverse_laplacian,
+    l2_norm,
     leray_project,
     make_grid,
     multiply,
@@ -35,38 +37,38 @@ def full_width_real_product(fm, gm, grid):
     """Reference product kernel that transforms the whole padded half spectrum.
 
     Full-width irfft2/rfft2 on the M x (M//2+1) half spectrum, of which only
-    the first n/2+1 columns are nonzero going in or read coming out.
+    the first n/2+1 columns are nonzero going in or read coming out.  The
+    samples carry the scale (n/M)^2, and the output is scaled by (M/n)^2 once.
     """
     n, M, h = grid.n, grid.product_size, grid.n // 2
-    flip = grid.flip_index
 
     def samples(c):
-        half = (0.5 * (M / n) ** 2) * (c[:, : h + 1] + np.conj(c[np.ix_(flip, flip[: h + 1])]))
-        half[h] *= 0.5
-        half[:, h] *= 0.5
         padded = np.zeros((M, M // 2 + 1), dtype=np.complex128)
-        padded[: h + 1, : h + 1] = half[: h + 1]
-        padded[M - h :, : h + 1] = half[h:]
+        padded[: h + 1, : h + 1] = c[: h + 1]
+        padded[M - h :, : h + 1] = c[h:]
+        padded[h] *= 0.5
+        padded[M - h] *= 0.5
+        padded[:, h] *= 0.5
         return np.fft.irfft2(padded, s=(M, M))
 
     q = np.fft.rfft2(samples(fm) * samples(gm))
     half = np.concatenate((q[:h, : h + 1], q[M - h :, : h + 1]))
     half[h] += q[h, : h + 1]
-    half[:, h] += np.conj(half[flip, h])
-    out = np.empty((n, n), dtype=np.complex128)
-    out[:, : h + 1] = half
-    out[:, h + 1 :] = np.conj(half[np.ix_(flip, flip[h + 1 :])])
-    out *= (n / M) ** 2
-    return out
+    half[:, h] += np.conj(half[-np.arange(n) % n, h])
+    half *= (M / n) ** 2
+    return half
 
 
-def full_width_multiply(f, g):
-    """`multiply` on the reference kernel: a complex factor is Re f + i Re(-i f)."""
+def full_spectrum(f):
+    """The n x n spectrum whose first n/2+1 columns are f's half spectrum, the rest by conjugate symmetry."""
+    n, h = f.grid.n, f.grid.n // 2
+    mirrored = np.conj(f.modes[-np.arange(n) % n])
+    return np.concatenate((f.modes, mirrored[:, h - 1 : 0 : -1]), axis=1)
 
-    def parts(x):
-        return [(1.0, x.modes)] if x.real else [(1.0, x.modes), (1j, -1j * x.modes)]
 
-    return sum(cf * cg * full_width_real_product(fm, gm, f.grid) for cf, fm in parts(f) for cg, gm in parts(g))
+def white_noise(n, seed):
+    """A real field of white noise, which carries content on the Nyquist lines."""
+    return SpectralField.from_physical(make_grid(n), np.random.default_rng(seed).standard_normal((n, n)))
 
 
 class TestGrid:
@@ -80,7 +82,7 @@ class TestGrid:
         assert g.h == pytest.approx(0.125)
 
     def test_operator_tables_are_read_only(self, grid64):
-        tables = (grid64.flip_index, *grid64.derivative_symbols, *grid64.projector_tables)
+        tables = (grid64.parseval_weights, *grid64.derivative_symbols, *grid64.projector_tables)
         for table in tables:
             with pytest.raises(ValueError):
                 table[0] = 0
@@ -91,6 +93,23 @@ class TestGrid:
         assert g.kx[8, 0] == pytest.approx(-8 * 2 * np.pi / 4.0)
         assert g.ky[0, 3] == pytest.approx(3 * 2 * np.pi / 4.0)
 
+    def test_tables_have_half_width(self, grid64):
+        half = (64, 33)
+        for table in (grid64.kx, grid64.ky, grid64.k_squared, grid64.k_magnitude, *grid64.projector_tables):
+            assert table.shape == half
+        assert grid64.half_grad_inverse_neg_laplacian.shape == (2, *half)
+        assert SpectralField.zero(grid64).modes.shape == half
+
+    def test_fields_are_real(self, grid64, rng):
+        with pytest.raises(ValueError, match="real"):
+            SpectralField.from_physical(grid64, np.ones((64, 64)) + 1j)
+        f = SpectralField.from_physical(grid64, rng.standard_normal((64, 64)))
+        with pytest.raises(ValueError, match="real"):
+            f * 1j
+        assert not hasattr(f, "real")
+        with pytest.raises(ValueError, match="shape"):
+            SpectralField(grid64, np.zeros((64, 64), dtype=np.complex128))
+
     def test_round_trip(self, grid64, rng):
         v = rng.standard_normal((64, 64))
         f = SpectralField.from_physical(grid64, v)
@@ -98,7 +117,7 @@ class TestGrid:
 
     def test_parseval(self, grid64, rng):
         f = smooth_random_field(grid64, rng)
-        spectral = grid64.L / grid64.n**2 * float(np.linalg.norm(f.modes))
+        spectral = grid64.L / grid64.n**2 * float(np.sqrt(np.sum(np.abs(f.modes) ** 2 * grid64.parseval_weights)))
         assert l2_quadrature(f) == pytest.approx(spectral, rel=1e-12)
 
 
@@ -123,9 +142,8 @@ class TestDerivative:
         # field with full Nyquist content
         f = SpectralField.from_physical(grid64, rng.standard_normal((64, 64)))
         g = derivative(f, (3, 0))
-        assert g.real
         # reconstructing through complex ifft should carry ~no imaginary part
-        assert np.max(np.abs(np.fft.ifft2(g.modes).imag)) < 1e-9 * max(1.0, g.linf())
+        assert np.max(np.abs(np.fft.ifft2(full_spectrum(g)).imag)) < 1e-9 * max(1.0, g.linf())
 
     def test_rejects_negative_order(self, grid64):
         f = SpectralField.zero(grid64)
@@ -141,21 +159,23 @@ class TestProducts:
         assert np.max(np.abs(p.values - (1 - np.cos(2 * x)) / 2)) < 1e-14
 
     def test_single_mode_product(self):
+        # exp(3ix) exp(2ix) = exp(5ix), by its real and imaginary parts
         g = make_grid(16)
         x, _ = g.coords
-        f = SpectralField.from_physical(g, np.exp(3j * x))
-        h = SpectralField.from_physical(g, np.exp(2j * x))
-        p = multiply(f, h)
-        assert np.max(np.abs(p.values - np.exp(5j * x))) < 1e-13
+        c3, s3, c2, s2 = (SpectralField.from_physical(g, v) for v in (np.cos(3 * x), np.sin(3 * x), np.cos(2 * x), np.sin(2 * x)))
+        re = multiply(c3, c2) - multiply(s3, s2)
+        im = multiply(c3, s2) + multiply(s3, c2)
+        assert np.max(np.abs(re.values - np.cos(5 * x))) < 1e-13
+        assert np.max(np.abs(im.values - np.sin(5 * x))) < 1e-13
 
     def test_no_aliasing(self):
-        # 7+5=12 exceeds the n=16 band; a naive product would wrap it to -4
+        # 7+5=12 exceeds the n=16 band; a naive product would wrap it to -4.
+        # exp(7ix) exp(5ix) by its real and imaginary parts, cos 12x and sin 12x
         g = make_grid(16)
         x, _ = g.coords
-        f = SpectralField.from_physical(g, np.exp(7j * x))
-        h = SpectralField.from_physical(g, np.exp(5j * x))
-        p = multiply(f, h)
-        assert np.max(np.abs(p.modes)) < 1e-12 * g.n**2
+        c7, s7, c5, s5 = (SpectralField.from_physical(g, v) for v in (np.cos(7 * x), np.sin(7 * x), np.cos(5 * x), np.sin(5 * x)))
+        for p in (multiply(c7, c5) - multiply(s7, s5), multiply(c7, s5) + multiply(s7, c5)):
+            assert np.max(np.abs(p.modes)) < 1e-12 * g.n**2
 
     def test_product_with_constant(self, grid64, rng):
         f = smooth_random_field(grid64, rng)
@@ -177,37 +197,34 @@ class TestProducts:
         assert fine.grid.n == factor * n
         assert np.max(np.abs(fine.values[::factor, ::factor] - f.values)) < 1e-12 * f.linf()
         # the Nyquist split keeps the samples between the coarse nodes real
-        assert np.max(np.abs(np.fft.ifft2(fine.modes).imag)) < 1e-12 * f.linf()
+        assert np.max(np.abs(np.fft.ifft2(full_spectrum(fine)).imag)) < 1e-12 * f.linf()
 
     @pytest.mark.parametrize("factor", [1, 2, 4, 8])
     @pytest.mark.parametrize("n", [8, 32])
     def test_real_samples_match_refined_values(self, n, factor):
         g = make_grid(n)
         rng = np.random.default_rng(n + factor)
-        # white noise carries Nyquist content; the complex field is not Hermitian
-        real = SpectralField.from_physical(g, rng.standard_normal((n, n)))
-        cplx = SpectralField.from_physical(g, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-        for f in (real, cplx):
-            want = refine(f, factor).values.real
-            got = real_samples(f, factor * n)
-            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+        # white noise carries Nyquist content
+        f = SpectralField.from_physical(g, rng.standard_normal((n, n)))
+        want = refine(f, factor).values
+        got = real_samples(f, factor * n)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
         with pytest.raises(ValueError, match="at least"):
-            real_samples(real, n - 1)
+            real_samples(f, n - 1)
 
     @pytest.mark.parametrize("n", [8, 16, 64])
     def test_product_samples_are_the_product_grid_formula(self, n):
         g = make_grid(n)
-        M, h, flip = g.product_size, n // 2, g.flip_index
-        rng = np.random.default_rng(n)
-        f = SpectralField.from_physical(g, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-        # the product grid's samples written out for that one size
-        c = f.modes
-        half = (0.5 * (M / n) ** 2) * (c[:, : h + 1] + np.conj(c[np.ix_(flip, flip[: h + 1])]))
-        half[h] *= 0.5
-        half[:, h] *= 0.5
+        M, h = g.product_size, n // 2
+        f = white_noise(n, n)
+        # the product grid's samples written out for that one size; multiply
+        # scales its output by (M/n)^2 once, so they carry (n/M)^2
         padded = np.zeros((M, h + 1), dtype=np.complex128)
-        padded[: h + 1] = half[: h + 1]
-        padded[M - h :] = half[h:]
+        padded[: h + 1] = f.modes[: h + 1]
+        padded[M - h :] = f.modes[h:]
+        padded[h] *= 0.5
+        padded[M - h] *= 0.5
+        padded[:, h] *= 0.5
         assert np.array_equal(_product_samples(f), np.fft.irfft2(padded, s=(M, M)))
 
     @pytest.mark.parametrize("n, size", [(8, 15), (16, 25), (64, 100), (128, 200)])
@@ -215,18 +232,15 @@ class TestProducts:
         assert make_grid(n).product_size == size
 
     @pytest.mark.parametrize("n", [8, 16, 64, 128])
-    def test_real_and_complex_paths_agree(self, n, rng):
+    def test_reused_factor_agrees(self, n, rng):
         # white noise carries content on the Nyquist lines
         g = make_grid(n)
         f = SpectralField.from_physical(g, rng.standard_normal((n, n)))
         h = SpectralField.from_physical(g, rng.standard_normal((n, n)))
-        real_path = multiply(f, h)
-        complex_path = multiply(f.with_modes(f.modes, real=False), h.with_modes(h.modes, real=False))
-        assert real_path.real and not complex_path.real
-        scale = np.max(np.abs(complex_path.modes))
-        assert np.max(np.abs(real_path.modes - complex_path.modes)) < 1e-13 * scale
+        fresh = multiply(f, h)
+        scale = np.max(np.abs(fresh.modes))
         reused = multiply(reused_factor(f), h)
-        assert np.max(np.abs(reused.modes - real_path.modes)) < 1e-13 * scale
+        assert np.max(np.abs(reused.modes - fresh.modes)) < 1e-13 * scale
 
     @pytest.mark.parametrize("n", [8, 16, 32, 64, 128])
     def test_kernel_is_bitwise_equal_to_full_width_transforms(self, n, rng):
@@ -234,22 +248,8 @@ class TestProducts:
         shape = (n, n)
         f = SpectralField.from_physical(g, rng.standard_normal(shape))
         h = SpectralField.from_physical(g, rng.standard_normal(shape))
-        # real-flagged but not Hermitian: the kernel multiplies its real part
-        skew = SpectralField(g, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-        cf, ch = f.with_modes(f.modes, real=False), skew.with_modes(skew.modes, real=False)
-        for x, y in ((f, h), (reused_factor(f), h), (h, reused_factor(f)), (skew, h), (cf, h), (cf, ch)):
-            got = multiply(x, y)
-            assert got.real == (x.real and y.real)
-            assert np.array_equal(got.modes, full_width_multiply(x, y))
-
-    def test_real_flag_multiplies_by_the_real_part(self, rng):
-        g = make_grid(16)
-        shape = (16, 16)
-        f = SpectralField(g, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-        h = SpectralField.from_physical(g, rng.standard_normal(shape))
-        f_real_part = SpectralField.from_physical(g, f.values)
-        expected = multiply(f_real_part, h).modes
-        assert np.max(np.abs(multiply(f, h).modes - expected)) < 1e-13 * np.max(np.abs(expected))
+        for x, y in ((f, h), (reused_factor(f), h), (h, reused_factor(f))):
+            assert np.array_equal(multiply(x, y).modes, full_width_real_product(x.modes, y.modes, g))
 
     @pytest.mark.parametrize("n", [8, 16, 64, 128])
     def test_corner_nyquist_square_is_a_constant(self, n):
@@ -357,19 +357,55 @@ class TestHeat:
 
 
 class TestInversion:
-    def test_inverse_laplacian_inverts(self, grid64, rng):
-        f = smooth_random_field(grid64, rng, mean_zero=True)
-        g = inverse_laplacian(f)
-        lap = derivative(g, (2, 0)) + derivative(g, (0, 2))
-        assert np.max(np.abs(lap.values - f.values)) < 1e-11 * f.linf()
-        assert abs(g.mean) < 1e-15
-
-    def test_inverse_laplacian_rejects_mean(self, grid64):
-        f = SpectralField.from_physical(grid64, np.ones((64, 64)))
-        with pytest.raises(ValueError):
-            inverse_laplacian(f)
-
     def test_potential_from_gradient(self, grid64, rng):
         f = smooth_random_field(grid64, rng, mean_zero=True)
         g = potential_from_gradient(gradient(f))
         assert np.max(np.abs(g.values - f.values)) < 1e-12 * f.linf()
+
+
+class TestHalfLayout:
+    """The stored half spectrum against physical-space and full-lattice references."""
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(n=st.sampled_from([8, 16, 32]), seed=st.integers(0, 2**32 - 1))
+    def test_round_trip(self, n, seed):
+        v = np.random.default_rng(seed).standard_normal((n, n))
+        f = SpectralField.from_physical(make_grid(n), v)
+        assert np.max(np.abs(f.values - v)) <= 1e-15 * np.max(np.abs(v))
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(n=st.sampled_from([8, 16, 32]), seed=st.integers(0, 2**32 - 1))
+    def test_parseval_sums_match_the_node_sums(self, n, seed):
+        f, g = white_noise(n, seed), white_noise(n, seed + 1)
+        area = f.grid.cell_area
+        norm_f = np.sqrt(np.sum(f.values**2) * area)
+        norm_g = np.sqrt(np.sum(g.values**2) * area)
+        assert l2_norm(f) == pytest.approx(norm_f, rel=1e-13)
+        assert abs(_inner(f, g) - np.sum(f.values * g.values) * area) <= 1e-13 * norm_f * norm_g
+        assert _inner(f, f) == pytest.approx(norm_f**2, rel=1e-13)
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(n=st.sampled_from([8, 16, 32]), seed=st.integers(0, 2**32 - 1))
+    def test_product_matches_a_dense_reference(self, n, seed):
+        # refine both factors by 2, multiply node values, transform, and keep
+        # |k| <= n/2 per axis with +-n/2 folded onto the stored -n/2 line;
+        # exact for factors band-limited to |k| <= n/2
+        f, g = white_noise(n, seed), white_noise(n, seed + 1)
+        N, h = 2 * n, n // 2
+        Q = np.fft.fft2(refine(f, 2).values * refine(g, 2).values) / 4.0
+        kept = np.arange(-h, h + 1)
+        coarse = np.zeros((n, n), dtype=np.complex128)
+        np.add.at(coarse, (kept[:, None] % n, kept[None, :] % n), Q[np.ix_(kept % N, kept % N)])
+        want = coarse[:, : h + 1]
+        got = multiply(f, g).modes
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(n=st.sampled_from([8, 16, 32]), L=st.floats(0.5, 50.0))
+    def test_ladder_sees_the_full_lattice(self, n, L):
+        grid = make_grid(n, L)
+        k1 = 2.0 * np.pi / L * np.fft.fftfreq(n, d=1.0 / n)
+        k_full = np.hypot(k1[:, None], k1[None, :])
+        live = [j for j in range(-20, 20) if np.any(phi(k_full / 2.0**j) > 0.0)]
+        ladder = build_ladder(grid)
+        assert (ladder.j_min, ladder.j_max) == (live[0], live[-1])

@@ -1,6 +1,6 @@
 """Source-level guards: no private cross-module imports, no duplicated function bodies,
 no defaulted parameter that no call sets, no BLAS-backed call, no ladder passed around,
-no report type besides ``RatioReport``."""
+no report type besides ``RatioReport``, no field layout besides the half spectrum."""
 
 import ast
 from collections import defaultdict
@@ -168,6 +168,47 @@ def test_ladder_guard_sees_each_form():
 def test_blas_guard_sees_each_form():
     source = "a @ b\nc @= d\nnp.vdot(u, v)\nnp.dot(u, v)\nx.dot(y)\nnp.linalg.norm(m)\nnp.sum(m * m)\n"
     assert sorted(blas_uses(source)) == ["1: @", "2: @", "3: np.vdot", "4: np.dot", "5: x.dot", "6: np.linalg.norm"]
+
+
+# Fields are real and stored as rfft2 half spectra; a full complex 2-D
+# transform or a ``real=`` flag would bring back a second layout.
+FULL_COMPLEX_TRANSFORMS = {"fft2", "ifft2", "fftn", "ifftn"}
+
+
+def second_layout_uses(source: str) -> list[str]:
+    """Line and form of each full complex 2-D transform call and each ``real=`` keyword."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        if _called_name(node.func) in FULL_COMPLEX_TRANSFORMS:
+            found.append(f"{node.lineno}: {ast.unparse(node.func)}")
+        found += [f"{node.lineno}: real=" for keyword in node.keywords if keyword.arg == "real"]
+    return found
+
+
+def test_one_field_layout():
+    offences = [
+        f"{path.name}:{use}" for path in SOURCES for use in second_layout_uses(path.read_text(encoding="utf-8"))
+    ]
+    assert offences == []
+
+
+def test_layout_guard_sees_each_form():
+    source = (
+        "np.fft.fft2(v)\n"
+        "np.fft.ifft2(m).real\n"
+        "fftn(v)\n"
+        "numpy.fft.ifftn(m)\n"
+        "SpectralField(grid, m, real=False)\n"
+        "f.with_modes(m, real=True)\n"
+        "np.fft.rfft2(v)\n"
+        "np.fft.irfft2(m, s=(n, n))\n"
+        "np.fft.fft(q, axis=0)\n"
+    )
+    assert sorted(second_layout_uses(source)) == [
+        "1: np.fft.fft2", "2: np.fft.ifft2", "3: fftn", "4: numpy.fft.ifftn", "5: real=", "6: real=",
+    ]
 
 
 def report_classes(source: str) -> list[str]:
