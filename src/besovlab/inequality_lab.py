@@ -282,6 +282,9 @@ def check_heat_decay(
 # ---------------------------------------------------------------------------
 # transported-field norm growth
 
+# Rounding of the tail a - S_m a, in ulps of a's norm (a difference errs on the scale of a).
+_ZERO_COST_ROUNDING_ULPS = 4
+
 
 def check_transport_estimate(
     trajectory,
@@ -296,8 +299,9 @@ def check_transport_estimate(
     the smallest rate C with ``norm(t) <= norm(0) * exp(C * U(t))`` at every
     sample.  For each m in 0..3, the same is done for the high-octave part
     ``a - S_m a``, whose growth only needs to cover what exceeds its initial
-    norm, that of ``a0 - S_m a0``.  Recorded ratios are the per-sample growth
-    factors ``norm(t) / norm(0)``.
+    norm, that of ``a0 - S_m a0``; an excess beyond rounding at zero cost
+    cannot be covered and is recorded as ``defect_at_zero_cost_m{m}``.
+    Recorded ratios are the per-sample growth factors ``norm(t) / norm(0)``.
     """
     p = check_exponent("p", p)
     q = check_exponent("q", q)
@@ -347,7 +351,7 @@ def check_transport_estimate(
             else:
                 c_m = max(c_m, math.log1p(excess / base) / cost_t)
         sweep[str(m)] = c_m
-        if zero_defect > 0.0:
+        if zero_defect > _ZERO_COST_ROUNDING_ULPS * math.ulp(1.0):
             sweep[f"defect_at_zero_cost_m{m}"] = zero_defect
 
     return RatioReport(

@@ -79,7 +79,8 @@ def _invert_per_node(M: np.ndarray) -> np.ndarray:
 
 
 def _matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    return np.einsum("...ij,...jk->...ik", A, B)
+    """Per-node 2x2 product, written out: bitwise ``einsum("...ij,...jk->...ik")``."""
+    return A[..., :, :1] * B[..., :1, :] + A[..., :, 1:] * B[..., 1:, :]
 
 
 def _entry_linf(M: np.ndarray) -> float:

@@ -6,6 +6,8 @@ block over time *first* and aggregate over octaves second; that order is the
 whole point.  :class:`RunningTimeNorm` is the one implementation: it folds in
 samples one at a time with trapezoid time quadrature, so the integrator's
 running diagnostics and :func:`chemin_lerner` over stored snapshots agree.
+At p = 2 a block's norm comes from its masked coefficients by Parseval, with
+no transform; any other p sums the block's node ``values``.
 """
 
 from __future__ import annotations
@@ -129,15 +131,10 @@ class BlockProfile:
 def lp_norm(f: SpectralField | VectorField, p: float) -> float:
     """Quadrature L^p norm with cell measure (L/n)^2; p=inf is the grid max."""
     p = check_exponent("p", p)
-    if isinstance(f, VectorField):
-        mag = f.magnitude_values()
-        area = f.grid.cell_area
-    else:
-        mag = np.abs(f.values)
-        area = f.grid.cell_area
+    mag = f.magnitude_values() if isinstance(f, VectorField) else np.abs(f.values)
     if math.isinf(p):
         return float(np.max(mag))
-    return float((np.sum(mag**p) * area) ** (1.0 / p))
+    return float((np.sum(mag**p) * f.grid.cell_area) ** (1.0 / p))
 
 
 def lr_aggregate(values: Iterable[float], r: float) -> float:
@@ -163,14 +160,25 @@ def _require_mean_zero(u: SpectralField | VectorField, what: str) -> None:
 
 
 def _block_norms(u: SpectralField | VectorField, spec: BesovSpec, what: str) -> tuple[range, np.ndarray]:
-    """The octaves of u's ladder that ``spec`` sums over, and u's L^p norm on each block."""
+    """The octaves of u's ladder that ``spec`` sums over, and u's L^p norm on each block.
+
+    At p = 2 Parseval gives each norm from the block's mask and u's weighted
+    power ``|c|^2 * Grid.parseval_weights``, with no transform; other p sum
+    the block's node ``values``.
+    """
     ladder = build_ladder(u.grid)
     if spec.homogeneous:
         _require_mean_zero(u, what)
-        js, block_of = ladder.js, ladder.block
+        js, block_of, mask_of = ladder.js, ladder.block, ladder.phi_mask
     else:
         js, block_of = ladder.inhomogeneous_js(), ladder.inhomogeneous_block
-    return js, np.array([lp_norm(block_of(u, j), spec.p) for j in js])
+        mask_of = lambda j: ladder.chi_mask(0) if j == -1 else ladder.phi_mask(j)
+    if spec.p != 2.0:
+        return js, np.array([lp_norm(block_of(u, j), spec.p) for j in js])
+    g = u.grid
+    power = sum(c.modes.real**2 + c.modes.imag**2 for c in (u.components if isinstance(u, VectorField) else (u,)))
+    power = power * g.parseval_weights * (g.cell_area / g.n**2)
+    return js, np.sqrt([np.sum(mask_of(j) ** 2 * power) for j in js])
 
 
 def besov_norm(u: SpectralField | VectorField, spec: BesovSpec) -> tuple[float, BlockProfile]:

@@ -9,7 +9,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 from numpy.random import default_rng
 
 from besovlab.dyadic import build_ladder
@@ -45,7 +44,6 @@ from besovlab.random_fields import (
 from besovlab.spectral import (
     SpectralField,
     VectorField,
-    divergence,
     gradient_part,
     leray_project,
     make_grid,

@@ -18,12 +18,7 @@ from besovlab.cli import (
 from besovlab.elliptic import solve_pressure
 from besovlab.evolution import StateSnapshot
 from besovlab.random_fields import random_band_field, random_divergence_free, trial_seed
-from besovlab.spectral import (
-    SpectralField,
-    VectorField,
-    gradient,
-    make_grid,
-)
+from besovlab.spectral import gradient, make_grid
 
 
 class TestResolveExponent:

@@ -25,7 +25,6 @@ from besovlab.spectral import (
     SpectralField,
     VectorField,
     derivative,
-    gradient_part,
     make_grid,
 )
 from conftest import single_mode
@@ -207,8 +206,19 @@ class TestTransportEstimate:
         report = check_transport_estimate(traj, 2.0, 2.0)
         assert all(abs(r - 1.0) < 1e-12 for r in report.ratios)
         assert report.extra["C_min"] == 0.0
-        # the phase shift leaves every octave tail at its initial norm, up to rounding
-        assert all(v < 1e-12 for v in report.extra["m_sweep"].values())
+        # the phase shift leaves every octave tail at its initial norm, up to
+        # rounding, and rounding is no defect at zero cost
+        assert report.extra["m_sweep"] == {str(m): 0.0 for m in range(4)}
+
+    def test_growth_at_zero_cost_is_a_defect(self, grid64):
+        # no velocity, so no cost, yet the high octaves grow: no rate covers that
+        a0 = random_band_field(grid64, 1.0, 4.0, 44)
+        high = random_band_field(grid64, 12.0, 20.0, 45)
+        u = VectorField.zero(grid64)
+        report = check_transport_estimate([(t, a0 + high * t, u) for t in (0.0, 0.5, 1.0)], 2.0, 2.0)
+        assert report.extra["U"] == (0.0, 0.0, 0.0)
+        sweep = report.extra["m_sweep"]
+        assert all(sweep[f"defect_at_zero_cost_m{m}"] > 0.1 for m in range(4))
 
     def test_shear_growth_is_finite(self, grid64):
         traj = shear_trajectory(grid64, (0.0, 0.25, 0.5))

@@ -231,6 +231,13 @@ class TestJacobianSeries:
             jacobian_series(traj, 2.0)
 
 
+def test_matmul_is_the_einsum_bitwise(rng):
+    from besovlab.lagrangian import _matmul
+
+    A, B = rng.standard_normal((2, 128, 128, 2, 2))
+    assert np.array_equal(_matmul(A, B), np.einsum("...ij,...jk->...ik", A, B))
+
+
 class TestToLagrangian:
     def test_identity_flow(self, grid32, rng):
         a = smooth_random_field(grid32, rng, amplitude=0.3)

@@ -14,7 +14,8 @@ from besovlab.norms import (
     lp_norm,
     lr_aggregate,
 )
-from besovlab.spectral import SpectralField, VectorField, make_grid, refine
+from besovlab import spectral
+from besovlab.spectral import SpectralField, VectorField, centered, l2_norm, make_grid, refine
 from conftest import single_mode, single_mode_lp_norm, smooth_random_field
 
 L = 2 * np.pi
@@ -185,17 +186,71 @@ class TestCheminLerner:
             chemin_lerner([(0.0, f), (0.4, f)], TimeNormSpec(BesovSpec(0, 2), 1, 1.0))
 
 
-def batch_time_norm(samples, space, sigma):
-    """Oracle: per block, the sigma-norm in time of its L^p norms, then weighted and l^r-aggregated."""
-    times = np.array([t for t, _ in samples])
-    ladder = build_ladder(samples[0][1].grid)
-    if space.homogeneous:
+def white_noise(grid, rng, kind, homogeneous):
+    """Random node values: every mode carries content, the -n/2 lines included."""
+
+    def scalar():
+        f = SpectralField.from_physical(grid, rng.standard_normal((grid.n, grid.n)))
+        return centered(f) if homogeneous else f
+
+    return scalar() if kind == "scalar" else VectorField(scalar(), scalar())
+
+
+def transform_block_norms(u, spec):
+    """Oracle: the L^p norm of each block's node values."""
+    ladder = build_ladder(u.grid)
+    if spec.homogeneous:
         js, block_of = ladder.js, ladder.block
     else:
         js, block_of = ladder.inhomogeneous_js(), ladder.inhomogeneous_block
+    return tuple(js), tuple(lp_norm(block_of(u, j), spec.p) for j in js)
+
+
+class TestParsevalBlockNorms:
+    """At p = 2 the block norms come from the masked coefficients; at other p from the node values."""
+
+    @pytest.mark.parametrize("n", [64, 128, 256])
+    @pytest.mark.parametrize("homogeneous", [True, False], ids=["homog", "inhomog"])
+    @pytest.mark.parametrize("kind", ["scalar", "vector"])
+    def test_p2_matches_the_transform_path(self, rng, n, homogeneous, kind):
+        grid = make_grid(n)
+        u = white_noise(grid, rng, kind, homogeneous)
+        h = n // 2
+        for c in (u,) if kind == "scalar" else u.components:
+            assert np.all(c.modes[h, 1:] != 0.0) and np.all(c.modes[1:, h] != 0.0)
+        spec = BesovSpec(0.0, 2.0, 1.0, homogeneous=homogeneous)
+        js, expected = transform_block_norms(u, spec)
+        _, profile = besov_norm(u, spec)
+        assert profile.js == js
+        assert np.max(np.abs(np.subtract(profile.values, expected))) <= 1e-14 * l2_norm(u)
+
+    @pytest.mark.parametrize("homogeneous", [True, False], ids=["homog", "inhomog"])
+    @pytest.mark.parametrize("kind", ["scalar", "vector"])
+    def test_p4_is_the_transform_path_bitwise(self, grid64, rng, homogeneous, kind):
+        u = white_noise(grid64, rng, kind, homogeneous)
+        spec = BesovSpec(0.0, 4.0, 1.0, homogeneous=homogeneous)
+        assert besov_norm(u, spec)[1].values == transform_block_norms(u, spec)[1]
+
+    def test_p2_makes_no_inverse_transform(self, grid64, rng, monkeypatch):
+        fields = [white_noise(grid64, rng, kind, True) for kind in ("scalar", "vector")]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a p = 2 block norm ran an inverse transform")
+
+        monkeypatch.setattr(spectral.np.fft, "irfft2", refuse)
+        for u in fields:
+            for homogeneous in (True, False):
+                besov_norm(u, BesovSpec(1.0, 2.0, 2.0, homogeneous=homogeneous))
+            RunningTimeNorm(BesovSpec(1.0, 2.0, 1.0), 1.0).update(0.0, u)
+
+
+def batch_time_norm(samples, space, sigma):
+    """Oracle: per block, the sigma-norm in time of its L^p norms, then weighted and l^r-aggregated."""
+    times = np.array([t for t, _ in samples])
+    js = transform_block_norms(samples[0][1], space)[0]
+    per_sample = np.array([transform_block_norms(f, space)[1] for _, f in samples])
     total = []
-    for j in js:
-        series = np.array([lp_norm(block_of(f, j), space.p) for _, f in samples])
+    for j, series in zip(js, per_sample.T):
         if np.isinf(sigma):
             time_norm = np.max(series)
         else:

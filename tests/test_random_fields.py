@@ -1,5 +1,7 @@
 """Determinism, localization, and grid-independence of the seeded ensembles."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,55 @@ def test_grid_independence_exact():
     a32 = random_band_field(coarse, 1.0, 10.0, 42, slope=-1.0)
     a64 = random_band_field(fine, 1.0, 10.0, 42, slope=-1.0)
     assert np.max(np.abs(refine(a32, 2).modes - a64.modes)) < 1e-9 * np.max(np.abs(a64.modes))
+
+
+def loop_band_field(grid, k_low, k_high, seed, *, slope=0.0, amplitude=1.0, mean=0.0):
+    """Reference: the half spectrum random_band_field gives, one wavevector at a time."""
+    points = band_wavevectors(grid.L, k_low, k_high)
+    draws = np.random.default_rng(seed).standard_normal(2 * len(points))
+    unit = 2.0 * math.pi / grid.L
+    n = grid.n
+    modes = np.zeros((n, n), dtype=np.complex128)
+    for i, (m1, m2) in enumerate(points):
+        kmag = math.hypot(m1, m2) * unit
+        c = amplitude * kmag**slope * (draws[2 * i] + 1j * draws[2 * i + 1]) / math.sqrt(2.0)
+        modes[m1 % n, m2 % n] += c * n**2
+        modes[(-m1) % n, (-m2) % n] += np.conj(c) * n**2
+    modes[0, 0] = mean * n**2
+    return modes[:, : n // 2 + 1]
+
+
+# (slope, amplitude, mean): every form the package draws, and slope 1.3, where
+# NumPy's vector pow differs from the scalar one in the last bit.
+DRAW_FORMS = [
+    (0.0, 1.0, 0.0),
+    (-0.5, 1.0, 0.0),
+    (0.0, 1.0, 0.4),
+    (0.0, 1.0, -0.2),
+    (0.0, 1.0, 0.3),
+    (0.0, 1.0, 0.2),
+    (0.0, 0.05, 0.0),
+    (0.0, 0.005, 0.0),
+    (1.3, 1.0, 0.0),
+]
+
+
+@pytest.mark.parametrize("n", [64, 128])
+@pytest.mark.parametrize("slope, amplitude, mean", DRAW_FORMS)
+def test_matches_the_loop_reference_bitwise(n, slope, amplitude, mean):
+    grid = make_grid(n)
+    seed = trial_seed(17, n)
+    form = dict(slope=slope, amplitude=amplitude, mean=mean)
+    f = random_band_field(grid, 1.0, n / 4.0, seed, **form)
+    assert np.array_equal(f.modes, loop_band_field(grid, 1.0, n / 4.0, seed, **form))
+
+
+@pytest.mark.parametrize("slope, amplitude, mean", DRAW_FORMS)
+def test_same_seed_same_function_on_refinement(slope, amplitude, mean):
+    form = dict(slope=slope, amplitude=amplitude, mean=mean)
+    a64 = random_band_field(make_grid(64), 1.0, 14.0, trial_seed(18), **form)
+    a128 = random_band_field(make_grid(128), 1.0, 14.0, trial_seed(18), **form)
+    assert np.array_equal(refine(a64, 2).modes, a128.modes)
 
 
 def test_field_is_real_with_requested_mean():

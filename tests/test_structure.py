@@ -1,6 +1,7 @@
 """Source-level guards: no private cross-module imports, no duplicated function bodies,
 no defaulted parameter that no call sets, no BLAS-backed call, no ladder passed around,
-no report type besides ``RatioReport``, no field layout besides the half spectrum."""
+no report type besides ``RatioReport``, no field layout besides the half spectrum, no
+unused import."""
 
 import ast
 from collections import defaultdict
@@ -243,3 +244,45 @@ def test_sampler_keeps_the_traced_entry_points():
     assert callable(attrs.get("at"))
     assert isinstance(attrs.get("of_scalar"), classmethod)
     assert isinstance(attrs.get("of_vector"), classmethod)
+
+
+def unused_imports(source: str) -> list[str]:
+    """Line and bound name of each import that the module never reads or lists in ``__all__``.
+
+    ``import a.b`` binds ``a``; ``from __future__`` imports bind nothing.
+    """
+    tree = ast.parse(source)
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [(node.lineno, alias.asname or alias.name.split(".")[0]) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [(node.lineno, alias.asname or alias.name) for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            read |= set(ast.literal_eval(node.value))
+    return [f"{line}: {name}" for line, name in bound if name not in read]
+
+
+def test_no_unused_imports():
+    offences = [
+        f"{path.name}:{use}" for path in SOURCES + TESTS for use in unused_imports(path.read_text(encoding="utf-8"))
+    ]
+    assert offences == []
+
+
+def test_import_guard_sees_each_form():
+    source = (
+        "from __future__ import annotations\n"
+        "import os\n"
+        "import numpy as np\n"
+        "import os.path\n"
+        "from math import pi, tau as turn\n"
+        "from .spectral import Grid\n"
+        "from . import dyadic\n"
+        "__all__ = ['dyadic']\n"
+        "def f():\n    import json\n    return pi * np.ones(2)\n"
+        "x: Grid\n"
+    )
+    assert unused_imports(source) == ["2: os", "4: os", "5: turn", "10: json"]
