@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dyadic import build_ladder
-from .elliptic import coefficient_floor, require_floor, solve_pressure, weight_by
+from .elliptic import coefficient_floor, require_floor, solve_pressure
 from .interpolation import PeriodicSampler, cell_bounds
 from .norms import BesovSpec, RunningTimeNorm, besov_norm
 from .spectral import (
@@ -334,12 +334,11 @@ def free_heat_reference(u0: VectorField, mu: float, t: float) -> VectorField:
 def _transport_spectral(a: SpectralField, u: VectorField, dt: float) -> SpectralField:
     u = u.map(reused_factor)
 
-    def tendency(f: SpectralField) -> SpectralField:
-        return -1.0 * advect(u, f)
+    def euler(f: SpectralField) -> SpectralField:
+        return f - advect(u, f) * dt
 
-    s1 = a + tendency(a) * dt
-    s2 = a * 0.75 + (s1 + tendency(s1) * dt) * 0.25
-    return a * (1.0 / 3.0) + (s2 + tendency(s2) * dt) * (2.0 / 3.0)
+    s2 = a * 0.75 + euler(euler(a)) * 0.25
+    return a * (1.0 / 3.0) + euler(s2) * (2.0 / 3.0)
 
 
 def _departure_points(u: VectorField, dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -391,15 +390,11 @@ def _vector_laplacian(w: VectorField) -> VectorField:
     return derivative(w, (2, 0)) + derivative(w, (0, 2))
 
 
-def _strain_divergence(coeff: SpectralField, w: VectorField) -> VectorField:
-    """div(2 c M(w)) for a scalar coefficient c, with dealiased products."""
-    d1w1 = derivative(w.u1, (1, 0))
-    d2w1 = derivative(w.u1, (0, 1))
-    d1w2 = derivative(w.u2, (1, 0))
-    d2w2 = derivative(w.u2, (0, 1))
-    s11 = multiply(coeff, d1w1 * 2.0)
-    s12 = multiply(coeff, d2w1 + d1w2)
-    s22 = multiply(coeff, d2w2 * 2.0)
+def _strain_divergence(coeff: SpectralField, d1w: VectorField, d2w: VectorField) -> VectorField:
+    """div(2 c M(w)) for a scalar coefficient c, from d1w = d1 w and d2w = d2 w, with dealiased products."""
+    s11 = multiply(coeff, d1w.u1) * 2.0
+    s12 = multiply(coeff, d2w.u1, (coeff, d1w.u2))
+    s22 = multiply(coeff, d2w.u2) * 2.0
     return VectorField(
         derivative(s11, (1, 0)) + derivative(s12, (0, 1)),
         derivative(s12, (1, 0)) + derivative(s22, (0, 1)),
@@ -407,8 +402,18 @@ def _strain_divergence(coeff: SpectralField, w: VectorField) -> VectorField:
 
 
 def _forcing(coeff: SpectralField, mu_a: SpectralField, w: VectorField) -> VectorField:
-    """Explicit momentum forcing (1+a) div(2 mu(a) M(w)) - (w . grad) w, before the pressure."""
-    return weight_by(coeff, _strain_divergence(mu_a, w)) - advect_vector(w, w)
+    """Explicit momentum forcing (1+a) div(2 mu(a) M(w)) - (w . grad) w, before the pressure.
+
+    w and its first derivatives are sampled once; with S = div(2 mu(a) M(w)),
+    F_i = S_i - (a (-S_i) + w1 d1 w_i + w2 d2 w_i) is one sum of products.
+    """
+    coeff, mu_a, w = reused_factor(coeff), reused_factor(mu_a), w.map(reused_factor)
+    d1w, d2w = (derivative(w, alpha).map(reused_factor) for alpha in ((1, 0), (0, 1)))
+    strain = _strain_divergence(mu_a, d1w, d2w)
+    return VectorField(*(
+        s - multiply(coeff, -s, (w.u1, d1), (w.u2, d2))
+        for s, d1, d2 in zip(strain.components, d1w.components, d2w.components)
+    ))
 
 
 def momentum_step(
@@ -471,7 +476,8 @@ def momentum_step(
     if split_m is not None:
         b = SpectralField.from_physical(grid, visc.b_values(a_vals))
         b_low = reused_factor(build_ladder(grid).low_pass(b, split_m))
-        correction = _strain_divergence(b_low, u_new) - _strain_divergence(b_low, u_star)
+        dw = u_new - u_star  # the correction is linear in the velocity
+        correction = _strain_divergence(b_low, derivative(dw, (1, 0)), derivative(dw, (0, 1)))
         F2s = F2 + correction
         k2s, gp2 = explicit_rate(F2s, u_star, gp2)
         u_new = heat(u0) + (heat(k1) + k2s) * (0.5 * dt)
@@ -695,15 +701,11 @@ def energy_diagnostics(
         ubar = st.u - u_F
         rho = st.rho_values()
         rho_f = reused_factor(SpectralField.from_physical(grid, rho))
-        lap_uF = _vector_laplacian(u_F)
+        drive = _vector_laplacian(u_F) * mu
         conv_F = advect_vector(u_F, u_F)
-        cross = advect_vector(ubar, u_F)
-        gforce = (
-            lap_uF * mu
-            - VectorField(multiply(rho_f, lap_uF.u1), multiply(rho_f, lap_uF.u2)) * mu
-            - VectorField(multiply(rho_f, conv_F.u1), multiply(rho_f, conv_F.u2))
-            - VectorField(multiply(rho_f, cross.u1), multiply(rho_f, cross.u2))
-        )
+        # drive - rho (drive + (u_F . grad) u_F + (ubar . grad) u_F), one product per component
+        pull = drive + conv_F + advect_vector(ubar, u_F)
+        gforce = drive - VectorField(multiply(rho_f, pull.u1), multiply(rho_f, pull.u2))
         values = (
             _weighted_energy(rho, ubar),
             _enstrophy(ubar),

@@ -79,8 +79,11 @@ def _invert_per_node(M: np.ndarray) -> np.ndarray:
 
 
 def _matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Per-node 2x2 product, written out: bitwise ``einsum("...ij,...jk->...ik")``."""
-    return A[..., :, :1] * B[..., :1, :] + A[..., :, 1:] * B[..., 1:, :]
+    """Per-node 2x2 product, written out entry by entry: bitwise ``einsum("...ij,...jk->...ik")``."""
+    C = np.empty(np.broadcast_shapes(A.shape, B.shape), dtype=np.result_type(A, B))
+    for i, k in np.ndindex(2, 2):
+        np.add(A[..., i, 0] * B[..., 0, k], A[..., i, 1] * B[..., 1, k], out=C[..., i, k])
+    return C
 
 
 def _entry_linf(M: np.ndarray) -> float:

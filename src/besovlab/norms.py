@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .dyadic import build_ladder
-from .spectral import SpectralField, VectorField
+from .spectral import SpectralField, VectorField, l2_norm
 
 __all__ = [
     "BesovSpec",
@@ -129,8 +129,10 @@ class BlockProfile:
 
 
 def lp_norm(f: SpectralField | VectorField, p: float) -> float:
-    """Quadrature L^p norm with cell measure (L/n)^2; p=inf is the grid max."""
+    """Quadrature L^p norm with cell measure (L/n)^2; p=inf is the grid max, p=2 by Parseval."""
     p = check_exponent("p", p)
+    if p == 2.0:
+        return l2_norm(f)
     mag = f.magnitude_values() if isinstance(f, VectorField) else np.abs(f.values)
     if math.isinf(p):
         return float(np.max(mag))

@@ -8,7 +8,9 @@ and the negative ky implied by conjugate symmetry.  Every 2-D grid table
 (wavenumbers, projector symbols, heat factors, dyadic masks) has those n/2+1
 columns.  Derivatives, projections and heat propagation act as exact spectral
 multipliers, and all pointwise products are dealiased by zero padding onto a
-finer grid before multiplication.
+finer grid before multiplication.  A sum of products (a convective derivative,
+a weighted strain) is added on that finer grid and folded back once, since the
+truncation is linear.
 
 Parseval on a half spectrum: the columns 1..n/2-1 stand for themselves and
 their conjugate mirrors, so sums of |c|^2 weight them twice
@@ -419,17 +421,25 @@ def reused_factor(f: SpectralField) -> SpectralField:
     return held
 
 
-def multiply(f: SpectralField, g: SpectralField) -> SpectralField:
+def multiply(
+    f: SpectralField, g: SpectralField, *pairs: tuple[SpectralField, SpectralField]
+) -> SpectralField:
     """Pointwise product fg, dealiased by forming it on the 3/2 product grid.
 
     The factors are sampled by real-input transforms on the M x M grid of
     `Grid.product_size` (M >= 3n/2 + 1, see the module docstring); the
-    product's half spectrum is folded back to the n grid.
+    product's half spectrum is folded back to the n grid.  Each further
+    ``(f_k, g_k)`` pair adds f_k g_k on the product grid, so
+    ``multiply(f, g, (p, q))`` is fg + pq at the cost of one fold.
     """
-    _check_same_grid(f.grid, g.grid)
     grid = f.grid
+    for factor in (g, *(x for pair in pairs for x in pair)):
+        _check_same_grid(grid, factor.grid)
+    samples = _product_samples(f) * _product_samples(g)
+    for u, v in pairs:
+        samples += _product_samples(u) * _product_samples(v)
     # rfft2, with the column transforms skipping the columns _coarse_modes does not read
-    rows = np.fft.rfft(_product_samples(f) * _product_samples(g), axis=1)
+    rows = np.fft.rfft(samples, axis=1)
     q = np.fft.fft(rows[:, : grid.n // 2 + 1], axis=0)
     half = _coarse_modes(q, grid)
     half *= (grid.product_size / grid.n) ** 2
@@ -508,8 +518,8 @@ def require_solenoidal(u: VectorField, tol: float = 1e-8) -> None:
 
 
 def advect(V: VectorField, f: SpectralField) -> SpectralField:
-    """Convective derivative V . grad(f), with dealiased products."""
-    return multiply(V.u1, derivative(f, (1, 0))) + multiply(V.u2, derivative(f, (0, 1)))
+    """Convective derivative V . grad(f), one dealiased sum of products."""
+    return multiply(V.u1, derivative(f, (1, 0)), (V.u2, derivative(f, (0, 1))))
 
 
 def advect_vector(V: VectorField, W: VectorField) -> VectorField:
@@ -537,10 +547,9 @@ def gradient_part(V: VectorField) -> VectorField:
 
 def heat_propagate(f: SpectralField | VectorField, nu: float, t: float):
     """Exact heat semigroup: damp each mode by exp(-nu t |k|^2)."""
-    if t < 0:
-        raise ValueError(f"heat propagation requires t >= 0, got t={t}")
-    if nu < 0:
-        raise ValueError(f"heat propagation requires nu >= 0, got nu={nu}")
+    for name, value in (("t", t), ("nu", nu)):
+        if not 0.0 <= value < math.inf:  # also rejects NaN
+            raise ValueError(f"heat propagation requires a finite {name} >= 0, got {name}={value}")
     if isinstance(f, VectorField):
         return f.map(lambda c: heat_propagate(c, nu, t))
     damp = np.exp(-nu * t * f.grid.k_squared)

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -61,6 +62,19 @@ def smooth_random_divfree(grid: Grid, rng, k0: float = 6.0, amplitude: float = 1
     V = leray_project(V)
     scale = V.linf()
     return V * (amplitude / scale) if scale > 0 else V
+
+
+@pytest.fixture
+def fft_calls(monkeypatch):
+    """Counts, by name, of the numpy.fft transforms called while the test runs."""
+    calls = Counter()
+    for name in ("fft", "ifft", "rfft", "irfft", "fft2", "ifft2", "rfft2", "irfft2"):
+        def counted(*args, _transform=getattr(np.fft, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _transform(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
 
 
 @pytest.fixture

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from besovlab import elliptic
 from besovlab.elliptic import (
     EllipticSolveStats,
     _inner,
@@ -24,6 +25,7 @@ from besovlab.spectral import (
     gradient_part,
     make_grid,
     multiply,
+    reused_factor,
 )
 from conftest import smooth_random_field
 
@@ -266,6 +268,54 @@ class TestInvariants:
             g, _, _ = solve_pressure(a, F, tol=1e-11)
             kappa = coefficient_floor(a)
             assert kappa * vec_l2(g) <= vec_l2(gradient_part(F)) * (1.0 + 1e-6)
+
+
+class TestWarmStart:
+    """A warm start from the grad Pi last returned on the same coefficient handle reuses its flux."""
+
+    @pytest.fixture
+    def form_calls(self, monkeypatch):
+        calls = []
+        form = elliptic._apply_form
+
+        def counted(a, p):
+            calls.append(a)
+            return form(a, p)
+
+        monkeypatch.setattr(elliptic, "_apply_form", counted)
+        return calls
+
+    def test_cold_solve_forms_no_product_of_the_zero_start(self, form_calls):
+        grid = make_grid(32)
+        _, stats, _ = solve_pressure(bounded_coefficient(grid, 127), band_forcing(grid, 128), tol=1e-10)
+        assert len(form_calls) == stats.iterations
+
+    def test_carried_flux_meets_the_cold_tolerance(self, form_calls):
+        grid = make_grid(64)
+        a = reused_factor(bounded_coefficient(grid, 129))
+        F1 = band_forcing(grid, 130, k_high=20.0)
+        F2 = F1 + band_forcing(grid, 131, k_high=20.0) * 0.01
+        tol = 1e-10
+        g1, _, _ = solve_pressure(a, F1, tol=tol)
+        form_calls.clear()
+        g2, stats, _ = solve_pressure(a, F2, tol=tol, initial_guess=g1)
+        assert len(form_calls) == stats.iterations  # no product re-forms the guess's flux
+        g_cold, cold, _ = solve_pressure(bounded_coefficient(grid, 129), F2, tol=tol)
+        q_den = vec_l2(gradient_part(F2))
+        assert stats.residual <= tol and cold.residual <= tol
+        assert residual(a, g2, F2) <= tol * q_den
+        assert vec_l2(g2 - g_cold) <= 10 * tol * vec_l2(g_cold)
+
+    def test_guess_from_another_handle_forms_its_flux(self, form_calls):
+        grid = make_grid(32)
+        a = bounded_coefficient(grid, 132)
+        F = band_forcing(grid, 133)
+        g1, _, _ = solve_pressure(reused_factor(a), F, tol=1e-10)
+        other = reused_factor(a)
+        form_calls.clear()
+        _, stats, _ = solve_pressure(other, F * 1.5, tol=1e-10, initial_guess=g1)
+        assert len(form_calls) == stats.iterations + 1
+        assert form_calls[0] is other
 
 
 class TestMethods:

@@ -9,7 +9,7 @@ from conftest import smooth_random_divfree, smooth_random_field
 
 from besovlab import evolution
 from besovlab.dyadic import build_ladder
-from besovlab.elliptic import solve_pressure
+from besovlab.elliptic import solve_pressure, weight_by
 from besovlab.evolution import (
     CFLViolation,
     DiagnosticsSeries,
@@ -28,11 +28,15 @@ from besovlab.norms import BesovSpec, besov_norm
 from besovlab.spectral import (
     SpectralField,
     VectorField,
+    advect_vector,
     centered,
+    derivative,
     divergence,
     heat_propagate,
     leray_project,
     make_grid,
+    multiply,
+    reused_factor,
 )
 
 
@@ -367,6 +371,29 @@ class TestMomentumStep:
             momentum_step(slow, ViscosityLaw.affine(1.0, -0.95), 0.01)
         with pytest.raises(ValueError, match="dt > 0"):
             momentum_step(slow, ViscosityLaw.constant(1.0), 0.0)
+
+
+class TestForcing:
+    def test_fused_forcing_is_the_weighted_strain_minus_the_convection(self, grid64, rng, fft_calls):
+        a, u = coupled_data(grid64, rng)
+        coeff = reused_factor(a)
+        mu_a = reused_factor(SpectralField.from_physical(grid64, np.exp(0.5 * a.values)))
+        fft_calls.clear()
+        got = evolution._forcing(coeff, mu_a, u)
+        # u and its four first derivatives sampled, then -S_1 and -S_2; three
+        # strain folds and one fold per component
+        assert fft_calls == {"irfft2": 8, "rfft": 5, "fft": 5}
+        d1, d2 = derivative(u, (1, 0)), derivative(u, (0, 1))
+        s11 = multiply(mu_a, d1.u1 * 2.0)
+        s12 = multiply(mu_a, d2.u1 + d1.u2)
+        s22 = multiply(mu_a, d2.u2 * 2.0)
+        strain = VectorField(
+            derivative(s11, (1, 0)) + derivative(s12, (0, 1)),
+            derivative(s12, (1, 0)) + derivative(s22, (0, 1)),
+        )
+        want = weight_by(coeff, strain) - advect_vector(u, u)
+        for g, w in zip(got.components, want.components):
+            assert np.max(np.abs(g.modes - w.modes)) <= 1e-13 * np.max(np.abs(w.modes))
 
 
 class TestIntegrationConfig:

@@ -60,6 +60,15 @@ class TestLp:
         fine = lp_norm(refine(f, 4), 2.5)
         assert coarse == pytest.approx(fine, rel=1e-2)
 
+    @pytest.mark.parametrize("kind", ["scalar", "vector"])
+    @pytest.mark.parametrize("n", [8, 16, 32, 64])
+    def test_p2_by_parseval_is_the_quadrature(self, n, kind, rng):
+        grid = make_grid(n, 3.0)
+        u = white_noise(grid, rng, kind, homogeneous=False)
+        mag = u.magnitude_values() if kind == "vector" else np.abs(u.values)
+        quadrature = np.sqrt(np.sum(mag**2) * grid.cell_area)
+        assert lp_norm(u, 2) == pytest.approx(quadrature, rel=1e-14)
+
     def test_invalid_p(self):
         g = make_grid(32)
         f = SpectralField.zero(g)

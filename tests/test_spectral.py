@@ -10,6 +10,7 @@ from besovlab.elliptic import _inner
 from besovlab.spectral import (
     SpectralField,
     VectorField,
+    advect,
     derivative,
     divergence,
     gradient,
@@ -26,7 +27,7 @@ from besovlab.spectral import (
     reused_factor,
 )
 from besovlab.spectral import _product_samples
-from conftest import smooth_random_field
+from conftest import smooth_random_divfree, smooth_random_field
 
 
 def l2_quadrature(f):
@@ -69,6 +70,22 @@ def full_spectrum(f):
 def white_noise(n, seed):
     """A real field of white noise, which carries content on the Nyquist lines."""
     return SpectralField.from_physical(make_grid(n), np.random.default_rng(seed).standard_normal((n, n)))
+
+
+def dense_product_modes(f, g):
+    """Half spectrum of fg by a 2n-grid reference.
+
+    Refine both factors by 2, multiply node values, transform, and keep
+    |k| <= n/2 per axis with +-n/2 folded onto the stored -n/2 line; exact
+    for factors band-limited to |k| <= n/2.
+    """
+    n = f.grid.n
+    N, h = 2 * n, n // 2
+    Q = np.fft.fft2(refine(f, 2).values * refine(g, 2).values) / 4.0
+    kept = np.arange(-h, h + 1)
+    coarse = np.zeros((n, n), dtype=np.complex128)
+    np.add.at(coarse, (kept[:, None] % n, kept[None, :] % n), Q[np.ix_(kept % N, kept % N)])
+    return coarse[:, : h + 1]
 
 
 class TestGrid:
@@ -251,6 +268,21 @@ class TestProducts:
         for x, y in ((f, h), (reused_factor(f), h), (h, reused_factor(f))):
             assert np.array_equal(multiply(x, y).modes, full_width_real_product(x.modes, y.modes, g))
 
+    def test_every_factor_must_share_the_grid(self):
+        f, g, other = white_noise(16, 1), white_noise(16, 2), white_noise(32, 3)
+        for args in ((f, other), (f, g, (f, other)), (f, g, (other, g))):
+            with pytest.raises(ValueError, match="grid mismatch"):
+                multiply(*args)
+
+    def test_advect_folds_once(self, grid64, rng, fft_calls):
+        V = smooth_random_divfree(grid64, rng).map(reused_factor)
+        f = smooth_random_field(grid64, rng)
+        fft_calls.clear()
+        got = advect(V, f)
+        assert fft_calls == {"irfft2": 2, "rfft": 1, "fft": 1}
+        want = multiply(V.u1, derivative(f, (1, 0))) + multiply(V.u2, derivative(f, (0, 1)))
+        assert np.max(np.abs(got.modes - want.modes)) <= 1e-14 * np.max(np.abs(want.modes))
+
     @pytest.mark.parametrize("n", [8, 16, 64, 128])
     def test_corner_nyquist_square_is_a_constant(self, n):
         # cos(n/2 x) cos(n/2 y) squared is 1/4 plus modes at |k| = n, which
@@ -351,6 +383,16 @@ class TestHeat:
         with pytest.raises(ValueError):
             heat_propagate(f, 1.0, -0.1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("argument", ["nu", "t"])
+    def test_non_finite_rate_or_time_rejected(self, grid64, rng, argument, bad):
+        f = smooth_random_field(grid64, rng)
+        kwargs = {"nu": 1.0, "t": 0.1, argument: bad}
+        with pytest.raises(ValueError, match=f"finite {argument}"):
+            heat_propagate(f, **kwargs)
+        with pytest.raises(ValueError, match=f"finite {argument}"):
+            heat_propagate(VectorField(f, f), **kwargs)
+
     def test_l2_contraction(self, grid64, rng):
         f = smooth_random_field(grid64, rng)
         assert l2_quadrature(heat_propagate(f, 1.0, 0.05)) <= l2_quadrature(f)
@@ -387,18 +429,22 @@ class TestHalfLayout:
     @settings(derandomize=True, max_examples=30, deadline=None)
     @given(n=st.sampled_from([8, 16, 32]), seed=st.integers(0, 2**32 - 1))
     def test_product_matches_a_dense_reference(self, n, seed):
-        # refine both factors by 2, multiply node values, transform, and keep
-        # |k| <= n/2 per axis with +-n/2 folded onto the stored -n/2 line;
-        # exact for factors band-limited to |k| <= n/2
         f, g = white_noise(n, seed), white_noise(n, seed + 1)
-        N, h = 2 * n, n // 2
-        Q = np.fft.fft2(refine(f, 2).values * refine(g, 2).values) / 4.0
-        kept = np.arange(-h, h + 1)
-        coarse = np.zeros((n, n), dtype=np.complex128)
-        np.add.at(coarse, (kept[:, None] % n, kept[None, :] % n), Q[np.ix_(kept % N, kept % N)])
-        want = coarse[:, : h + 1]
+        want = dense_product_modes(f, g)
         got = multiply(f, g).modes
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(n=st.sampled_from([8, 16, 32]), seed=st.integers(0, 2**32 - 1), terms=st.integers(2, 4))
+    def test_sum_of_products_folds_once_to_the_sum(self, n, seed, terms):
+        factors = [white_noise(n, seed + i) for i in range(2 * terms)]
+        pairs = list(zip(factors[::2], factors[1::2]))
+        got = multiply(*pairs[0], *pairs[1:]).modes
+        singles = sum(multiply(f, g).modes for f, g in pairs)
+        dense = sum(dense_product_modes(f, g) for f, g in pairs)
+        scale = np.max(np.abs(dense))
+        assert np.max(np.abs(got - singles)) <= 1e-14 * scale
+        assert np.max(np.abs(got - dense)) <= 1e-14 * scale
 
     @settings(derandomize=True, max_examples=30, deadline=None)
     @given(n=st.sampled_from([8, 16, 32]), L=st.floats(0.5, 50.0))
