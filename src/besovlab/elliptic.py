@@ -137,18 +137,10 @@ def _pcg_potential(
     tol: float,
     max_iter: int,
     pi0: SpectralField | None = None,
-    flux0: VectorField | None = None,
 ) -> tuple[SpectralField, int]:
-    """Conjugate gradients for -div((1+a) grad pi) = rhs_div, mean-free pi, preconditioned by B.
-
-    The start pi0 (0 if None) enters the first residual through its flux
-    flux0 = (1+a) grad pi0 when the caller has that formed already.
-    """
+    """Conjugate gradients for -div((1+a) grad pi) = rhs_div, mean-free pi, preconditioned by B."""
     pi = SpectralField.zero(a.grid) if pi0 is None else pi0
-    if flux0 is not None:
-        r = rhs_div + drop_nyquist(divergence(flux0))
-    else:
-        r = rhs_div if pi0 is None else rhs_div - _apply_form(a, pi0)
+    r = rhs_div if pi0 is None else rhs_div - _apply_form(a, pi0)  # a zero start has no flux
     qres = _q_norm_of_divergence(r) / q_denominator
     rz_old = 0.0
     p = None
@@ -184,8 +176,6 @@ def solve_pressure(
     The solve is preconditioned conjugate gradients; passing split_m
     switches to the outer low/high splitting iteration at that octave.  A
     non-finite forcing raises ``FloatingPointError``.
-    A `reused_factor` coefficient keeps the grad Pi it last returned and its
-    flux, and a warm start from that very grad Pi reuses the flux.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
@@ -208,17 +198,14 @@ def solve_pressure(
 
     rhs = drop_nyquist(-1.0 * divergence(F))
     pi = None if initial_guess is None else potential_from_gradient(drop_nyquist(initial_guess))
-    last_grad, last_flux = a.__dict__.get("_last_solve", (None, None))
-    flux = last_flux if last_grad is initial_guess else None
     total, true_res = 0, math.inf
     while total < max_iter:
-        pi, iters = _pcg_potential(a, rhs, q_den, tol, max_iter - total, pi0=pi, flux0=flux)
+        pi, iters = _pcg_potential(a, rhs, q_den, tol, max_iter - total, pi0=pi)
         total += max(iters, 1)
         g = gradient(pi)
         flux = weight_by(a, g)
         true_res = _defect_norm(F, flux) / q_den
         if true_res <= tol:
-            a.__dict__["_last_solve"] = (g, flux)
             return g, EllipticSolveStats(total, true_res, None), flux
     raise RuntimeError(
         f"pressure solve did not reach tol={tol:.1e} in {max_iter} iterations (residual {true_res:.3e})"

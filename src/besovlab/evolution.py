@@ -51,6 +51,7 @@ from .spectral import (
     advect_vector,
     centered,
     derivative,
+    divergence,
     heat_propagate,
     l2_norm,
     leray_project,
@@ -334,11 +335,12 @@ def free_heat_reference(u0: VectorField, mu: float, t: float) -> VectorField:
 def _transport_spectral(a: SpectralField, u: VectorField, dt: float) -> SpectralField:
     u = u.map(reused_factor)
 
-    def euler(f: SpectralField) -> SpectralField:
-        return f - advect(u, f) * dt
+    def tendency(f: SpectralField) -> SpectralField:
+        return -1.0 * advect(u, f)
 
-    s2 = a * 0.75 + euler(euler(a)) * 0.25
-    return a * (1.0 / 3.0) + euler(s2) * (2.0 / 3.0)
+    s1 = a + tendency(a) * dt
+    s2 = a * 0.75 + (s1 + tendency(s1) * dt) * 0.25
+    return a * (1.0 / 3.0) + (s2 + tendency(s2) * dt) * (2.0 / 3.0)
 
 
 def _departure_points(u: VectorField, dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -395,18 +397,11 @@ def _strain_divergence(coeff: SpectralField, d1w: VectorField, d2w: VectorField)
     s11 = multiply(coeff, d1w.u1) * 2.0
     s12 = multiply(coeff, d2w.u1, (coeff, d1w.u2))
     s22 = multiply(coeff, d2w.u2) * 2.0
-    return VectorField(
-        derivative(s11, (1, 0)) + derivative(s12, (0, 1)),
-        derivative(s12, (1, 0)) + derivative(s22, (0, 1)),
-    )
+    return VectorField(divergence(VectorField(s11, s12)), divergence(VectorField(s12, s22)))
 
 
 def _forcing(coeff: SpectralField, mu_a: SpectralField, w: VectorField) -> VectorField:
-    """Explicit momentum forcing (1+a) div(2 mu(a) M(w)) - (w . grad) w, before the pressure.
-
-    w and its first derivatives are sampled once; with S = div(2 mu(a) M(w)),
-    F_i = S_i - (a (-S_i) + w1 d1 w_i + w2 d2 w_i) is one sum of products.
-    """
+    """Momentum forcing (1+a) S - (w . grad) w, S = div(2 mu(a) M(w)), as S_i - (a (-S_i) + w . grad w_i)."""
     coeff, mu_a, w = reused_factor(coeff), reused_factor(mu_a), w.map(reused_factor)
     d1w, d2w = (derivative(w, alpha).map(reused_factor) for alpha in ((1, 0), (0, 1)))
     strain = _strain_divergence(mu_a, d1w, d2w)
@@ -449,9 +444,7 @@ def momentum_step(
     a_vals = a.values
     visc.require_positive(float(a_vals.min()), float(a_vals.max()))
     mu0 = float(visc.mu_tilde(0.0))
-    mu_a = reused_factor(
-        SpectralField.from_physical(grid, np.asarray(visc.mu_tilde(a_vals), dtype=float))
-    )
+    mu_a = reused_factor(SpectralField.from_physical(grid, np.asarray(visc.mu_tilde(a_vals), dtype=float)))
     # the step's own handle on a: its product samples serve every product and
     # solve below, and are dropped with it rather than kept in the snapshot
     coeff = reused_factor(a)

@@ -93,11 +93,10 @@ def _entry_linf(M: np.ndarray) -> float:
 def _matrix_besov(M: np.ndarray, grid: Grid, spec: BesovSpec) -> float:
     """Besov size of a matrix field: sum of the entries' norms, means dropped."""
     total = 0.0
-    for i in range(2):
-        for j in range(2):
-            plane = M[..., i, j]
-            f = SpectralField.from_physical(grid, plane - plane.mean())
-            total += besov_norm(f, spec)[0]
+    for i, j in np.ndindex(2, 2):
+        plane = M[..., i, j]
+        f = SpectralField.from_physical(grid, plane - plane.mean())
+        total += besov_norm(f, spec)[0]
     return total
 
 

@@ -8,9 +8,8 @@ and the negative ky implied by conjugate symmetry.  Every 2-D grid table
 (wavenumbers, projector symbols, heat factors, dyadic masks) has those n/2+1
 columns.  Derivatives, projections and heat propagation act as exact spectral
 multipliers, and all pointwise products are dealiased by zero padding onto a
-finer grid before multiplication.  A sum of products (a convective derivative,
-a weighted strain) is added on that finer grid and folded back once, since the
-truncation is linear.
+finer grid before multiplication.  A sum of products is added on that finer
+grid and folded back once, since the truncation is linear.
 
 Parseval on a half spectrum: the columns 1..n/2-1 stand for themselves and
 their conjugate mirrors, so sums of |c|^2 weight them twice
@@ -421,16 +420,13 @@ def reused_factor(f: SpectralField) -> SpectralField:
     return held
 
 
-def multiply(
-    f: SpectralField, g: SpectralField, *pairs: tuple[SpectralField, SpectralField]
-) -> SpectralField:
+def multiply(f: SpectralField, g: SpectralField, *pairs: tuple[SpectralField, SpectralField]) -> SpectralField:
     """Pointwise product fg, dealiased by forming it on the 3/2 product grid.
 
     The factors are sampled by real-input transforms on the M x M grid of
     `Grid.product_size` (M >= 3n/2 + 1, see the module docstring); the
-    product's half spectrum is folded back to the n grid.  Each further
-    ``(f_k, g_k)`` pair adds f_k g_k on the product grid, so
-    ``multiply(f, g, (p, q))`` is fg + pq at the cost of one fold.
+    product's half spectrum is folded back to the n grid.  Each further pair
+    ``(p, q)`` adds pq on the product grid, before that one fold.
     """
     grid = f.grid
     for factor in (g, *(x for pair in pairs for x in pair)):
@@ -482,8 +478,7 @@ def drop_nyquist(f: SpectralField | VectorField):
         return f.map(drop_nyquist)
     h = f.grid.n // 2
     modes = f.modes.copy()
-    modes[h, :] = 0.0
-    modes[:, h] = 0.0
+    modes[h, :] = modes[:, h] = 0.0
     return f.with_modes(modes)
 
 
@@ -538,10 +533,8 @@ def gradient_part(V: VectorField) -> VectorField:
     """Curl-free (gradient) part of V; zero on the mean mode."""
     ex, ey = V.grid.projector_tables
     kdotu = ex * V.u1.modes + ey * V.u2.modes
-    m1 = ex * kdotu
-    m2 = ey * kdotu
-    m1[0, 0] = 0.0
-    m2[0, 0] = 0.0
+    m1, m2 = ex * kdotu, ey * kdotu
+    m1[0, 0] = m2[0, 0] = 0.0
     return VectorField(V.u1.with_modes(m1), V.u2.with_modes(m2))
 
 
