@@ -126,10 +126,6 @@ class DyadicLadder:
     def js(self) -> range:
         return range(self.j_min, self.j_max + 1)
 
-    @property
-    def n_blocks(self) -> int:
-        return self.j_max - self.j_min + 1
-
     def phi_mask(self, j: int) -> np.ndarray:
         return _tabulate(self._phi_masks, phi, self.grid, j)
 

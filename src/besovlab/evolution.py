@@ -42,6 +42,7 @@ import numpy as np
 from .dyadic import build_ladder
 from .elliptic import coefficient_floor, require_floor, solve_pressure
 from .interpolation import PeriodicSampler, cell_bounds
+from .lagrangian import rk4_step
 from .norms import BesovSpec, RunningTimeNorm, besov_norm
 from .spectral import (
     Grid,
@@ -67,8 +68,6 @@ __all__ = [
     "StateSnapshot",
     "ViscosityLaw",
     "energy_diagnostics",
-    "free_heat_reference",
-    "mollify_initial_data",
     "momentum_step",
     "ns_integrate",
     "transport_step",
@@ -295,40 +294,6 @@ class DiagnosticsSeries:
 
 
 # ---------------------------------------------------------------------------
-# data preparation and references
-# ---------------------------------------------------------------------------
-
-def mollify_initial_data(a0: SpectralField, u0: VectorField, n: int) -> tuple[SpectralField, VectorField]:
-    """Low-pass the initial data at octave n and project the velocity.
-
-    The truncation must stay close enough to the original data: the smoothed
-    scalar may not exceed twice the original sup bound, and its coefficient
-    floor may not drop below half the original floor.
-    """
-    ladder = build_ladder(a0.grid)
-    kappa = require_floor(a0)
-    a0n = ladder.low_pass(a0, n)
-    u0n = leray_project(ladder.low_pass(u0, n))
-    if coefficient_floor(a0n) <= 0.5 * kappa:
-        raise ValueError(
-            f"truncation octave n={n} too small: floor dropped to {coefficient_floor(a0n):.3e}"
-            f" (half of the original floor is {0.5 * kappa:.3e})"
-        )
-    if a0n.linf() > 2.0 * a0.linf() + 1e-12:
-        raise ValueError(
-            f"truncation octave n={n} inflates the scalar: {a0n.linf():.3e} > 2 * {a0.linf():.3e}"
-        )
-    return a0n, u0n
-
-
-def free_heat_reference(u0: VectorField, mu: float, t: float) -> VectorField:
-    """Exact diffusive evolution of the data: each mode damped by its rate."""
-    if mu <= 0.0:
-        raise ValueError(f"heat reference requires mu > 0, got {mu:.3e}")
-    return heat_propagate(u0, mu, t)
-
-
-# ---------------------------------------------------------------------------
 # transport
 # ---------------------------------------------------------------------------
 
@@ -345,15 +310,8 @@ def _transport_spectral(a: SpectralField, u: VectorField, dt: float) -> Spectral
 
 def _departure_points(u: VectorField, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Backward fourth-order particle step from every node under steady u."""
-    vel = PeriodicSampler.of_vector(u).at
-    xg, yg = u.grid.coords
-    k1x, k1y = vel(xg, yg)
-    k2x, k2y = vel(xg - 0.5 * dt * k1x, yg - 0.5 * dt * k1y)
-    k3x, k3y = vel(xg - 0.5 * dt * k2x, yg - 0.5 * dt * k2y)
-    k4x, k4y = vel(xg - dt * k3x, yg - dt * k3y)
-    dx = dt / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-    dy = dt / 6.0 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-    return xg - dx, yg - dy
+    sampler = PeriodicSampler.of_vector(u)
+    return rk4_step(lambda t, x, y: sampler.at(x, y), 0.0, *u.grid.coords, -dt)
 
 
 def transport_step(
@@ -543,7 +501,9 @@ def ns_integrate(
     start.  The run ends early, with the reason in ``stop_reason``, if Z
     exceeds the budget (``budget_exceeded``), the velocity outgrows the CFL
     bound (``cfl_violation``), a step yields a non-finite velocity or pressure
-    forcing (``non_finite``), or a pressure solve fails (``solver_failure``).
+    forcing (``non_finite``), a pressure solve fails (``solver_failure``), or a
+    state check rejects a step's state, such as a coefficient floor that fell
+    below the recorded one (``invalid_state``).
     An error stop keeps its step index and message in ``stop_cause``.
     """
     grid = a0.grid
@@ -631,9 +591,10 @@ def ns_integrate(
                 )
                 a_new = transport_step(a_half, moved.u, 0.5 * config.dt, config.scheme)
                 state = StateSnapshot(moved.t, a_new, moved.u, moved.gradPi, kappa=kappa)
-            except (FloatingPointError, RuntimeError) as exc:  # CFLViolation is a RuntimeError
+            except (FloatingPointError, RuntimeError, ValueError) as exc:  # CFLViolation is a RuntimeError
                 stop_reason = ("cfl_violation" if isinstance(exc, CFLViolation)
-                               else "non_finite" if isinstance(exc, FloatingPointError) else "solver_failure")
+                               else "non_finite" if isinstance(exc, FloatingPointError)
+                               else "invalid_state" if isinstance(exc, ValueError) else "solver_failure")
                 stop_cause = f"step {step}: {exc}"
                 break
             if sampled:

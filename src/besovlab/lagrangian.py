@@ -7,9 +7,9 @@ object: it converts between fixed-frame and co-moving derivatives, and its
 deviation from the identity is controlled by time integrals of the velocity
 gradient.  This module computes flow maps (RK4 in time, cubic interpolation in
 space), evaluates the inverse Jacobian both by direct per-node inversion and
-by a truncated geometric series in the integrated velocity gradient, pulls
-fields back along the map, and measures the ratio between each side of the
-stability inequalities that make the co-moving formulation useful.
+by a truncated geometric series in the integrated velocity gradient, checks
+the divergence identity along the map, and measures the ratio between each
+side of the stability inequalities that make the co-moving formulation useful.
 
 Matrix-valued fields are ndarrays of shape (n, n, 2, 2) with entry [i, j]
 holding the derivative of component i along axis j.
@@ -31,7 +31,6 @@ from .spectral import (
     centered,
     derivative,
     divergence,
-    potential_from_gradient,
     require_solenoidal,
 )
 
@@ -41,7 +40,7 @@ __all__ = [
     "gradient_tensor",
     "integrate_flow",
     "jacobian_series",
-    "to_lagrangian",
+    "rk4_step",
     "check_div_identity",
     "delta_estimates",
 ]
@@ -238,6 +237,19 @@ class FlowMap:
         return worst
 
 
+def rk4_step(velocity, t: float, x: np.ndarray, y: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """One classical RK4 step of the particles at (x, y) from time t; a negative h steps backward.
+
+    ``velocity(t, x, y)`` returns both velocity components at the points.
+    """
+    k1x, k1y = velocity(t, x, y)
+    k2x, k2y = velocity(t + 0.5 * h, x + 0.5 * h * k1x, y + 0.5 * h * k1y)
+    k3x, k3y = velocity(t + 0.5 * h, x + 0.5 * h * k2x, y + 0.5 * h * k2y)
+    k4x, k4y = velocity(t + h, x + h * k3x, y + h * k3y)
+    return (x + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x),
+            y + (h / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y))
+
+
 def integrate_flow(u_trajectory, dt: float) -> FlowMap:
     """Advect every grid node through the sampled velocity history.
 
@@ -275,13 +287,7 @@ def integrate_flow(u_trajectory, dt: float) -> FlowMap:
             )
         h = span / m
         for step in range(m):
-            t = t_lo + step * h
-            k1x, k1y = velocity(t, px, py)
-            k2x, k2y = velocity(t + 0.5 * h, px + 0.5 * h * k1x, py + 0.5 * h * k1y)
-            k3x, k3y = velocity(t + 0.5 * h, px + 0.5 * h * k2x, py + 0.5 * h * k2y)
-            k4x, k4y = velocity(t + h, px + h * k3x, py + h * k3y)
-            px = px + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-            py = py + (h / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+            px, py = rk4_step(velocity, t_lo + step * h, px, py, h)
         out_times.append(t_hi)
         records.append(record())
     return FlowMap(
@@ -295,23 +301,12 @@ def integrate_flow(u_trajectory, dt: float) -> FlowMap:
 # inverse Jacobian by geometric series
 # ---------------------------------------------------------------------------
 
-def _integrated_gradient(trajectory, t: float) -> tuple[np.ndarray, Grid]:
-    """Trapezoid time integral of the velocity gradient up to time t."""
-    times, fields, grid = _velocity_history(trajectory)
-    _require_stored_time(times, t)
-    t = min(max(t, times[0]), times[-1])
-    grads = [gradient_tensor(u) for u in fields]
-    M = np.zeros((grid.n, grid.n, 2, 2))
-    for k in range(len(times) - 1):
-        if times[k + 1] <= t:
-            M += 0.5 * (times[k + 1] - times[k]) * (grads[k] + grads[k + 1])
-            continue
-        if times[k] < t:
-            w = (t - times[k]) / (times[k + 1] - times[k])
-            g_t = (1.0 - w) * grads[k] + w * grads[k + 1]
-            M += 0.5 * (t - times[k]) * (grads[k] + g_t)
-        break
-    return M, grid
+def _gradient_integrals(times, grads: list[np.ndarray]) -> list[np.ndarray]:
+    """Cumulative trapezoid integrals of the gradients ``grads[k]`` sampled at ``times[k]``, zero at the first."""
+    acc = [np.zeros_like(grads[0])]
+    for k in range(len(grads) - 1):
+        acc.append(acc[-1] + 0.5 * (times[k + 1] - times[k]) * (grads[k] + grads[k + 1]))
+    return acc
 
 
 def _neumann_inverse(M: np.ndarray, k_max: int) -> np.ndarray:
@@ -347,38 +342,23 @@ def jacobian_series(v_trajectory, t: float, *, k_max: int = 16) -> np.ndarray:
     co-moving velocity gradient, so its inverse expands into powers of that
     integral whenever the integral is small.  Term growth aborts the sum.
     """
-    M, _ = _integrated_gradient(v_trajectory, t)
+    times, fields, _ = _velocity_history(v_trajectory)
+    _require_stored_time(times, t)
+    t = min(max(t, times[0]), times[-1])
+    k = int(np.searchsorted(times, t, side="right")) - 1  # the last stored time <= t
+    grads = [gradient_tensor(u) for u in fields[: k + 2]]
+    M = _gradient_integrals(times, grads[: k + 1])[-1]
+    if times[k] < t:
+        # the partial interval, with the gradient blended linearly in time
+        w = (t - times[k]) / (times[k + 1] - times[k])
+        g_t = (1.0 - w) * grads[k] + w * grads[k + 1]
+        M = M + 0.5 * (t - times[k]) * (grads[k] + g_t)
     return _neumann_inverse(M, k_max)
 
 
 # ---------------------------------------------------------------------------
-# pullbacks and the divergence identity
+# the divergence identity
 # ---------------------------------------------------------------------------
-
-def to_lagrangian(state, flow: FlowMap):
-    """Pull a snapshot back along the flow: fields evaluated at node images.
-
-    Returns the transported scalar, velocity, and pressure potential as
-    fields over starting positions.  The transported scalar should agree with
-    its initial data up to scheme error, which makes the residual a useful
-    convergence probe.
-    """
-    k = flow.index_of(state.t)
-    xs, ys = flow.position_arrays(k)
-    grid = flow.grid
-    if state.a.grid != grid:
-        raise ValueError("snapshot and flow map live on different grids")
-    eta, v1, v2, p_vals = PeriodicSampler.joined(
-        PeriodicSampler.of_scalar(state.a),
-        PeriodicSampler.of_vector(state.u),
-        PeriodicSampler.of_scalar(potential_from_gradient(state.gradPi)),
-    ).at(xs, ys)
-    return (
-        SpectralField.from_physical(grid, eta),
-        VectorField.from_physical(grid, v1, v2),
-        SpectralField.from_physical(grid, p_vals),
-    )
-
 
 @dataclass(frozen=True)
 class DivergenceIdentityResidual:
@@ -388,7 +368,7 @@ class DivergenceIdentityResidual:
     flux_form: float
 
 
-def check_div_identity(u: VectorField, state, flow: FlowMap) -> DivergenceIdentityResidual:
+def check_div_identity(u: VectorField, t: float, flow: FlowMap) -> DivergenceIdentityResidual:
     """Check that the fixed-frame divergence transforms as claimed.
 
     The divergence of the velocity evaluated along trajectories must equal
@@ -398,8 +378,7 @@ def check_div_identity(u: VectorField, state, flow: FlowMap) -> DivergenceIdenti
     size and the velocity's size per box length, so gradient-free data (zero
     or uniform flows) reports rounding noise rather than a 0/0 artifact.
     """
-    t = getattr(state, "t", state)
-    k = flow.index_of(float(t))
+    k = flow.index_of(t)
     xs, ys = flow.position_arrays(k)
     grid = flow.grid
     v1, v2, lhs = PeriodicSampler.joined(
@@ -465,13 +444,7 @@ def delta_estimates(v1_trajectory, v2_trajectory, p: float = 2.0) -> RatioReport
     low = BesovSpec(s=2.0 / p - 1.0, p=p, r=1.0)
 
     grads = [[gradient_tensor(u) for u in fields] for fields in (fields1, fields2)]
-    cums: list[list[np.ndarray]] = []
-    for g in grads:
-        acc = [np.zeros((grid.n, grid.n, 2, 2))]
-        for k in range(len(times) - 1):
-            acc.append(acc[-1] + 0.5 * (times[k + 1] - times[k]) * (g[k] + g[k + 1]))
-        cums.append(acc)
-    inv = [[_neumann_inverse(M, 16) for M in acc] for acc in cums]
+    inv = [[_neumann_inverse(M, 16) for M in _gradient_integrals(times, g)] for g in grads]
     rates = [
         [-_matmul(_matmul(A, G), A) for A, G in zip(inv_i, grads_i)]
         for inv_i, grads_i in zip(inv, grads)

@@ -11,8 +11,9 @@ that bookkeeping both telescoping identities
 
 hold exactly (to rounding) for every pair of fields, whatever their means.
 All products are dealiased, so each identity is a finite sum of exactly
-bilinear terms.  Every function takes its octaves from the ladder of its
-factors' common grid.
+bilinear terms; each paraproduct sums its octave products on the product
+grid and folds the sum back once.  Every function takes its octaves from the
+ladder of its factors' common grid.
 """
 
 from __future__ import annotations
@@ -36,10 +37,10 @@ def _ladder_of(u: SpectralField, v: SpectralField) -> DyadicLadder:
     return build_ladder(u.grid)
 
 
-def _mean_product(u: SpectralField, v: SpectralField) -> SpectralField:
-    # product of the two sub-ladder (mean) parts; constant field
+def _mean_pair(u: SpectralField, v: SpectralField) -> tuple[SpectralField, SpectralField]:
+    # the two sub-ladder (mean) parts, whose product is a constant field
     ladder = build_ladder(u.grid)
-    return multiply(ladder.low_pass(u, ladder.j_min), ladder.low_pass(v, ladder.j_min))
+    return ladder.low_pass(u, ladder.j_min), ladder.low_pass(v, ladder.j_min)
 
 
 def para_T(u: SpectralField, v: SpectralField) -> SpectralField:
@@ -47,13 +48,12 @@ def para_T(u: SpectralField, v: SpectralField) -> SpectralField:
 
     The partial sums of u include its mean at every octave, while v enters
     only through annular blocks; with a constant first factor c this returns
-    c * (v - mean of v).
+    c * (v - mean of v).  The octave products are summed on the product grid
+    and folded back once.
     """
     ladder = _ladder_of(u, v)
-    acc = SpectralField.zero(u.grid)
-    for j in ladder.js:
-        acc = acc + multiply(ladder.low_pass(u, j - 1), ladder.block(v, j))
-    return acc
+    first, *rest = ((ladder.low_pass(u, j - 1), ladder.block(v, j)) for j in ladder.js)
+    return multiply(*first, *rest)
 
 
 def para_T_conj(u: SpectralField, v: SpectralField) -> SpectralField:
@@ -62,10 +62,7 @@ def para_T_conj(u: SpectralField, v: SpectralField) -> SpectralField:
     Complements para_T exactly: para_T(u, v) + para_T_conj(u, v) == u*v.
     """
     ladder = _ladder_of(u, v)
-    acc = _mean_product(u, v)
-    for j in ladder.js:
-        acc = acc + multiply(ladder.block(u, j), ladder.low_pass(v, j + 2))
-    return acc
+    return multiply(*_mean_pair(u, v), *((ladder.block(u, j), ladder.low_pass(v, j + 2)) for j in ladder.js))
 
 
 def remainder_R(u: SpectralField, v: SpectralField) -> SpectralField:
@@ -76,17 +73,11 @@ def remainder_R(u: SpectralField, v: SpectralField) -> SpectralField:
     Symmetric in its two arguments.
     """
     ladder = _ladder_of(u, v)
-    acc = _mean_product(u, v)
     blocks_v = {j: ladder.block(v, j) for j in ladder.js}
-    for j in ladder.js:
-        # one product per octave: by bilinearity, block_j(u) times the sum of
-        # v's neighbouring blocks equals the sum of the block-pair products
-        near = blocks_v[j]
-        for jp in (j - 1, j + 1):
-            if jp in blocks_v:
-                near = near + blocks_v[jp]
-        acc = acc + multiply(ladder.block(u, j), near)
-    return acc
+    # by bilinearity, block_j(u) times the sum of v's neighbouring blocks
+    # equals the sum of the block-pair products
+    near = {j: sum((blocks_v[jp] for jp in (j - 1, j + 1) if jp in blocks_v), blocks_v[j]) for j in ladder.js}
+    return multiply(*_mean_pair(u, v), *((ladder.block(u, j), near[j]) for j in ladder.js))
 
 
 def commutator_block(a: SpectralField, f: SpectralField | VectorField, j: int):

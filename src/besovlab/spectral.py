@@ -411,12 +411,12 @@ def reused_factor(f: SpectralField) -> SpectralField:
 
     For a factor that enters many products (a coefficient across a pressure
     solve or a time step), this transforms it once instead of once per
-    product.
+    product.  Node values that f already holds come along.
     """
     if "_product_samples" in f.__dict__:
         return f
     held = SpectralField(f.grid, f.modes)
-    held.__dict__["_product_samples"] = _freeze(_product_samples(f))
+    held.__dict__.update(f.__dict__, _product_samples=_freeze(_product_samples(f)))
     return held
 
 

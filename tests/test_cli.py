@@ -575,6 +575,22 @@ class TestSimulateCommand:
         assert report["stop_cause"].startswith("step 1: pressure solve did not reach tol=1.0e-14")
         assert f"stopped: solver_failure (1 snapshots, t=0); {report['stop_cause']}" in out
 
+    def test_floor_violation_mid_run_keeps_the_run(self, tmp_path, capsys):
+        out = tmp_path / "floor"
+        argv = [
+            "simulate", "--n", "32", "--viscosity", "constant", "--initial", "random",
+            "--amplitude-a", "0.2", "--amplitude-u", "0.3", "--dt", "0.002", "--T", "0.02",
+            "--seed", "3", "--out", str(out),
+        ]
+        assert run_cli(argv) == 1
+        assert "stopped: invalid_state" in capsys.readouterr().out
+        report = json.loads((out / "report.json").read_text())
+        assert report["stop_reason"] == "invalid_state"
+        assert report["stop_cause"].startswith("step 5: coefficient floor violation")
+        rows = (out / "diagnostics.csv").read_text().splitlines()
+        assert len(rows) == 1 + report["snapshots"] == 6
+        assert len(list(out.glob("snapshot_*.bsns"))) == 5
+
     def test_zero_velocity_amplitude_means_zero_velocity(self, tmp_path, capsys):
         common = ["--n", "32", "--amplitude-u", "0"]
         assert run_cli(["lagrangian", *common, "--out", str(tmp_path / "lag")]) == 0

@@ -77,7 +77,7 @@ class TestLadder:
 
     def test_minimum_grid_has_three_blocks(self):
         ladder = build_ladder(make_grid(8))
-        assert ladder.n_blocks >= 3
+        assert len(ladder.js) >= 3
 
     def test_tiny_grid_rejected(self):
         with pytest.raises(ValueError):

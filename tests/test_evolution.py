@@ -8,7 +8,6 @@ import pytest
 from conftest import smooth_random_divfree, smooth_random_field
 
 from besovlab import evolution
-from besovlab.dyadic import build_ladder
 from besovlab.elliptic import solve_pressure, weight_by
 from besovlab.evolution import (
     CFLViolation,
@@ -18,8 +17,6 @@ from besovlab.evolution import (
     ViscosityLaw,
     cfl_number,
     energy_diagnostics,
-    free_heat_reference,
-    mollify_initial_data,
     momentum_step,
     ns_integrate,
     transport_step,
@@ -150,79 +147,6 @@ class TestStateSnapshot:
             StateSnapshot(
                 0.0, SpectralField.zero(grid64), VectorField.zero(grid32), VectorField.zero(grid32)
             )
-
-
-class TestMollify:
-    def test_identity_above_ladder_top(self, grid64, rng):
-        ladder = build_ladder(grid64)
-        a0 = smooth_random_field(grid64, rng, amplitude=0.4)
-        u0 = smooth_random_divfree(grid64, rng)
-        a0n, u0n = mollify_initial_data(a0, u0, ladder.j_max + 1)
-        assert np.max(np.abs(a0n.values - a0.values)) <= 1e-12
-        assert rel_l2(u0n, leray_project(u0)) <= 1e-12
-
-    def test_high_mode_truncated_away(self, grid64):
-        x, _ = grid64.coords
-        a0 = SpectralField.from_physical(grid64, 0.2 * np.cos(24.0 * x))
-        a0n, _ = mollify_initial_data(a0, VectorField.zero(grid64), 1)
-        assert a0n.linf() <= 1e-12
-
-    def test_velocity_truncation_error_decreases(self, grid64, rng):
-        u0 = smooth_random_divfree(grid64, rng, k0=5.0)
-        a0 = SpectralField.zero(grid64)
-        spec = BesovSpec(s=0.0, p=2.0, r=1.0)
-        errs = []
-        for n in (1, 2, 3, 4):
-            _, u0n = mollify_initial_data(a0, u0, n)
-            diff = leray_project(u0) - u0n
-            errs.append(besov_norm(diff.u1, spec)[0] + besov_norm(diff.u2, spec)[0])
-        assert all(e2 <= e1 + 1e-12 for e1, e2 in zip(errs, errs[1:]))
-        assert errs[-1] < errs[0]
-
-    def test_rejects_floor_collapse(self, grid64):
-        x, y = grid64.coords
-        r2 = (x - np.pi) ** 2 + (y - np.pi) ** 2
-        a0 = SpectralField.from_physical(grid64, np.where(r2 < 0.8, -0.97, 0.0))
-        with pytest.raises(ValueError, match="too small"):
-            mollify_initial_data(a0, VectorField.zero(grid64), 2)
-
-
-class TestFreeHeat:
-    def test_identity_at_time_zero(self, grid32, rng):
-        u0 = smooth_random_divfree(grid32, rng)
-        out = free_heat_reference(u0, 0.7, 0.0)
-        assert rel_l2(out, u0) <= 1e-15
-
-    def test_single_mode_decay_rate(self, grid32):
-        x, y = grid32.coords
-        u0 = VectorField(
-            SpectralField.from_physical(grid32, np.cos(3.0 * y)),
-            SpectralField.zero(grid32),
-        )
-        out = free_heat_reference(u0, 0.5, 0.2)
-        want = math.exp(-0.5 * 0.2 * 9.0)
-        assert np.max(np.abs(out.u1.values.real - want * np.cos(3.0 * y))) <= 1e-13
-
-    def test_requires_positive_viscosity(self, grid32):
-        with pytest.raises(ValueError, match="mu > 0"):
-            free_heat_reference(VectorField.zero(grid32), 0.0, 1.0)
-
-    def test_smoothing_integral_shrinks_with_horizon(self, grid64, rng):
-        u0 = smooth_random_divfree(grid64, rng)
-        spec = BesovSpec(s=2.0, p=2.0, r=1.0)
-
-        def integral(T, samples=33):
-            ts = np.linspace(0.0, T, samples)
-            vals = []
-            for t in ts:
-                uf = free_heat_reference(u0, 1.0, float(t))
-                vals.append(
-                    besov_norm(uf.u1, spec)[0] + besov_norm(uf.u2, spec)[0]
-                )
-            return np.trapezoid(vals, ts)
-
-        v1, v2, v3 = integral(0.4), integral(0.2), integral(0.1)
-        assert v3 < v2 < v1
 
 
 class TestTransportStep:

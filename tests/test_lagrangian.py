@@ -1,4 +1,4 @@
-"""Flow maps, inverse-Jacobian series, pullbacks, and stability ratios."""
+"""Flow maps, the RK4 particle step, inverse-Jacobian series, pullbacks, the divergence identity, and stability ratios."""
 
 import math
 
@@ -7,7 +7,6 @@ import pytest
 
 from conftest import smooth_random_divfree, smooth_random_field
 
-from besovlab.evolution import StateSnapshot
 from besovlab.inequality_lab import RatioReport
 from besovlab.interpolation import PeriodicSampler
 from besovlab.lagrangian import (
@@ -18,13 +17,14 @@ from besovlab.lagrangian import (
     gradient_tensor,
     integrate_flow,
     jacobian_series,
-    to_lagrangian,
+    rk4_step,
 )
 from besovlab.spectral import (
     SpectralField,
     VectorField,
     gradient,
     make_grid,
+    potential_from_gradient,
 )
 
 ID = np.eye(2)
@@ -206,11 +206,31 @@ class TestJacobianSeries:
         v = smooth_random_divfree(grid32, rng, k0=3.0) * 0.2
         traj = [(0.0, v), (0.2, v * 0.8), (0.4, v * 0.64)]
         A = jacobian_series(traj, 0.4)
-        from besovlab.lagrangian import _integrated_gradient, _invert_per_node
+        from besovlab.lagrangian import _gradient_integrals, _invert_per_node
 
-        M, _ = _integrated_gradient(traj, 0.4)
+        M = _gradient_integrals([t for t, _ in traj], [gradient_tensor(u) for _, u in traj])[-1]
         direct = _invert_per_node(np.asarray(ID + M))
         assert np.max(np.abs(A - direct)) <= 1e-8
+
+    def test_equals_the_running_trapezoid_sum_bitwise(self, grid32, rng):
+        v = smooth_random_divfree(grid32, rng, k0=3.0) * 0.2
+        traj = [(0.0, v), (0.2, v * 0.8), (0.35, v * 0.6), (0.4, v * 0.5)]
+        grads = [gradient_tensor(u) for _, u in traj]
+        times = [t for t, _ in traj]
+        from besovlab.lagrangian import _neumann_inverse
+
+        for t in (0.0, 0.1, 0.2, 0.3, 0.35, 0.4):
+            # the integral as one running sum over the stored intervals, partial one last
+            M = np.zeros((32, 32, 2, 2))
+            for k in range(len(times) - 1):
+                if times[k + 1] <= t:
+                    M += 0.5 * (times[k + 1] - times[k]) * (grads[k] + grads[k + 1])
+                    continue
+                if times[k] < t:
+                    w = (t - times[k]) / (times[k + 1] - times[k])
+                    M += 0.5 * (t - times[k]) * (grads[k] + ((1.0 - w) * grads[k] + w * grads[k + 1]))
+                break
+            assert np.array_equal(jacobian_series(traj, t), _neumann_inverse(M, 16)), t
 
     def test_partial_time_integration(self, grid32, rng):
         v = smooth_random_divfree(grid32, rng, k0=3.0) * 0.1
@@ -231,6 +251,22 @@ class TestJacobianSeries:
             jacobian_series(traj, 2.0)
 
 
+def test_backward_rk4_step_is_the_negated_step_bitwise(grid64, rng):
+    u = smooth_random_divfree(grid64, rng, k0=3.0)
+    vel = PeriodicSampler.of_vector(u).at
+    xg, yg = grid64.coords
+    dt = 0.013
+    # reference: the backward step written out with a positive dt
+    k1x, k1y = vel(xg, yg)
+    k2x, k2y = vel(xg - 0.5 * dt * k1x, yg - 0.5 * dt * k1y)
+    k3x, k3y = vel(xg - 0.5 * dt * k2x, yg - 0.5 * dt * k2y)
+    k4x, k4y = vel(xg - dt * k3x, yg - dt * k3y)
+    want_x = xg - dt / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+    want_y = yg - dt / 6.0 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+    got_x, got_y = rk4_step(lambda t, x, y: vel(x, y), 0.0, xg, yg, -dt)
+    assert np.array_equal(got_x, want_x) and np.array_equal(got_y, want_y)
+
+
 def test_matmul_is_the_einsum_bitwise(rng):
     from besovlab.lagrangian import _matmul
 
@@ -239,15 +275,27 @@ def test_matmul_is_the_einsum_bitwise(rng):
 
 
 class TestToLagrangian:
+    """Fields pulled back along the flow: evaluated at the images of the nodes."""
+
+    @staticmethod
+    def pulled_back(flow, t, *samplers):
+        xs, ys = flow.position_arrays(flow.index_of(t))
+        return PeriodicSampler.joined(*samplers).at(xs, ys)
+
     def test_identity_flow(self, grid32, rng):
         a = smooth_random_field(grid32, rng, amplitude=0.3)
         pot = smooth_random_field(grid32, rng, k0=3.0)
-        state = StateSnapshot(0.5, a, VectorField.zero(grid32), gradient(pot))
         flow = integrate_flow(steady_trajectory(VectorField.zero(grid32), (0.0, 0.5)), 0.1)
-        eta, v, P = to_lagrangian(state, flow)
-        assert np.max(np.abs(eta.values - a.values)) <= 1e-12
-        assert v.linf() <= 1e-12
-        assert np.max(np.abs(P.values.real - pot.values.real)) <= 1e-10 * pot.linf()
+        eta, v1, v2, p = self.pulled_back(
+            flow,
+            0.5,
+            PeriodicSampler.of_scalar(a),
+            PeriodicSampler.of_vector(VectorField.zero(grid32)),
+            PeriodicSampler.of_scalar(potential_from_gradient(gradient(pot))),
+        )
+        assert np.max(np.abs(eta - a.values)) <= 1e-12
+        assert max(np.max(np.abs(v1)), np.max(np.abs(v2))) <= 1e-12
+        assert np.max(np.abs(p - pot.values.real)) <= 1e-10 * pot.linf()
 
     def test_translation_restores_initial_scalar(self, grid64, rng):
         a0 = smooth_random_field(grid64, rng, k0=4.0, amplitude=0.5)
@@ -256,11 +304,12 @@ class TestToLagrangian:
         carried = a0.with_modes(
             a0.modes * np.exp(-1j * (grid64.kx * U[0] + grid64.ky * U[1]) * T)
         )
-        state = StateSnapshot(T, carried, u, VectorField.zero(grid64))
         flow = integrate_flow(steady_trajectory(u, (0.0, 0.25, 0.5)), 0.025)
-        eta, v, _ = to_lagrangian(state, flow)
-        assert np.max(np.abs(eta.values.real - a0.values.real)) <= 2e-5 * a0.linf()
-        assert np.max(np.abs(v.u1.values.real - U[0])) <= 1e-10
+        eta, v1, _ = self.pulled_back(
+            flow, T, PeriodicSampler.of_scalar(carried), PeriodicSampler.of_vector(u)
+        )
+        assert np.max(np.abs(eta - a0.values.real)) <= 2e-5 * a0.linf()
+        assert np.max(np.abs(v1 - U[0])) <= 1e-10
 
     def test_shear_restores_initial_scalar(self, grid64):
         x, y = grid64.coords
@@ -268,25 +317,14 @@ class TestToLagrangian:
         a0 = SpectralField.from_physical(grid64, np.cos(x) * np.sin(y))
         carried = SpectralField.from_physical(grid64, np.cos(x - T * np.sin(y)) * np.sin(y))
         u = shear_velocity(grid64)
-        state = StateSnapshot(T, carried, u, VectorField.zero(grid64))
         flow = integrate_flow(steady_trajectory(u, (0.0, T)), 5e-3)
-        eta, v, _ = to_lagrangian(state, flow)
-        num = np.sqrt(np.sum((eta.values.real - a0.values.real) ** 2))
+        eta, v1, _ = self.pulled_back(
+            flow, T, PeriodicSampler.of_scalar(carried), PeriodicSampler.of_vector(u)
+        )
+        num = np.sqrt(np.sum((eta - a0.values.real) ** 2))
         den = np.sqrt(np.sum(a0.values.real**2))
         assert num / den <= 1e-4
-        got = v.u1.values.real
-        assert np.max(np.abs(got - np.sin(y))) <= 1e-9
-
-    def test_time_and_grid_mismatch(self, grid32, grid64, rng):
-        a = smooth_random_field(grid32, rng, amplitude=0.3)
-        state = StateSnapshot(0.3, a, VectorField.zero(grid32), VectorField.zero(grid32))
-        flow = integrate_flow(steady_trajectory(VectorField.zero(grid32), (0.0, 0.5)), 0.1)
-        with pytest.raises(ValueError, match="time mismatch"):
-            to_lagrangian(state, flow)
-        b = smooth_random_field(grid64, rng, amplitude=0.3)
-        other = StateSnapshot(0.5, b, VectorField.zero(grid64), VectorField.zero(grid64))
-        with pytest.raises(ValueError, match="grids"):
-            to_lagrangian(other, flow)
+        assert np.max(np.abs(v1 - np.sin(y))) <= 1e-9
 
 
 class TestDivIdentity:
@@ -305,13 +343,6 @@ class TestDivIdentity:
         res = check_div_identity(taylor_green_velocity(grid64, 0.3), 0.3, flow)
         assert res.trace_form <= 1e-5
         assert res.flux_form <= 1e-5
-
-    def test_accepts_snapshot_for_time(self, grid32, rng):
-        u = smooth_random_divfree(grid32, rng, k0=3.0) * 0.3
-        flow = integrate_flow(steady_trajectory(u, (0.0, 0.2)), 0.01)
-        state = StateSnapshot(0.2, SpectralField.zero(grid32), u, VectorField.zero(grid32))
-        res = check_div_identity(u, state, flow)
-        assert res.trace_form <= 1e-4
 
 
 class TestDeltaEstimates:

@@ -104,6 +104,14 @@ class TestBonyIdentities:
         assert max_mode(remainder_R(u, v)) < 1e-13 * ladder.grid.n**2
 
 
+@pytest.mark.parametrize("piece", [para_T, para_T_conj, remainder_R])
+def test_each_paraproduct_folds_once(piece, ladder, rng, fft_calls):
+    u, v = rough_random_field(ladder.grid, rng), rough_random_field(ladder.grid, rng)
+    fft_calls.clear()
+    piece(u, v)
+    assert fft_calls["rfft"] == 1
+
+
 class TestSupportProperty:
     def test_low_high_term_lives_in_annulus(self, ladder, rng):
         grid = ladder.grid

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from besovlab.dyadic import build_ladder, phi
 from besovlab.elliptic import _inner
+from besovlab.norms import BesovSpec, besov_norm
 from besovlab.spectral import (
     SpectralField,
     VectorField,
@@ -259,6 +260,14 @@ class TestProducts:
         reused = multiply(reused_factor(f), h)
         assert np.max(np.abs(reused.modes - fresh.modes)) < 1e-13 * scale
 
+    def test_reused_factor_keeps_cached_node_values(self, grid64, rng, fft_calls):
+        f = smooth_random_field(grid64, rng)
+        values = f.values
+        held = reused_factor(f)
+        fft_calls.clear()
+        assert held.values is values
+        assert fft_calls["irfft2"] == 0
+
     @pytest.mark.parametrize("n", [8, 16, 32, 64, 128])
     def test_kernel_is_bitwise_equal_to_full_width_transforms(self, n, rng):
         g = make_grid(n)
@@ -396,6 +405,23 @@ class TestHeat:
     def test_l2_contraction(self, grid64, rng):
         f = smooth_random_field(grid64, rng)
         assert l2_quadrature(heat_propagate(f, 1.0, 0.05)) <= l2_quadrature(f)
+
+    def test_smoothing_integral_shrinks_with_horizon(self, grid64, rng):
+        u0 = smooth_random_divfree(grid64, rng)
+        spec = BesovSpec(s=2.0, p=2.0, r=1.0)
+
+        def integral(T, samples=33):
+            ts = np.linspace(0.0, T, samples)
+            vals = []
+            for t in ts:
+                uf = heat_propagate(u0, 1.0, float(t))
+                vals.append(
+                    besov_norm(uf.u1, spec)[0] + besov_norm(uf.u2, spec)[0]
+                )
+            return np.trapezoid(vals, ts)
+
+        v1, v2, v3 = integral(0.4), integral(0.2), integral(0.1)
+        assert v3 < v2 < v1
 
 
 class TestInversion:

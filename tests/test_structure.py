@@ -1,7 +1,7 @@
 """Source-level guards: no private cross-module imports, no duplicated function bodies,
 no defaulted parameter that no call sets, no BLAS-backed call, no ladder passed around,
 no report type besides ``RatioReport``, no field layout besides the half spectrum, no
-unused import."""
+unused import, no exported function that only tests call."""
 
 import ast
 from collections import defaultdict
@@ -12,6 +12,7 @@ from besovlab.interpolation import PeriodicSampler
 
 SOURCES = sorted(Path(besovlab.__file__).parent.glob("*.py"))
 TESTS = sorted(Path(__file__).parent.glob("*.py"))
+BENCHMARK = sorted((Path(besovlab.__file__).parents[2] / "perfbench").glob("*.py"))
 
 
 def _is_private(name: str) -> bool:
@@ -286,3 +287,60 @@ def test_import_guard_sees_each_form():
         "x: Grid\n"
     )
     assert unused_imports(source) == ["2: os", "4: os", "5: turn", "10: json"]
+
+
+# Paper identities that no library code calls, kept as the oracles of their tests.
+TEST_ORACLES = {"para_T_conj", "transport_commutator", "jacobian_series"}
+
+
+def _exported_functions(tree) -> list[str]:
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            exported |= set(ast.literal_eval(node.value))
+    return [node.name for node in tree.body if isinstance(node, ast.FunctionDef) and node.name in exported]
+
+
+def unreferenced_exports(modules: dict[str, str], readers: list[str]) -> list[str]:
+    """``module: name`` of each function in a module's ``__all__`` that no other code reads.
+
+    A read is a name or attribute load in any module outside the function's own
+    body, or in any of ``readers``; an import alone is not a read.
+    """
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    found = []
+    for module, tree in trees.items():
+        for name in _exported_functions(tree):
+            own = {id(n) for d in tree.body if getattr(d, "name", None) == name for n in ast.walk(d)}
+            nodes = [n for t in trees.values() for n in ast.walk(t) if id(n) not in own]
+            nodes += [n for source in readers for n in ast.walk(ast.parse(source))]
+            if not any(getattr(n, "id", None) == name or getattr(n, "attr", None) == name for n in nodes):
+                found.append(f"{module}: {name}")
+    return found
+
+
+def test_every_exported_function_has_a_caller_outside_the_tests():
+    """A library function that only tests call is dead code, unless it is a paper identity kept as an oracle."""
+    assert len(BENCHMARK) >= 3
+    modules = {path.name: path.read_text(encoding="utf-8") for path in SOURCES}
+    readers = [path.read_text(encoding="utf-8") for path in BENCHMARK]
+    offences = [use for use in unreferenced_exports(modules, readers) if use.split(": ")[1] not in TEST_ORACLES]
+    assert offences == []
+
+
+def test_export_guard_sees_each_form():
+    modules = {
+        "a.py": (
+            "__all__ = ['used', 'recursive', 'imported', 'by_attribute', 'by_reader', 'Kept', 'CONST']\n"
+            "def used(): pass\n"
+            "def recursive(n): return recursive(n - 1)\n"
+            "def imported(): pass\n"
+            "def by_attribute(): pass\n"
+            "def by_reader(): pass\n"
+            "def private(): pass\n"
+            "class Kept: pass\n"
+            "CONST = 1\n"
+        ),
+        "b.py": "from .a import imported, used\nimport a\nused()\na.by_attribute()\n",
+    }
+    assert unreferenced_exports(modules, ["x.by_reader()"]) == ["a.py: recursive", "a.py: imported"]
