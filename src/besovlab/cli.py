@@ -77,7 +77,7 @@ from .lagrangian import (
     gradient_tensor,
     integrate_flow,
 )
-from .norms import BesovSpec, TimeNormSpec, besov_norm, chemin_lerner
+from .norms import BesovSpec, besov_norm, chemin_lerner
 from .paraproduct import para_T, remainder_R
 from .random_fields import (
     random_band_field,
@@ -713,8 +713,7 @@ def _norm(config: ExperimentConfig, args) -> _Outcome:
         states = sorted(snapshots, key=lambda s: s.t)
         t0 = states[0].t
         pairs = [(s.t - t0, _snapshot_plane(s, args.plane)) for s in states]
-        horizon = pairs[-1][0]
-        value = chemin_lerner(pairs, TimeNormSpec(space=spec, sigma=args.sigma, T=horizon))
+        value = chemin_lerner(pairs, spec, args.sigma)
         label = "time-space norm"
     else:
         if snapshots:
@@ -1187,3 +1186,7 @@ def run_cli(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run_cli())
+
+
+if __name__ == "__main__":
+    main()

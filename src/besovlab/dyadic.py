@@ -154,17 +154,6 @@ class DyadicLadder:
             raise ValueError(f"inhomogeneous block index must be >= -1, got {j}")
         return self.block(u, j)
 
-    def analysis_block(self, u: SpectralField | VectorField, j: int):
-        """Block with the low-frequency residue attached at the bottom octave.
-
-        The sum of analysis blocks over the ladder reproduces u exactly, which
-        is what the paraproduct telescoping identities rely on.
-        """
-        b = self.block(u, j)
-        if j == self.j_min:
-            return b + self.low_pass(u, self.j_min)
-        return b
-
     def inhomogeneous_js(self) -> range:
         return range(-1, self.j_max + 1)
 

@@ -126,7 +126,7 @@ class ViscosityLaw:
 
     * ``constant``  — mu(a) = mu0
     * ``affine``    — mu as an affine function of the density: mu0 + mu1/(1+a)
-    * ``exponential`` — mu0 * exp(beta * a)
+    * ``exponential`` — mu0 * exp(beta * a), with ``mu1`` as beta
 
     Derived quantities: ``b(a) = (1+a) mu(a) - mu(0)`` is the coefficient of
     the variable part of the momentum diffusion once the constant part is
@@ -144,18 +144,6 @@ class ViscosityLaw:
             raise ValueError("viscosity parameters must be finite")
         if self.mu_tilde(0.0) <= 0.0:
             raise ValueError(f"viscosity at a=0 must be positive, got {self.mu_tilde(0.0):.3e}")
-
-    @classmethod
-    def constant(cls, mu: float) -> "ViscosityLaw":
-        return cls("constant", mu)
-
-    @classmethod
-    def affine(cls, mu0: float, mu1: float) -> "ViscosityLaw":
-        return cls("affine", mu0, mu1)
-
-    @classmethod
-    def exponential(cls, mu0: float, beta: float) -> "ViscosityLaw":
-        return cls("exponential", mu0, beta)
 
     @property
     def is_constant(self) -> bool:
@@ -279,18 +267,15 @@ class DiagnosticsSeries:
             if len(series) != k:
                 raise ValueError(f"extra series {key!r} has {len(series)} entries for {k} times")
 
-    def csv_rows(self) -> list[str]:
+    def write_csv(self, path) -> None:
         names = ["t", "A", "Z", "E0", "E1", "E2"] + sorted(self.extra)
         rows = [",".join(names)]
         for i, t in enumerate(self.times):
             vals = [t, self.A[i], self.Z[i], self.E0[i], self.E1[i], self.E2[i]]
             vals += [self.extra[k][i] for k in sorted(self.extra)]
             rows.append(",".join(f"{v:.17g}" for v in vals))
-        return rows
-
-    def write_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(self.csv_rows()) + "\n")
+            fh.write("\n".join(rows) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +320,7 @@ def transport_step(
     if scheme == "spectral":
         return _transport_spectral(a, u, dt)
     xd, yd = _departure_points(u, dt)
-    vals = PeriodicSampler.of_scalar(a).scalar_at(xd, yd)
+    (vals,) = PeriodicSampler.of_scalar(a).at(xd, yd)
     if scheme == "semi_lagrangian_monotone":
         lo, hi = cell_bounds(a, xd, yd)
         vals = np.clip(vals, lo, hi)
@@ -459,7 +444,7 @@ class IntegrationConfig:
 
     T: float
     dt: float
-    visc: ViscosityLaw = ViscosityLaw.constant(1.0)
+    visc: ViscosityLaw = ViscosityLaw("constant", 1.0)
     p: float = 2.0
     scheme: str = "spectral"
     split_m: int | None = None
@@ -636,7 +621,7 @@ def energy_diagnostics(
     density range, and the reference convection size in ``extra``.
     """
     if visc is None:
-        visc = ViscosityLaw.constant(1.0)
+        visc = ViscosityLaw("constant", 1.0)
     if visc.kind != "constant":
         raise ValueError("energy diagnostics require a constant viscosity law")
     if not trajectory:

@@ -47,22 +47,14 @@ __all__ = [
     "check_elliptic_estimate",
     "fit_growth_envelope",
     "mark_refinement",
-    "commutator_p_lower",
-    "pressure_p_upper",
+    "COMMUTATOR_P_LOWER",
+    "PRESSURE_P_UPPER",
 ]
 
-
-def commutator_p_lower() -> float:
-    """Lower integrability threshold for the commutator-pairing estimate.
-
-    Kept as the exact closed form (1 + sqrt(17))/4 and evaluated at need.
-    """
-    return (1.0 + math.sqrt(17.0)) / 4.0
-
-
-def pressure_p_upper() -> float:
-    """Upper integrability threshold for the flat pressure estimate: (5 + sqrt(17))/2."""
-    return (5.0 + math.sqrt(17.0)) / 2.0
+# Integrability thresholds: the commutator-pairing estimate needs p above
+# (1 + sqrt(17))/4, the flat pressure estimate p below (5 + sqrt(17))/2.
+COMMUTATOR_P_LOWER = (1.0 + math.sqrt(17.0)) / 4.0
+PRESSURE_P_UPPER = (5.0 + math.sqrt(17.0)) / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +414,7 @@ def check_Ij_bound(
 ) -> RatioReport:
     """Measure the commutator pairing against its octave-weighted bound.
 
-    Admissible regimes: (i) p in (commutator_p_lower(), 2] with
+    Admissible regimes: (i) p in (COMMUTATOR_P_LOWER, 2] with
     1/p - 1/q <= 1/2, where the bound carries the coefficient norm at
     integrability q and the L^2 gradient norm; (ii) q = p in (1, 4), where
     for p >= 2 the gradient norm upgrades to the summation-2 octave norm.
@@ -430,8 +422,7 @@ def check_Ij_bound(
     """
     p = check_exponent("p", p)
     q = check_exponent("q", q)
-    plo = commutator_p_lower()
-    regime_i = (plo < p <= 2.0) and (1.0 / p - 1.0 / q <= 0.5 + 1e-12)
+    regime_i = (COMMUTATOR_P_LOWER < p <= 2.0) and (1.0 / p - 1.0 / q <= 0.5 + 1e-12)
     regime_ii = (q == p) and (1.0 < p < 4.0)
     if not (regime_i or regime_ii):
         raise ValueError(
@@ -473,8 +464,6 @@ def check_Ij_bound(
         "d_j": d_j,
         "regime": regime,
     }
-    if p >= 2.0:
-        extra["parts_route"] = ij_integral(a, pressure, p, j, form="parts")
     return RatioReport(
         check="commutator_pairing",
         config={"p": p, "q": q, "j": int(j), "grid_n": a.grid.n},
@@ -532,7 +521,7 @@ def check_elliptic_estimate(
     }
 
     # with q = p the flat estimate's exponent conditions reduce to these p windows
-    if commutator_p_lower() < p < 2.0 or 2.0 < p < pressure_p_upper():
+    if COMMUTATOR_P_LOWER < p < 2.0 or 2.0 < p < PRESSURE_P_UPPER:
         num2 = besov_norm(solution, BesovSpec(s_low, p, 2.0))[0]
         den2 = (1.0 + a_norm) * besov_norm(qf, BesovSpec(s_low, p, 2.0))[0]
         extra["flat_ratio"] = num2 / den2

@@ -159,12 +159,6 @@ class PeriodicSampler:
         # [()] turns a 0-d result into a NumPy scalar, as the reduction above would
         return tuple(out.reshape(x.shape)[()] for out in outs)
 
-    def scalar_at(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Sample a single-plane sampler, returning the plane directly."""
-        if len(self.planes) != 1:
-            raise ValueError(f"scalar_at needs exactly one plane, sampler has {len(self.planes)}")
-        return self.at(x, y)[0]
-
 
 def cell_bounds(
     f: SpectralField, x: np.ndarray, y: np.ndarray

@@ -24,7 +24,6 @@ from .spectral import SpectralField, VectorField, l2_norm
 __all__ = [
     "BesovSpec",
     "BlockProfile",
-    "TimeNormSpec",
     "check_exponent",
     "lp_norm",
     "lr_aggregate",
@@ -86,20 +85,6 @@ class BesovSpec:
         object.__setattr__(self, "s", float(self.s))
         object.__setattr__(self, "p", check_exponent("p", self.p))
         object.__setattr__(self, "r", check_exponent("r", self.r))
-
-
-@dataclass(frozen=True)
-class TimeNormSpec:
-    """Chemin-Lerner norm parameters: a BesovSpec plus time integrability and horizon."""
-
-    space: BesovSpec
-    sigma: float
-    T: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "sigma", check_exponent("sigma", self.sigma))
-        if not (self.T > 0.0):
-            raise ValueError(f"time horizon must be positive, got {self.T}")
 
 
 @dataclass(frozen=True)
@@ -241,15 +226,11 @@ class RunningTimeNorm:
         return lr_aggregate(weights * per_octave, self.space.r)
 
 
-def chemin_lerner(snapshots: Sequence, spec: TimeNormSpec) -> float:
-    """Time-space norm over [0, T]: the last value of a :class:`RunningTimeNorm` fed the snapshots.
+def chemin_lerner(snapshots: Sequence, space: BesovSpec, sigma: float) -> float:
+    """Time-space norm over the snapshots' span: the last value of a :class:`RunningTimeNorm` fed them all.
 
     ``snapshots`` holds (t, field) pairs, or snapshot objects whose scalar
     ``a`` is measured.
     """
-    pairs = unpack_trajectory(snapshots, "a")
-    t0, tN = pairs[0][0], pairs[-1][0]
-    if t0 > 1e-12 or tN < spec.T - 1e-12:
-        raise ValueError(f"snapshots span [{t0}, {tN}] but the norm horizon is [0, {spec.T}]")
-    norm = RunningTimeNorm(spec.space, spec.sigma)
-    return [norm.update(t, f) for t, f in pairs if t <= spec.T + 1e-12][-1]
+    norm = RunningTimeNorm(space, sigma)
+    return [norm.update(t, f) for t, f in unpack_trajectory(snapshots, "a")][-1]

@@ -306,7 +306,7 @@ def test_09_uniform_density_momentum_matches_closed_form():
     start = time.perf_counter()
     grid = make_grid(64)
     mu = 1.0
-    law = ViscosityLaw.constant(mu)
+    law = ViscosityLaw("constant", mu)
     a = SpectralField.zero(grid)
     u, grad_pi = taylor_green(grid, mu, 0.0)
     state = StateSnapshot(t=0.0, a=a, u=u, gradPi=grad_pi)
@@ -381,7 +381,7 @@ def test_11_small_data_run_fits_growth_envelope_with_bounded_energy():
     ) * grid.cell_area
 
     run = IntegrationConfig(
-        T=2.0, dt=0.01, visc=ViscosityLaw.constant(1.0), p=2.0,
+        T=2.0, dt=0.01, visc=ViscosityLaw("constant", 1.0), p=2.0,
         scheme="spectral", snapshot_every=10,
     )
     trajectory, diag = ns_integrate(run, a0, u0)

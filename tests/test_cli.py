@@ -2,11 +2,16 @@
 
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import besovlab
 from besovlab import evolution
 from besovlab.cli import (
     ExperimentConfig,
@@ -277,6 +282,19 @@ class TestExitCodes:
     def test_version_exits_zero(self, capsys):
         assert run_cli(["--version"]) == 0
         assert "besovlab" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("module", ["besovlab", "besovlab.cli"])
+    def test_module_entry_point_runs(self, module, tmp_path):
+        src = str(Path(besovlab.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+        def run(*argv):
+            return subprocess.run([sys.executable, "-m", module, *argv], env=env, capture_output=True).returncode
+
+        out = tmp_path / "heat"
+        assert run("verify", "heat", "--n", "32", "--trials", "2", "--out", str(out)) == 0
+        assert json.loads((out / "report.json").read_text())["passed"] is True
+        assert run("frobnicate") == 2
 
     @pytest.mark.parametrize(
         "argv, config_text, field",

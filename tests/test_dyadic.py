@@ -99,15 +99,6 @@ class TestLadder:
             r = ladder.reconstruct(f)
             assert np.max(np.abs(r.modes - f.modes)) < 1e-12 * np.max(np.abs(f.modes))
 
-    def test_analysis_blocks_sum_to_identity(self, rng):
-        grid = make_grid(64)
-        ladder = build_ladder(grid)
-        f = smooth_random_field(grid, rng, mean_zero=False) + SpectralField.from_physical(grid, np.full((64, 64), 0.7))
-        acc = ladder.analysis_block(f, ladder.j_min)
-        for j in range(ladder.j_min + 1, ladder.j_max + 1):
-            acc = acc + ladder.analysis_block(f, j)
-        assert np.max(np.abs(acc.modes - f.modes)) < 1e-12 * np.max(np.abs(f.modes))
-
     def test_block_range_enforced(self, rng):
         grid = make_grid(64)
         ladder = build_ladder(grid)

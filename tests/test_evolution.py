@@ -69,7 +69,7 @@ def rel_l2(got, want):
 
 class TestViscosityLaw:
     def test_constant_law_fields(self):
-        law = ViscosityLaw.constant(2.0)
+        law = ViscosityLaw("constant", 2.0)
         assert law.mu_tilde(0.7) == 2.0
         a = np.array([0.0, 0.5, -0.25])
         assert np.allclose(law.b_values(a), 2.0 * a)
@@ -79,9 +79,9 @@ class TestViscosityLaw:
     @pytest.mark.parametrize(
         "law",
         [
-            ViscosityLaw.constant(1.5),
-            ViscosityLaw.affine(1.0, 0.5),
-            ViscosityLaw.exponential(0.8, 0.6),
+            ViscosityLaw("constant", 1.5),
+            ViscosityLaw("affine", 1.0, 0.5),
+            ViscosityLaw("exponential", 0.8, 0.6),
         ],
     )
     def test_lam_antiderivative_matches_viscosity(self, law):
@@ -92,14 +92,14 @@ class TestViscosityLaw:
         assert abs(law.lam(0.0)) <= 1e-15
 
     def test_b_vanishes_at_zero(self):
-        for law in (ViscosityLaw.affine(1.0, 0.5), ViscosityLaw.exponential(1.0, -0.3)):
+        for law in (ViscosityLaw("affine", 1.0, 0.5), ViscosityLaw("exponential", 1.0, -0.3)):
             assert abs(law.b_values(np.array([0.0]))[0]) <= 1e-15
             assert not law.is_constant
 
     def test_positivity_checks(self):
         with pytest.raises(ValueError, match="positive"):
-            ViscosityLaw.constant(-1.0)
-        law = ViscosityLaw.affine(1.0, -0.9)
+            ViscosityLaw("constant", -1.0)
+        law = ViscosityLaw("affine", 1.0, -0.9)
         law.require_positive(0.0, 2.0)
         with pytest.raises(ValueError, match="positivity"):
             law.require_positive(-0.3, 0.0)
@@ -231,7 +231,7 @@ class TestMomentumStep:
         mu, dt, steps = 1.0, 1e-3, 100
         u0, gp0 = taylor_green(grid64, mu, 0.0)
         state = StateSnapshot(0.0, SpectralField.zero(grid64), u0, gp0)
-        visc = ViscosityLaw.constant(mu)
+        visc = ViscosityLaw("constant", mu)
         for _ in range(steps):
             state = momentum_step(state, visc, dt)
         u_want, gp_want = taylor_green(grid64, mu, dt * steps)
@@ -241,7 +241,7 @@ class TestMomentumStep:
     def test_rest_state_is_fixed(self, grid32, rng):
         a = smooth_random_field(grid32, rng, amplitude=0.4)
         state = StateSnapshot(0.0, a, VectorField.zero(grid32), VectorField.zero(grid32))
-        out = momentum_step(state, ViscosityLaw.affine(1.0, 0.5), 0.01)
+        out = momentum_step(state, ViscosityLaw("affine", 1.0, 0.5), 0.01)
         assert out.u.linf() <= 1e-14
         assert out.gradPi.linf() <= 1e-14
         assert out.a is a
@@ -251,7 +251,7 @@ class TestMomentumStep:
     def test_second_order_consistency(self, grid32, rng, split_m):
         u0 = smooth_random_divfree(grid32, rng, k0=3.0) * 0.25
         a = smooth_random_field(grid32, rng, k0=3.0, amplitude=0.3)
-        visc = ViscosityLaw.affine(1.0, 0.5)
+        visc = ViscosityLaw("affine", 1.0, 0.5)
         state = StateSnapshot(0.0, a, u0, VectorField.zero(grid32))
 
         def defect(h):
@@ -268,7 +268,7 @@ class TestMomentumStep:
         u0 = smooth_random_divfree(grid32, rng) * 0.3
         a = smooth_random_field(grid32, rng, amplitude=0.5)
         state = StateSnapshot(0.0, a, u0, VectorField.zero(grid32))
-        out = momentum_step(state, ViscosityLaw.exponential(1.0, 0.4), 0.01)
+        out = momentum_step(state, ViscosityLaw("exponential", 1.0, 0.4), 0.01)
         div = divergence(out.u)
         assert np.max(np.abs(div.values.real)) <= 1e-8 * max(out.u.linf(), 1.0)
 
@@ -278,7 +278,7 @@ class TestMomentumStep:
             transport_step(a, u, math.nan)
         state = StateSnapshot(0.0, a, u, VectorField.zero(grid32))
         with pytest.raises(CFLViolation, match="nan"):
-            momentum_step(state, ViscosityLaw.constant(1.0), math.nan)
+            momentum_step(state, ViscosityLaw("constant", 1.0), math.nan)
 
     def test_guards(self, grid32, rng):
         a = smooth_random_field(grid32, rng, amplitude=0.3)
@@ -289,12 +289,12 @@ class TestMomentumStep:
         )
         state = StateSnapshot(0.0, a, u, VectorField.zero(grid32))
         with pytest.raises(CFLViolation):
-            momentum_step(state, ViscosityLaw.constant(1.0), 0.5)
+            momentum_step(state, ViscosityLaw("constant", 1.0), 0.5)
         slow = StateSnapshot(0.0, a, u * 0.01, VectorField.zero(grid32))
         with pytest.raises(ValueError, match="positivity"):
-            momentum_step(slow, ViscosityLaw.affine(1.0, -0.95), 0.01)
+            momentum_step(slow, ViscosityLaw("affine", 1.0, -0.95), 0.01)
         with pytest.raises(ValueError, match="dt > 0"):
-            momentum_step(slow, ViscosityLaw.constant(1.0), 0.0)
+            momentum_step(slow, ViscosityLaw("constant", 1.0), 0.0)
 
 
 class TestForcing:
@@ -407,13 +407,13 @@ class TestNsIntegrate:
         assert diag.stop_reason == "cfl_violation"
         assert len(traj) == 1
 
-    def test_variable_viscosity_smoke_run(self, grid32, rng):
+    def test_variable_viscosity_smoke_run(self, grid32, rng, tmp_path):
         a0 = smooth_random_field(grid32, rng, k0=3.0, amplitude=0.3)
         u0 = smooth_random_divfree(grid32, rng, k0=3.0) * 0.2
         config = IntegrationConfig(
             T=0.04,
             dt=0.01,
-            visc=ViscosityLaw.affine(1.0, 0.5),
+            visc=ViscosityLaw("affine", 1.0, 0.5),
             p=2.5,
             monitor_ms=(1, 3),
             split_m=2,
@@ -427,14 +427,15 @@ class TestNsIntegrate:
             assert 1.0 + st.a.values.real.min() >= st.kappa - 1e-3
         assert "smallness_m1" in diag.extra and "smallness_m3" in diag.extra
         assert diag.extra["smallness_m1"][-1] > diag.extra["smallness_m3"][-1]
-        rows = diag.csv_rows()
+        diag.write_csv(tmp_path / "diagnostics.csv")
+        rows = (tmp_path / "diagnostics.csv").read_text(encoding="utf-8").splitlines()
         assert rows[0].startswith("t,A,Z,E0,E1,E2")
         assert len(rows) == len(diag.times) + 1
 
     def test_smallness_monitors_sample_the_viscosity_tail(self, grid32, rng):
         a0, u0 = coupled_data(grid32, rng)
         config = IntegrationConfig(
-            T=0.03, dt=0.01, visc=ViscosityLaw.exponential(1.0, 0.5), monitor_ms=(1, 2)
+            T=0.03, dt=0.01, visc=ViscosityLaw("exponential", 1.0, 0.5), monitor_ms=(1, 2)
         )
         for a, positive in ((a0, True), (SpectralField.zero(grid32), False)):
             _, diag = ns_integrate(config, a, u0)
@@ -456,7 +457,7 @@ class TestNsIntegrate:
             return solve_pressure(*args, **kwargs)
 
         monkeypatch.setattr(evolution, "solve_pressure", counting_solve)
-        config = IntegrationConfig(T=0.08, dt=0.01, visc=ViscosityLaw.affine(1.0, 0.5), snapshot_every=3)
+        config = IntegrationConfig(T=0.08, dt=0.01, visc=ViscosityLaw("affine", 1.0, 0.5), snapshot_every=3)
         traj, diag = ns_integrate(config, *coupled_data(grid32, rng))
         assert diag.stop_reason == "completed"
         assert [round(st.t / config.dt) for st in traj] == [0, 3, 6, 8]
@@ -468,7 +469,7 @@ class TestNsIntegrate:
         data = coupled_data(grid32, rng)
         runs = {
             every: ns_integrate(
-                IntegrationConfig(T=0.08, dt=0.01, visc=ViscosityLaw.exponential(1.0, 0.5), snapshot_every=every),
+                IntegrationConfig(T=0.08, dt=0.01, visc=ViscosityLaw("exponential", 1.0, 0.5), snapshot_every=every),
                 *data,
             )
             for every in (1, 4)
@@ -494,7 +495,7 @@ class TestNsIntegrate:
             return grad_pi, stats, flux
 
         monkeypatch.setattr(evolution, "solve_pressure", poisoned_solve)
-        config = IntegrationConfig(T=0.04, dt=0.01, visc=ViscosityLaw.affine(1.0, 0.5))
+        config = IntegrationConfig(T=0.04, dt=0.01, visc=ViscosityLaw("affine", 1.0, 0.5))
         traj, diag = ns_integrate(config, *coupled_data(grid32, rng))
         assert diag.stop_reason == "non_finite"
         assert [st.t for st in traj] == pytest.approx([0.0, 0.01])
@@ -512,7 +513,7 @@ class TestNsIntegrate:
             return solve_pressure(*args, **kwargs)
 
         monkeypatch.setattr(evolution, "solve_pressure", failing_solve)
-        config = IntegrationConfig(T=0.04, dt=0.01, visc=ViscosityLaw.affine(1.0, 0.5))
+        config = IntegrationConfig(T=0.04, dt=0.01, visc=ViscosityLaw("affine", 1.0, 0.5))
         traj, diag = ns_integrate(config, *coupled_data(grid32, rng))
         assert diag.stop_reason == "solver_failure"
         assert diag.stop_cause.startswith("step 2: pressure solve did not reach tol=1.0e-14 in 1 iterations")
@@ -566,7 +567,7 @@ class TestEnergyDiagnostics:
             StateSnapshot(0.1, SpectralField.zero(grid32), VectorField.zero(grid32), VectorField.zero(grid32)),
         ]
         with pytest.raises(ValueError, match="constant viscosity"):
-            energy_diagnostics(traj, visc=ViscosityLaw.affine(1.0, 0.5))
+            energy_diagnostics(traj, visc=ViscosityLaw("affine", 1.0, 0.5))
 
 
 class TestDiagnosticsSeries:

@@ -7,17 +7,17 @@ import pytest
 
 from besovlab.elliptic import solve_pressure
 from besovlab.inequality_lab import (
+    COMMUTATOR_P_LOWER,
+    PRESSURE_P_UPPER,
     RatioReport,
     check_bernstein,
     check_elliptic_estimate,
     check_heat_decay,
     check_Ij_bound,
     check_transport_estimate,
-    commutator_p_lower,
     fit_growth_envelope,
     ij_integral,
     mark_refinement,
-    pressure_p_upper,
 )
 from besovlab.norms import lp_norm
 from besovlab.random_fields import random_band_field, trial_seed
@@ -76,10 +76,10 @@ class TestRatioReport:
 
 class TestThresholds:
     def test_exact_expressions(self):
-        assert commutator_p_lower() == pytest.approx((1 + math.sqrt(17)) / 4, rel=1e-15)
-        assert pressure_p_upper() == pytest.approx((5 + math.sqrt(17)) / 2, rel=1e-15)
-        assert 1.28 < commutator_p_lower() < 1.2809
-        assert 4.56 < pressure_p_upper() < 4.5616
+        assert COMMUTATOR_P_LOWER == pytest.approx((1 + math.sqrt(17)) / 4, rel=1e-15)
+        assert PRESSURE_P_UPPER == pytest.approx((5 + math.sqrt(17)) / 2, rel=1e-15)
+        assert 1.28 < COMMUTATOR_P_LOWER < 1.2809
+        assert 4.56 < PRESSURE_P_UPPER < 4.5616
 
 
 class TestBernstein:
@@ -311,18 +311,15 @@ class TestIjBound:
         r1 = check_Ij_bound(a, pi, 2.0, 2.5, 2)
         assert r1.extra["regime"] == "i"
         assert r1.max_ratio >= 0.0
-        assert "parts_route" in r1.extra
         r2 = check_Ij_bound(a, pi, 2.5, 2.5, 2)
         assert r2.extra["regime"] == "ii"
         # matching exponents below 2 fall inside the cross-exponent regime,
         # where the two bounds coincide
         r3 = check_Ij_bound(a, pi, 1.5, 1.5, 2)
         assert r3.extra["regime"] == "i"
-        assert "parts_route" not in r3.extra
         # below the cross-exponent threshold only the matched regime remains
         r4 = check_Ij_bound(a, pi, 1.2, 1.2, 2)
         assert r4.extra["regime"] == "ii"
-        assert "parts_route" not in r4.extra
 
 
 def band_forcing(grid, seed, k_high=10.0):

@@ -22,14 +22,14 @@ class TestCubicSampling:
         f = random_band_field(grid64, 1.0, 8.0, seed=401)
         sampler = PeriodicSampler.of_scalar(f, upsample=1)
         x, y = _node_points(grid64)
-        got = sampler.scalar_at(x, y)
+        got = sampler.at(x, y)[0]
         assert np.max(np.abs(got - f.values.real)) <= 1e-12 * f.linf()
 
     def test_constant_field_reproduced_everywhere(self, grid32, rng):
         f = SpectralField.from_physical(grid32, np.full((32, 32), 0.7))
         sampler = PeriodicSampler.of_scalar(f, upsample=2)
         x, y = _random_points(rng, 200, grid32.L)
-        assert np.max(np.abs(sampler.scalar_at(x, y) - 0.7)) <= 1e-14
+        assert np.max(np.abs(sampler.at(x, y)[0] - 0.7)) <= 1e-14
 
     def test_single_mode_accuracy(self, grid64, rng):
         xg, yg = grid64.coords
@@ -37,14 +37,14 @@ class TestCubicSampling:
         sampler = PeriodicSampler.of_scalar(f, upsample=4)
         x, y = _random_points(rng, 500, grid64.L)
         exact = np.cos(3.0 * x) * np.sin(2.0 * y)
-        assert np.max(np.abs(sampler.scalar_at(x, y) - exact)) <= 2e-6
+        assert np.max(np.abs(sampler.at(x, y)[0] - exact)) <= 2e-6
 
     def test_upsampling_tightens_the_error(self, grid64, rng):
         f = random_band_field(grid64, 1.0, 6.0, seed=402)
         x, y = _random_points(rng, 400, grid64.L)
-        reference = PeriodicSampler.of_scalar(f, upsample=8).scalar_at(x, y)
-        coarse = PeriodicSampler.of_scalar(f, upsample=1).scalar_at(x, y)
-        fine = PeriodicSampler.of_scalar(f, upsample=4).scalar_at(x, y)
+        reference = PeriodicSampler.of_scalar(f, upsample=8).at(x, y)[0]
+        coarse = PeriodicSampler.of_scalar(f, upsample=1).at(x, y)[0]
+        fine = PeriodicSampler.of_scalar(f, upsample=4).at(x, y)[0]
         err_coarse = np.max(np.abs(coarse - reference))
         err_fine = np.max(np.abs(fine - reference))
         assert err_fine < err_coarse / 30.0
@@ -53,16 +53,16 @@ class TestCubicSampling:
         f = random_band_field(grid32, 1.0, 5.0, seed=403)
         dense = refine(f, 8)
         x, y = dense.grid.coords
-        got = PeriodicSampler.of_scalar(f, upsample=4).scalar_at(x, y)
+        got = PeriodicSampler.of_scalar(f, upsample=4).at(x, y)[0]
         assert np.max(np.abs(got - dense.values.real)) <= 1e-4 * f.linf()
 
     def test_periodic_shift_invariance(self, grid32, rng):
         f = random_band_field(grid32, 1.0, 5.0, seed=404)
         sampler = PeriodicSampler.of_scalar(f, upsample=2)
         x, y = _random_points(rng, 100, grid32.L)
-        base = sampler.scalar_at(x, y)
-        assert np.max(np.abs(sampler.scalar_at(x - grid32.L, y) - base)) <= 1e-11
-        assert np.max(np.abs(sampler.scalar_at(x, y + 2 * grid32.L) - base)) <= 1e-11
+        base = sampler.at(x, y)[0]
+        assert np.max(np.abs(sampler.at(x - grid32.L, y)[0] - base)) <= 1e-11
+        assert np.max(np.abs(sampler.at(x, y + 2 * grid32.L)[0] - base)) <= 1e-11
 
     def test_vector_sampler_matches_components(self, grid32, rng):
         v1 = random_band_field(grid32, 1.0, 4.0, seed=405)
@@ -70,17 +70,17 @@ class TestCubicSampling:
         V = VectorField(v1, v2)
         x, y = _random_points(rng, 50, grid32.L)
         got1, got2 = PeriodicSampler.of_vector(V, upsample=2).at(x, y)
-        want1 = PeriodicSampler.of_scalar(v1, upsample=2).scalar_at(x, y)
-        want2 = PeriodicSampler.of_scalar(v2, upsample=2).scalar_at(x, y)
+        want1 = PeriodicSampler.of_scalar(v1, upsample=2).at(x, y)[0]
+        want2 = PeriodicSampler.of_scalar(v2, upsample=2).at(x, y)[0]
         assert np.array_equal(got1, want1)
         assert np.array_equal(got2, want2)
 
     def test_broadcasting_shapes(self, grid32):
         f = random_band_field(grid32, 1.0, 4.0, seed=407)
         sampler = PeriodicSampler.of_scalar(f, upsample=1)
-        out = sampler.scalar_at(1.0, np.linspace(0.0, 6.0, 7))
+        out = sampler.at(1.0, np.linspace(0.0, 6.0, 7))[0]
         assert out.shape == (7,)
-        out2 = sampler.scalar_at(np.zeros((3, 1)), np.zeros((1, 5)))
+        out2 = sampler.at(np.zeros((3, 1)), np.zeros((1, 5)))[0]
         assert out2.shape == (3, 5)
 
     def test_rejects_bad_construction(self, grid32):
@@ -88,10 +88,6 @@ class TestCubicSampling:
             PeriodicSampler(grid32.L, ())
         with pytest.raises(ValueError, match="share one shape"):
             PeriodicSampler(grid32.L, (np.zeros((4, 4)), np.zeros((8, 8))))
-        f = random_band_field(grid32, 1.0, 4.0, seed=408)
-        V = VectorField(f, f)
-        with pytest.raises(ValueError, match="one plane"):
-            PeriodicSampler.of_vector(V).scalar_at(0.0, 0.0)
 
 
 def fancy_index_at(sampler, x, y):
@@ -158,7 +154,7 @@ class TestSharedStencil:
 
     def test_empty_point_set(self, grid32):
         sampler = PeriodicSampler.of_scalar(_nyquist_field(grid32, 432))
-        assert sampler.scalar_at(np.zeros(0), np.zeros(0)).shape == (0,)
+        assert sampler.at(np.zeros(0), np.zeros(0))[0].shape == (0,)
 
     def test_joined_shares_planes(self, grid32):
         a = PeriodicSampler.of_scalar(_nyquist_field(grid32, 433))
@@ -200,7 +196,7 @@ class TestCellBounds:
         sampler = PeriodicSampler.of_scalar(f, upsample=4)
         x, y = _random_points(rng, 500, grid32.L)
         lo, hi = cell_bounds(f, x, y)
-        clipped = np.clip(sampler.scalar_at(x, y), lo, hi)
+        clipped = np.clip(sampler.at(x, y)[0], lo, hi)
         vals = f.values.real
         assert clipped.max() <= vals.max() + 1e-15
         assert clipped.min() >= vals.min() - 1e-15

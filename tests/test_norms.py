@@ -8,7 +8,6 @@ from besovlab.norms import (
     BesovSpec,
     BlockProfile,
     RunningTimeNorm,
-    TimeNormSpec,
     besov_norm,
     chemin_lerner,
     lp_norm,
@@ -154,7 +153,7 @@ class TestCheminLerner:
         f = smooth_random_field(grid64, rng)
         spec = BesovSpec(0.4, 2, 1)
         snaps = [(0.0, f), (0.5, f), (1.0, f)]
-        tilde = chemin_lerner(snaps, TimeNormSpec(spec, np.inf, 1.0))
+        tilde = chemin_lerner(snaps, spec, np.inf)
         assert tilde == pytest.approx(besov_norm(f, spec)[0], rel=1e-12)
 
     def test_single_block_factorizes(self, grid64):
@@ -162,7 +161,7 @@ class TestCheminLerner:
         times = np.linspace(0.0, 1.0, 11)
         snaps = [(t, u * (1.0 + t)) for t in times]
         s, p, sigma = 0.5, 2.0, 2.0
-        tilde = chemin_lerner(snaps, TimeNormSpec(BesovSpec(s, p, 1), sigma, 1.0))
+        tilde = chemin_lerner(snaps, BesovSpec(s, p, 1), sigma)
         g = 1.0 + times
         g_norm = np.trapezoid(g**sigma, times) ** (1.0 / sigma)
         assert tilde == pytest.approx(2.0 ** (2 * s) * single_mode_lp_norm(grid64, 4, 4, p) * g_norm, rel=1e-12)
@@ -170,7 +169,7 @@ class TestCheminLerner:
     def test_tilde_infty_dominates_pointwise_sup(self, grid64, rng):
         spec = BesovSpec(0.3, 2, 1)
         snaps = [(t, smooth_random_field(grid64, rng, k0=6 + 4 * t)) for t in np.linspace(0, 1, 6)]
-        tilde = chemin_lerner(snaps, TimeNormSpec(spec, np.inf, 1.0))
+        tilde = chemin_lerner(snaps, spec, np.inf)
         sup_inst = max(besov_norm(f, spec)[0] for _, f in snaps)
         assert tilde >= sup_inst * (1 - 1e-12)
 
@@ -179,7 +178,7 @@ class TestCheminLerner:
         spec = BesovSpec(0.3, 2, 2)
         times = np.linspace(0, 1, 6)
         snaps = [(t, smooth_random_field(grid64, rng, k0=5 + 6 * t)) for t in times]
-        tilde = chemin_lerner(snaps, TimeNormSpec(spec, 1.0, 1.0))
+        tilde = chemin_lerner(snaps, spec, 1.0)
         inst = np.array([besov_norm(f, spec)[0] for _, f in snaps])
         lebesgue = float(np.trapezoid(inst, times))
         assert tilde <= lebesgue * (1 + 1e-12)
@@ -187,12 +186,7 @@ class TestCheminLerner:
     def test_unordered_times_rejected(self, grid64, rng):
         f = smooth_random_field(grid64, rng)
         with pytest.raises(ValueError):
-            chemin_lerner([(0.0, f), (0.5, f), (0.4, f)], TimeNormSpec(BesovSpec(0, 2), 1, 0.5))
-
-    def test_coverage_required(self, grid64, rng):
-        f = smooth_random_field(grid64, rng)
-        with pytest.raises(ValueError):
-            chemin_lerner([(0.0, f), (0.4, f)], TimeNormSpec(BesovSpec(0, 2), 1, 1.0))
+            chemin_lerner([(0.0, f), (0.5, f), (0.4, f)], BesovSpec(0, 2), 1)
 
 
 def white_noise(grid, rng, kind, homogeneous):
@@ -293,7 +287,7 @@ class TestRunningTimeNorm:
         samples = [(t, smooth_random_field(grid32, rng, k0=3 + 4 * t)) for t in np.linspace(0.0, 1.0, 9)]
         norm = RunningTimeNorm(space, 2.0)
         running = [norm.update(t, f) for t, f in samples]
-        assert chemin_lerner(samples, TimeNormSpec(space, 2.0, 1.0)) == running[-1]
+        assert chemin_lerner(samples, space, 2.0) == running[-1]
 
     @pytest.mark.parametrize("t", [0.0, -0.5, np.nan], ids=["repeated", "earlier", "nan"])
     def test_time_must_increase(self, grid32, rng, t):

@@ -1,9 +1,11 @@
 """Source-level guards: no private cross-module imports, no duplicated function bodies,
 no defaulted parameter that no call sets, no BLAS-backed call, no ladder passed around,
 no report type besides ``RatioReport``, no field layout besides the half spectrum, no
-unused import, no exported function that only tests call."""
+unused import, no exported function or public method that only tests call, and a
+package root that lists its modules."""
 
 import ast
+import inspect
 from collections import defaultdict
 from pathlib import Path
 
@@ -28,6 +30,14 @@ def _body_without_docstring(node) -> list:
 
 def test_sources_found():
     assert len(SOURCES) >= 10
+
+
+def test_package_root_lists_its_modules():
+    """The package root exports its version and its modules, and no name of theirs."""
+    modules = {path.stem for path in SOURCES if not path.stem.startswith("__")}
+    assert set(besovlab.__all__) == {"__version__"} | modules
+    assert len(besovlab.__all__) == len(set(besovlab.__all__))
+    assert all(inspect.ismodule(getattr(besovlab, name)) for name in modules)
 
 
 def test_no_private_names_imported_from_sibling_modules():
@@ -289,38 +299,82 @@ def test_import_guard_sees_each_form():
     assert unused_imports(source) == ["2: os", "4: os", "5: turn", "10: json"]
 
 
-# Paper identities that no library code calls, kept as the oracles of their tests.
-TEST_ORACLES = {"para_T_conj", "transport_commutator", "jacobian_series"}
+# Paper identities that no library code calls, kept as the oracles of their tests,
+# and reference implementations that tests compare the library's results against.
+TEST_ORACLES = {
+    "para_T_conj", "transport_commutator", "jacobian_series",
+    "refine", "residual", "DyadicLadder.reconstruct",
+}
 
 
-def _exported_functions(tree) -> list[str]:
+def _exports(tree) -> list[tuple[str, ast.AST]]:
+    """(name, definition) of each function in ``__all__``, and of each public method of a class in it."""
     exported = set()
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
             exported |= set(ast.literal_eval(node.value))
-    return [node.name for node in tree.body if isinstance(node, ast.FunctionDef) and node.name in exported]
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name in exported:
+            found.append((node.name, node))
+        elif isinstance(node, ast.ClassDef) and node.name in exported:
+            found += [
+                (f"{node.name}.{item.name}", item)
+                for item in node.body
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+            ]
+    return found
+
+
+def _reads(tree, own: str, modules: set[str]) -> list[tuple[tuple, int]]:
+    """(key, node id) of each read in the module ``own``, from one walk of its tree.
+
+    Every attribute load reads ``(None, attr)``.  A name loaded in ``own``, or
+    imported there from ``module``, reads ``(own or module, name)``, and so does
+    an attribute whose owner's last segment names a module (``spectral.x``,
+    ``bl.lagrangian.x``).
+    """
+    names, reads, imported = [], [], {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.append(node)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads.append(((None, node.attr), id(node)))
+            owner = node.value.attr if isinstance(node.value, ast.Attribute) else getattr(node.value, "id", None)
+            if owner in modules:
+                reads.append(((owner, node.attr), id(node)))
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            source = node.module.split(".")[-1]
+            imported.update({alias.asname or alias.name: (source, alias.name) for alias in node.names})
+    return reads + [(imported.get(n.id, (own, n.id)), id(n)) for n in names]
 
 
 def unreferenced_exports(modules: dict[str, str], readers: list[str]) -> list[str]:
-    """``module: name`` of each function in a module's ``__all__`` that no other code reads.
+    """``module: name`` of each function in a module's ``__all__``, and ``module: Class.method`` of
+    each public method of a class in it, that no code outside its own body reads.
 
-    A read is a name or attribute load in any module outside the function's own
-    body, or in any of ``readers``; an import alone is not a read.
+    Code is every module and every one of ``readers``.  A function is read by
+    name in its own module or in one that imports it from there, or as an
+    attribute of its module; an import alone is not a read.  A method is read
+    as an attribute of anything.
     """
-    trees = {name: ast.parse(source) for name, source in modules.items()}
+    trees = {name.removesuffix(".py"): ast.parse(source) for name, source in modules.items()}
+    code = [*trees.items(), *(("", ast.parse(source)) for source in readers)]
+    read = defaultdict(set)  # (module or None, name) -> ids of the nodes that read it
+    for own, tree in code:
+        for key, node in _reads(tree, own, set(trees)):
+            read[key].add(node)
     found = []
     for module, tree in trees.items():
-        for name in _exported_functions(tree):
-            own = {id(n) for d in tree.body if getattr(d, "name", None) == name for n in ast.walk(d)}
-            nodes = [n for t in trees.values() for n in ast.walk(t) if id(n) not in own]
-            nodes += [n for source in readers for n in ast.walk(ast.parse(source))]
-            if not any(getattr(n, "id", None) == name or getattr(n, "attr", None) == name for n in nodes):
-                found.append(f"{module}: {name}")
+        for name, definition in _exports(tree):
+            key = (None, name.split(".")[1]) if "." in name else (module, name)
+            if not read[key] - {id(n) for n in ast.walk(definition)}:
+                found.append(f"{module}.py: {name}")
     return found
 
 
 def test_every_exported_function_has_a_caller_outside_the_tests():
-    """A library function that only tests call is dead code, unless it is a paper identity kept as an oracle."""
+    """A library function or public method that only tests call is dead code, unless it is kept as a test oracle."""
     assert len(BENCHMARK) >= 3
     modules = {path.name: path.read_text(encoding="utf-8") for path in SOURCES}
     readers = [path.read_text(encoding="utf-8") for path in BENCHMARK]
@@ -331,16 +385,32 @@ def test_every_exported_function_has_a_caller_outside_the_tests():
 def test_export_guard_sees_each_form():
     modules = {
         "a.py": (
-            "__all__ = ['used', 'recursive', 'imported', 'by_attribute', 'by_reader', 'Kept', 'CONST']\n"
+            "__all__ = ['used', 'recursive', 'imported', 'by_attribute', 'by_chain', 'by_reader',"
+            " 'by_other_owner', 'Kept', 'CONST']\n"
             "def used(): pass\n"
             "def recursive(n): return recursive(n - 1)\n"
             "def imported(): pass\n"
             "def by_attribute(): pass\n"
+            "def by_chain(): pass\n"
             "def by_reader(): pass\n"
+            "def by_other_owner(): pass\n"
             "def private(): pass\n"
-            "class Kept: pass\n"
+            "class Kept:\n"
+            "    def called(self): return self.helper()\n"
+            "    def helper(self): pass\n"
+            "    def recursive_method(self): return self.recursive_method()\n"
+            "    def only_tests(self): pass\n"
+            "    def _private(self): pass\n"
+            "class Hidden:\n"
+            "    def unread(self): pass\n"
             "CONST = 1\n"
         ),
-        "b.py": "from .a import imported, used\nimport a\nused()\na.by_attribute()\n",
+        "b.py": (
+            "from .a import imported, used\nimport a\n"
+            "used()\na.by_attribute()\nbl.a.by_chain()\nargs.by_other_owner\nk.called()\n"
+        ),
     }
-    assert unreferenced_exports(modules, ["x.by_reader()"]) == ["a.py: recursive", "a.py: imported"]
+    assert unreferenced_exports(modules, ["x.a.by_reader()"]) == [
+        "a.py: recursive", "a.py: imported", "a.py: by_other_owner",
+        "a.py: Kept.recursive_method", "a.py: Kept.only_tests",
+    ]
