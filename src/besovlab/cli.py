@@ -36,6 +36,7 @@ from __future__ import annotations
 import argparse
 import ast
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -1146,7 +1147,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--k0", type=float, help="spectral center of synthetic data")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument tree, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="besovlab",
         description="Dyadic-analysis toolbox for inhomogeneous incompressible flows",

@@ -294,9 +294,19 @@ def _transport_spectral(a: SpectralField, u: VectorField, dt: float) -> Spectral
 
 
 def _departure_points(u: VectorField, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Backward fourth-order particle step from every node under steady u."""
-    sampler = PeriodicSampler.of_vector(u)
-    return rk4_step(lambda t, x, y: sampler.at(x, y), 0.0, *u.grid.coords, -dt)
+    """Backward fourth-order particle step from every node under steady u.
+
+    The read-only points are kept on u, keyed by dt, so a velocity that
+    transports more than once at one step size is traced once.
+    """
+    held = u.__dict__.setdefault("_departure_points", {})
+    if dt not in held:
+        sampler = PeriodicSampler.of_vector(u)
+        points = rk4_step(lambda t, x, y: sampler.at(x, y), 0.0, *u.grid.coords, -dt)
+        for p in points:
+            p.flags.writeable = False
+        held[dt] = points
+    return held[dt]
 
 
 def transport_step(
@@ -308,6 +318,9 @@ def transport_step(
     ``semi_lagrangian`` traces characteristics back and interpolates;
     ``semi_lagrangian_monotone`` additionally clips each interpolated value to
     the corner values of its base cell, so the data range can only shrink.
+    The semi-Lagrangian departure points are traced once per velocity object
+    and step size, so steady transport and both Strang half steps under one
+    velocity reuse them.
     """
     if scheme not in TRANSPORT_SCHEMES:
         raise ValueError(f"unknown transport scheme {scheme!r}; choose from {TRANSPORT_SCHEMES}")

@@ -16,7 +16,10 @@ chunks, and each chunk's stencil (16 wrapped node indices and 16 weights per
 point) is computed once and shared by every plane.  Fields sampled at the same
 points, such as both time neighbours of a velocity history, therefore belong
 in one sampler; :meth:`PeriodicSampler.joined` combines samplers without
-copying their planes.
+copying their planes.  Each refined plane costs (upsample n)^2 floats, so a
+user holds a sampler only while it evaluates: the flow-map tracker keeps one
+time interval's planes at a time.  The query points are checked once per
+call: a NaN or infinite point raises ValueError naming it.
 
 For schemes that must not create new extrema, :func:`cell_bounds` returns the
 min/max of the four base-grid corners enclosing each query point; clipping an
@@ -134,10 +137,15 @@ class PeriodicSampler:
 
         Each value is the sum of the 16 weighted stencil terms, added in the
         pairwise order NumPy uses for a contiguous sum of 16: the results are
-        bitwise those of ``(p[rows, cols] * w).sum(axis=(-2, -1))``.
+        bitwise those of ``(p[rows, cols] * w).sum(axis=(-2, -1))``.  A NaN
+        or infinite point raises ValueError.
         """
         x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
         xs, ys = x.ravel(), y.ravel()
+        finite = np.isfinite(xs) & np.isfinite(ys)
+        if not finite.all():
+            k = int(np.argmin(finite))
+            raise ValueError(f"query point {k} is not finite: ({xs[k]}, {ys[k]})")
         outs = tuple(np.empty(xs.size) for _ in self.planes)
         # node indices, weights and weighted terms of one chunk, reused by every chunk
         size = 16 * min(xs.size, _CHUNK)

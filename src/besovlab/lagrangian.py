@@ -130,31 +130,42 @@ def _require_stored_time(times: tuple[float, ...], t: float) -> None:
 class _VelocityInTime:
     """Piecewise-linear-in-time velocity built on cubic spatial samplers.
 
-    Each interval's sampler joins both neighbours' planes, so a blended
+    Only the interval in use holds samplers: its two end snapshots' samplers,
+    built the first time an interval needs them, and their join, so a blended
     sample evaluates one shared stencil per point for all four planes.
+    Moving to another interval keeps the samplers of the fields it shares
+    with the last one (the common end snapshot, or the one field object of a
+    steady flow) and drops the rest; a time out of order costs a rebuild.
     """
 
     def __init__(self, times, fields):
         self.times = times
-        # a steady flow stores one field object at every time: one sampler per object
-        distinct = {id(u): u for u in fields}
-        built = {key: PeriodicSampler.of_vector(u) for key, u in distinct.items()}
-        self.samplers = [built[id(u)] for u in fields]
-        self.intervals = [
-            a if a is b else PeriodicSampler.joined(a, b)
-            for a, b in zip(self.samplers, self.samplers[1:])
-        ]
+        self.fields = fields
+        # the interval in use, its (start, end) samplers and their join
+        self.index, self.ends, self.both = None, (), None
+
+    def _use_interval(self, i: int) -> None:
+        start, end = self.fields[i], self.fields[i + 1]
+        held = {id(u): s for u, s in zip(self.fields[self.index:], self.ends) if u is start or u is end}
+        self.index, self.ends, self.both = None, (), None  # the rest is released before the builds
+        for u in (start, end):
+            if id(u) not in held:
+                held[id(u)] = PeriodicSampler.of_vector(u)
+        a, b = held[id(start)], held[id(end)]
+        self.index, self.ends, self.both = i, (a, b), a if a is b else PeriodicSampler.joined(a, b)
 
     def __call__(self, t: float, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         times = self.times
         _require_stored_time(times, t)
         i = int(np.searchsorted(times, t, side="right") - 1)
         i = min(max(i, 0), len(times) - 2)
+        if i != self.index:
+            self._use_interval(i)
         span = times[i + 1] - times[i]
         w = min(max((t - times[i]) / span, 0.0), 1.0)
         if w == 0.0:
-            return self.samplers[i].at(x, y)
-        values = self.intervals[i].at(x, y)
+            return self.ends[0].at(x, y)
+        values = self.both.at(x, y)
         # a steady interval's sampler holds one field, whose two planes serve both ends
         (a1, a2), (b1, b2) = values[:2], values[-2:]
         return (1.0 - w) * a1 + w * b1, (1.0 - w) * a2 + w * b2

@@ -15,6 +15,7 @@ import besovlab
 from besovlab import evolution
 from besovlab.cli import (
     ExperimentConfig,
+    _build_parser,
     load_snapshot,
     resolve_exponent,
     run_cli,
@@ -282,6 +283,13 @@ class TestExitCodes:
     def test_version_exits_zero(self, capsys):
         assert run_cli(["--version"]) == 0
         assert "besovlab" in capsys.readouterr().out
+
+    def test_one_parser_serves_every_call(self):
+        parser = _build_parser()
+        assert _build_parser() is parser
+        # a verb's flags and defaults do not leak into the next parse
+        for argv in (["verify", "heat", "--refine"], ["simulate", "--n", "64"], ["verify", "heat"]):
+            assert parser.parse_args(argv) == _build_parser.__wrapped__().parse_args(argv)
 
     @pytest.mark.parametrize("module", ["besovlab", "besovlab.cli"])
     def test_module_entry_point_runs(self, module, tmp_path):

@@ -21,6 +21,7 @@ from besovlab.evolution import (
     ns_integrate,
     transport_step,
 )
+from besovlab.lagrangian import rk4_step
 from besovlab.norms import BesovSpec, besov_norm
 from besovlab.spectral import (
     SpectralField,
@@ -58,6 +59,19 @@ def coupled_data(grid, rng):
     a0 = smooth_random_field(grid, rng, k0=3.0, amplitude=0.3)
     u0 = smooth_random_divfree(grid, rng, k0=3.0) * 0.2
     return a0, u0
+
+
+@pytest.fixture
+def rk4_traces(monkeypatch):
+    """Step sizes of the particle steps `evolution` takes while the test runs: one per departure trace."""
+    traces = []
+
+    def counting(*args):
+        traces.append(args[-1])
+        return rk4_step(*args)
+
+    monkeypatch.setattr(evolution, "rk4_step", counting)
+    return traces
 
 
 def rel_l2(got, want):
@@ -206,6 +220,23 @@ class TestTransportStep:
             a = transport_step(a, u, 0.02, "semi_lagrangian_monotone")
         assert a.values.real.max() <= hi0 + 1e-15
         assert a.values.real.min() >= lo0 - 1e-15
+
+    def test_steady_velocity_is_traced_once(self, grid64, rng, rk4_traces):
+        a0 = smooth_random_field(grid64, rng, k0=4.0, amplitude=0.8)
+        u = smooth_random_divfree(grid64, rng, k0=3.0)
+        fresh = a0
+        for _ in range(5):
+            fresh = transport_step(fresh, u * 1.0, 0.02, "semi_lagrangian_monotone")
+        assert len(rk4_traces) == 5
+        a = a0
+        for _ in range(5):
+            a = transport_step(a, u, 0.02, "semi_lagrangian_monotone")
+        assert rk4_traces == [-0.02] * 6
+        assert np.array_equal(a.modes, fresh.modes)
+        # the stored points are the ones handed out, and nothing may write to them
+        xd, yd = evolution._departure_points(u, 0.02)
+        assert xd is evolution._departure_points(u, 0.02)[0]
+        assert not xd.flags.writeable and not yd.flags.writeable
 
     def test_guards(self, grid32, rng):
         a = smooth_random_field(grid32, rng)
@@ -464,6 +495,19 @@ class TestNsIntegrate:
         # the initial solve, two stage solves per step, one end solve per sampled step
         assert len(calls) == 1 + 2 * config.steps + 3
         assert calls[0] is None and all(guess is not None for guess in calls[1:])
+
+    def test_strang_half_steps_trace_each_velocity_once(self, grid32, rng, monkeypatch, rk4_traces):
+        config = IntegrationConfig(T=0.04, dt=0.01, scheme="semi_lagrangian_monotone")
+        data = coupled_data(grid32, rng)
+        _, diag = ns_integrate(config, *data)
+        assert diag.stop_reason == "completed"
+        # the first half step's velocity, then each step's new velocity serves two half steps
+        assert rk4_traces == [-0.5 * config.dt] * (config.steps + 1)
+        traced = evolution._departure_points
+        monkeypatch.setattr(evolution, "_departure_points", lambda u, dt: traced(u * 1.0, dt))
+        _, fresh = ns_integrate(config, *data)
+        assert len(rk4_traces) == (config.steps + 1) + 2 * config.steps
+        assert fresh.A == diag.A and fresh.E0 == diag.E0
 
     def test_sampled_states_do_not_depend_on_the_cadence(self, grid32, rng):
         data = coupled_data(grid32, rng)

@@ -89,6 +89,18 @@ class TestCubicSampling:
         with pytest.raises(ValueError, match="share one shape"):
             PeriodicSampler(grid32.L, (np.zeros((4, 4)), np.zeros((8, 8))))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_rejects_non_finite_points(self, grid32, rng, bad, axis):
+        sampler = PeriodicSampler.of_vector(VectorField.zero(grid32))
+        # past the first chunk, so the check covers every chunk before any is evaluated
+        x = rng.uniform(0.0, grid32.L, _CHUNK + 10)
+        y = rng.uniform(0.0, grid32.L, _CHUNK + 10)
+        (x if axis == "x" else y)[[_CHUNK + 3, _CHUNK + 7]] = bad
+        with pytest.raises(ValueError, match=rf"query point {_CHUNK + 3} is not finite"):
+            sampler.at(x, y)
+
 
 def fancy_index_at(sampler, x, y):
     """Reference evaluation: one 2-D fancy-index gather of the 4x4 stencil and one sum per plane."""

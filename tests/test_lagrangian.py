@@ -1,6 +1,7 @@
 """Flow maps, the RK4 particle step, inverse-Jacobian series, pullbacks, the divergence identity, and stability ratios."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -137,7 +138,8 @@ class TestIntegrateFlow:
         velocity = _VelocityInTime(times, fields)
         x = rng.uniform(-grid32.L, 2 * grid32.L, (40, 3))
         y = rng.uniform(-grid32.L, 2 * grid32.L, (40, 3))
-        for t in (0.0, 0.03, 0.1, 0.17, 0.2):
+        # the last two times go back into the first interval, which is rebuilt
+        for t in (0.0, 0.03, 0.1, 0.17, 0.2, 0.05, 0.0):
             i = min(int(t / 0.1), 1)
             w = (t - times[i]) / 0.1
             a1, a2 = PeriodicSampler.of_vector(fields[i]).at(x, y)
@@ -145,10 +147,32 @@ class TestIntegrateFlow:
             got1, got2 = velocity(t, x, y)
             assert np.array_equal(got1, a1 if w == 0.0 else (1.0 - w) * a1 + w * b1)
             assert np.array_equal(got2, a2 if w == 0.0 else (1.0 - w) * a2 + w * b2)
-        # each interval samples its neighbours' own planes, not copies
-        for i, joined in enumerate(velocity.intervals):
-            neighbours = velocity.samplers[i].planes + velocity.samplers[i + 1].planes
-            assert all(p is q for p, q in zip(joined.planes, neighbours))
+            # the interval in use samples its two snapshot samplers' own planes, not copies
+            start, end = velocity.ends
+            assert velocity.index == i
+            assert all(p is q for p, q in zip(velocity.both.planes, start.planes + end.planes))
+
+    def test_holds_one_interval_of_planes(self, grid32, rng, monkeypatch):
+        times = tuple(0.01 * k for k in range(11))
+        traj = [(t, smooth_random_divfree(grid32, rng, k0=3.0) * 0.4) for t in times]
+        built = []
+        of_vector = PeriodicSampler.of_vector
+
+        def counting(V, *upsample):
+            built.append(V)
+            return of_vector(V, *upsample)
+
+        monkeypatch.setattr(PeriodicSampler, "of_vector", counting)
+        tracemalloc.start()
+        try:
+            integrate_flow(traj, 5e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # each snapshot's sampler is built once: the shared end carries into the next interval
+        assert len(built) == len(traj) and all(V is u for V, (_, u) in zip(built, traj))
+        plane = (4 * grid32.n) ** 2 * 8
+        assert peak <= 16 * plane
 
     def test_step_size_guards(self, grid32):
         traj = steady_trajectory(VectorField.zero(grid32), (0.0, 0.1))
