@@ -909,6 +909,7 @@ def _verify_envelope(config: ExperimentConfig, args) -> _Outcome:
     run = _integration(config)
     a0, u0 = _initial_data(config.grid(), config)
     _, diag = ns_integrate(run, a0, u0)
+    stopped = diag.stop_reason + (f"; {diag.stop_cause}" if diag.stop_cause else "")
     series = [
         (t, diag.A[i] + diag.Z[i])
         for i, t in enumerate(diag.times)
@@ -917,7 +918,7 @@ def _verify_envelope(config: ExperimentConfig, args) -> _Outcome:
     if not series:
         raise RuntimeError(
             "diagnostics produced no positive norm samples to fit"
-            f" (integration stopped: {diag.stop_reason})"
+            f" (integration stopped: {stopped})"
         )
     C, defect = fit_growth_envelope(series)
     rows = []
@@ -925,8 +926,9 @@ def _verify_envelope(config: ExperimentConfig, args) -> _Outcome:
         bound = C * math.exp(C * math.exp(C * math.sqrt(t)))
         rows.append((idx, value, bound, value / bound))
     passed = defect <= 0.0 and diag.stop_reason == "completed"
-    payload = {"C": C, "defect": defect, "stop_reason": diag.stop_reason}
-    return _check_outcome("growth_envelope", rows, payload, passed, f"C={C:.4e}, defect {defect:.3e}")
+    payload = {"C": C, "defect": defect, "stop_reason": diag.stop_reason, "stop_cause": diag.stop_cause}
+    note = f"C={C:.4e}, defect {defect:.3e}" + (f", stopped: {stopped}" if diag.stop_cause else "")
+    return _check_outcome("growth_envelope", rows, payload, passed, note)
 
 
 def _verify_deltas(config: ExperimentConfig, args) -> _Outcome:

@@ -67,6 +67,16 @@ def _index_split(x: np.ndarray, h: float, n: int) -> tuple[np.ndarray, np.ndarra
     return base.astype(np.int64) % n, ix - base
 
 
+def _finite_points(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """Query coordinates broadcast together as floats; a NaN or infinite point raises ValueError."""
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    finite = (np.isfinite(x) & np.isfinite(y)).ravel()
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise ValueError(f"query point {k} is not finite: ({x.ravel()[k]}, {y.ravel()[k]})")
+    return x, y
+
+
 def _stencil(
     x: np.ndarray, y: np.ndarray, h: float, n: int, index: np.ndarray, weights: np.ndarray
 ) -> None:
@@ -140,12 +150,8 @@ class PeriodicSampler:
         bitwise those of ``(p[rows, cols] * w).sum(axis=(-2, -1))``.  A NaN
         or infinite point raises ValueError.
         """
-        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        x, y = _finite_points(x, y)
         xs, ys = x.ravel(), y.ravel()
-        finite = np.isfinite(xs) & np.isfinite(ys)
-        if not finite.all():
-            k = int(np.argmin(finite))
-            raise ValueError(f"query point {k} is not finite: ({xs[k]}, {ys[k]})")
         outs = tuple(np.empty(xs.size) for _ in self.planes)
         # node indices, weights and weighted terms of one chunk, reused by every chunk
         size = 16 * min(xs.size, _CHUNK)
@@ -174,11 +180,12 @@ def cell_bounds(
     """Min and max of the four base-grid corner values around each point.
 
     The bounds come from the original grid, not any refinement, so clipping to
-    them guarantees values stay within the range of the stored data.
+    them guarantees values stay within the range of the stored data.  A NaN or
+    infinite point raises ValueError.
     """
     grid: Grid = f.grid
     vals = f.values
-    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    x, y = _finite_points(x, y)
     bx, _ = _index_split(x, grid.h, grid.n)
     by, _ = _index_split(y, grid.h, grid.n)
     corners = np.stack(

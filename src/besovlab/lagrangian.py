@@ -17,6 +17,7 @@ holding the derivative of component i along axis j.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -312,12 +313,17 @@ def integrate_flow(u_trajectory, dt: float) -> FlowMap:
 # inverse Jacobian by geometric series
 # ---------------------------------------------------------------------------
 
-def _gradient_integrals(times, grads: list[np.ndarray]) -> list[np.ndarray]:
-    """Cumulative trapezoid integrals of the gradients ``grads[k]`` sampled at ``times[k]``, zero at the first."""
-    acc = [np.zeros_like(grads[0])]
-    for k in range(len(grads) - 1):
-        acc.append(acc[-1] + 0.5 * (times[k + 1] - times[k]) * (grads[k] + grads[k + 1]))
-    return acc
+def _gradient_integrals(times, fields) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Each velocity's gradient ``G_k`` with its cumulative trapezoid integral ``M_k`` to ``times[k]``.
+
+    One sample at a time: only the previous gradient and the running sum are
+    held, and ``M_0`` is zero.
+    """
+    for k, u in enumerate(fields):
+        G = gradient_tensor(u)
+        M = np.zeros_like(G) if k == 0 else M + 0.5 * (times[k] - times[k - 1]) * (G_prev + G)
+        G_prev = G  # releases the gradient before this one: the integral above was its last use
+        yield G, M
 
 
 def _neumann_inverse(M: np.ndarray, k_max: int) -> np.ndarray:
@@ -357,13 +363,13 @@ def jacobian_series(v_trajectory, t: float, *, k_max: int = 16) -> np.ndarray:
     _require_stored_time(times, t)
     t = min(max(t, times[0]), times[-1])
     k = int(np.searchsorted(times, t, side="right")) - 1  # the last stored time <= t
-    grads = [gradient_tensor(u) for u in fields[: k + 2]]
-    M = _gradient_integrals(times, grads[: k + 1])[-1]
+    for G, M in _gradient_integrals(times, fields[: k + 1]):
+        pass  # only the last stored sample's gradient and integral are used
     if times[k] < t:
         # the partial interval, with the gradient blended linearly in time
         w = (t - times[k]) / (times[k + 1] - times[k])
-        g_t = (1.0 - w) * grads[k] + w * grads[k + 1]
-        M = M + 0.5 * (t - times[k]) * (grads[k] + g_t)
+        g_t = (1.0 - w) * G + w * gradient_tensor(fields[k + 1])
+        M = M + 0.5 * (t - times[k]) * (G + g_t)
     return _neumann_inverse(M, k_max)
 
 
@@ -441,6 +447,9 @@ def delta_estimates(v1_trajectory, v2_trajectory, p: float = 2.0) -> RatioReport
     reported as zero; a nonzero one over a vanishing denominator is infinite,
     which the report rejects with ``ValueError``.  ``extra["gradient_integrals"]``
     holds the integrated gradient of each trajectory.
+
+    The samples are walked once, and each one's tensors are dropped once
+    measured, so memory does not grow with the number of samples.
     """
     times1, fields1, grid = _velocity_history(v1_trajectory)
     times2, fields2, grid2 = _velocity_history(v2_trajectory)
@@ -454,49 +463,38 @@ def delta_estimates(v1_trajectory, v2_trajectory, p: float = 2.0) -> RatioReport
     reg = BesovSpec(s=2.0 / p, p=p, r=1.0)
     low = BesovSpec(s=2.0 / p - 1.0, p=p, r=1.0)
 
-    grads = [[gradient_tensor(u) for u in fields] for fields in (fields1, fields2)]
-    inv = [[_neumann_inverse(M, 16) for M in _gradient_integrals(times, g)] for g in grads]
-    rates = [
-        [-_matmul(_matmul(A, G), A) for A, G in zip(inv_i, grads_i)]
-        for inv_i, grads_i in zip(inv, grads)
-    ]
+    def norms_at(*sample) -> tuple[float, ...]:
+        """Norms at one sample: each trajectory's gradient, deviation and rate, then the differences."""
+        norms, inv, rates = [], [], []
+        for G, M in sample:
+            A = _neumann_inverse(M, 16)
+            R = -_matmul(_matmul(A, G), A)
+            norms += (_matrix_besov(G, grid, reg), _matrix_besov(A - _IDENTITY, grid, reg),
+                      _matrix_besov(R, grid, reg))
+            inv.append(A)
+            rates.append(R)
+        (G1, _), (G2, _) = sample
+        return (*norms, _matrix_besov(G2 - G1, grid, reg), _matrix_besov(inv[1] - inv[0], grid, reg),
+                _matrix_besov(rates[1] - rates[0], grid, low))
+
+    # one pass: map holds no sample's tensors once its norms are taken
+    samples = map(norms_at, _gradient_integrals(times, fields1), _gradient_integrals(times, fields2))
+    grad1, dev1, rate1, grad2, dev2, rate2, delta_grad, delta_dev, delta_rate = zip(*samples)
 
     # size of either inverse Jacobian's deviation vs the integrated gradient
-    grad_norms = [
-        np.array([_matrix_besov(G, grid, reg) for G in g]) for g in grads
-    ]
-    integrals = tuple(float(np.trapezoid(gn, times)) for gn in grad_norms)
-    dev_ratios = []
-    rate_ratios = []
-    for i in (0, 1):
-        dev = max(_matrix_besov(A - _IDENTITY, grid, reg) for A in inv[i])
-        dev_ratios.append(_safe_ratio(dev, integrals[i]))
-        for R, gn in zip(rates[i], grad_norms[i]):
-            rate_ratios.append(_safe_ratio(_matrix_besov(R, grid, reg), float(gn)))
+    integrals = (float(np.trapezoid(grad1, times)), float(np.trapezoid(grad2, times)))
+    dev_ratios = (_safe_ratio(max(dev1), integrals[0]), _safe_ratio(max(dev2), integrals[1]))
+    rate_ratios = [_safe_ratio(r, gn) for r, gn in (*zip(rate1, grad1), *zip(rate2, grad2))]
 
     # difference bounds
-    delta_grad_norms = np.array(
-        [_matrix_besov(g2 - g1, grid, reg) for g1, g2 in zip(grads[0], grads[1])]
-    )
-    delta_grad_integral = float(np.trapezoid(delta_grad_norms, times))
-    delta_dev = max(
-        _matrix_besov(A2 - A1, grid, reg) for A1, A2 in zip(inv[0], inv[1])
-    )
-    delta_rate = np.array(
-        [_matrix_besov(R2 - R1, grid, low) for R1, R2 in zip(rates[0], rates[1])]
-    )
-    delta_rate_l2 = float(np.sqrt(np.trapezoid(delta_rate**2, times)))
+    delta_grad_integral = float(np.trapezoid(delta_grad, times))
+    delta_rate_l2 = float(np.sqrt(np.trapezoid(np.array(delta_rate) ** 2, times)))
 
-    pair_norms = np.array(
-        [
-            _vector_besov(u1, reg) + _vector_besov(u2, reg)
-            for u1, u2 in zip(fields1, fields2)
-        ]
-    )
+    pair_norms, delta_v_norms = np.array(
+        [(_vector_besov(u1, reg) + _vector_besov(u2, reg), _vector_besov(u2 - u1, reg))
+         for u1, u2 in zip(fields1, fields2)]
+    ).T
     pair_l2 = float(np.sqrt(np.trapezoid(pair_norms**2, times)))
-    delta_v_norms = np.array(
-        [_vector_besov(u2 - u1, reg) for u1, u2 in zip(fields1, fields2)]
-    )
     delta_v_l2 = float(np.sqrt(np.trapezoid(delta_v_norms**2, times)))
 
     return RatioReport(
@@ -505,7 +503,7 @@ def delta_estimates(v1_trajectory, v2_trajectory, p: float = 2.0) -> RatioReport
         seed=None,
         ratios=(
             max(dev_ratios),
-            _safe_ratio(delta_dev, delta_grad_integral),
+            _safe_ratio(max(delta_dev), delta_grad_integral),
             max(rate_ratios),
             _safe_ratio(delta_rate_l2, pair_l2 * delta_grad_integral + delta_v_l2),
         ),

@@ -453,7 +453,20 @@ class TestVerifyVerbs:
             ["verify", "envelope", "--amplitude-u", "0.05", "--out", str(tmp_path / "env")]
         )
         assert code == 1
-        assert "cfl_violation" in capsys.readouterr().err
+        assert "cfl_violation; step 1: CFL number" in capsys.readouterr().err
+
+    def test_envelope_report_and_summary_name_the_stop_cause(self, tmp_path, capsys):
+        out = tmp_path / "env"
+        argv = [
+            "verify", "envelope", "--n", "32", "--viscosity", "constant", "--initial", "random",
+            "--amplitude-a", "0.2", "--amplitude-u", "0.3", "--dt", "0.002", "--T", "0.02",
+            "--seed", "3", "--out", str(out),
+        ]
+        assert run_cli(argv) == 1
+        report = json.loads((out / "report.json").read_text())
+        assert report["stop_reason"] == "invalid_state"
+        assert report["stop_cause"].startswith("step 5: coefficient floor violation")
+        assert f"stopped: invalid_state; {report['stop_cause']})" in capsys.readouterr().out
 
     @pytest.mark.parametrize("verb", [["simulate"], ["verify", "envelope"]])
     def test_default_config_runs_inside_the_cfl_bound(self, verb, tmp_path, capsys):

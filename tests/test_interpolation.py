@@ -212,3 +212,13 @@ class TestCellBounds:
         vals = f.values.real
         assert clipped.max() <= vals.max() + 1e-15
         assert clipped.min() >= vals.min() - 1e-15
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_rejects_non_finite_points(self, grid32, rng, bad, axis):
+        f = random_band_field(grid32, 1.0, 6.0, seed=412)
+        x, y = _random_points(rng, 20, grid32.L)
+        (x if axis == "x" else y)[[3, 7]] = bad
+        with pytest.raises(ValueError, match=r"query point 3 is not finite"):
+            cell_bounds(f, x, y)

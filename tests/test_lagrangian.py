@@ -232,7 +232,7 @@ class TestJacobianSeries:
         A = jacobian_series(traj, 0.4)
         from besovlab.lagrangian import _gradient_integrals, _invert_per_node
 
-        M = _gradient_integrals([t for t, _ in traj], [gradient_tensor(u) for _, u in traj])[-1]
+        M = list(_gradient_integrals([t for t, _ in traj], [u for _, u in traj]))[-1][1]
         direct = _invert_per_node(np.asarray(ID + M))
         assert np.max(np.abs(A - direct)) <= 1e-8
 
@@ -432,6 +432,28 @@ class TestDeltaEstimates:
         w = VectorField.zero(other)
         with pytest.raises(ValueError, match="different grids"):
             delta_estimates(t1, [(0.0, w), (0.2, w)])
+
+    def test_memory_does_not_grow_with_the_samples(self, grid32, rng):
+        v = smooth_random_divfree(grid32, rng, k0=3.0) * 0.2
+        dv = smooth_random_divfree(grid32, rng, k0=3.0) * 0.01
+
+        def peak(samples):
+            times = np.linspace(0.0, 0.4, samples)
+            t1 = [(float(t), v * math.exp(-t)) for t in times]
+            t2 = [(float(t), (v + dv) * math.exp(-t)) for t in times]
+            delta_estimates(t1, t2)  # warm the grid's cached multipliers and ladders
+            tracemalloc.start()
+            try:
+                delta_estimates(t1, t2)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # one (n, n, 2, 2) float64 tensor; holding every sample's tensors at once takes about 58 at 9 samples
+        tensor = grid32.n**2 * 4 * 8
+        five, nine = peak(5), peak(9)
+        assert nine <= 16 * tensor
+        assert nine - five <= 2 * tensor
 
     def test_monitor_failure_raises(self, grid32, rng):
         v = smooth_random_divfree(grid32, rng, k0=2.0) * 4.0
