@@ -3,7 +3,6 @@
 __version__ = "0.1.0"
 
 from . import (
-    cli,
     dyadic,
     elliptic,
     evolution,
@@ -30,3 +29,12 @@ __all__ = [
     "random_fields",
     "spectral",
 ]
+
+
+def __getattr__(name):
+    # cli loads on first use, so ``python -m besovlab.cli`` runs it once, as ``__main__``
+    if name == "cli":
+        import importlib
+
+        return importlib.import_module(".cli", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -311,37 +311,34 @@ def check_transport_estimate(
     if base <= 0.0:
         raise ValueError("initial field has no octave content to transport")
 
-    # sup-in-time norm of the (centered) transported field, and the
-    # accumulated velocity cost U(t), the time integral of its smoothness norm
+    # sup-in-time norm of the (centered) transported field, the accumulated
+    # velocity cost U(t), the time integral of its smoothness norm, and the
+    # high-octave variant: growth above octave m must be covered by the
+    # initial tail, the norm of a0 - S_m a0, plus the exponential cost term
     sup_norm = RunningTimeNorm(a_spec, math.inf)
     cost = RunningTimeNorm(u_spec, 1.0)
+    high_norms = [RunningTimeNorm(a_spec, math.inf) for _ in range(4)]
+    tails, c_ms, zero_defects = [None] * 4, [0.0] * 4, [0.0] * 4
     growth, U, u_norms = [], [], []
     for t, a, u in snaps:
-        growth.append(sup_norm.update(t, centered(a)) / base)
+        ac = centered(a)
+        growth.append(sup_norm.update(t, ac) / base)
         U.append(cost.update(t, centered(u)))
         u_norms.append(cost.sample_norm)
+        for m, high_norm in enumerate(high_norms):
+            high = high_norm.update(t, ac - ladder.low_pass(ac, m))
+            tails[m] = high if tails[m] is None else tails[m]
+            excess = max(0.0, high - tails[m])
+            if U[-1] <= 0.0:
+                zero_defects[m] = max(zero_defects[m], excess / base)
+            else:
+                c_ms[m] = max(c_ms[m], math.log1p(excess / base) / U[-1])
     candidates = [
         math.log(g) / u for g, u in zip(growth[1:], U[1:]) if u > 0.0 and g > 1.0
     ]
     c_min = max(candidates) if candidates else 0.0
-
-    # high-octave variant: growth above octave m must be covered by the
-    # initial tail, the norm of a0 - S_m a0, plus the exponential cost term
     sweep = {}
-    for m in range(4):
-        high_norm = RunningTimeNorm(a_spec, math.inf)
-        tail = None
-        c_m = 0.0
-        zero_defect = 0.0
-        for (t, a, _), cost_t in zip(snaps, U):
-            ac = centered(a)
-            high = high_norm.update(t, ac - ladder.low_pass(ac, m))
-            tail = high if tail is None else tail
-            excess = max(0.0, high - tail)
-            if cost_t <= 0.0:
-                zero_defect = max(zero_defect, excess / base)
-            else:
-                c_m = max(c_m, math.log1p(excess / base) / cost_t)
+    for m, (c_m, zero_defect) in enumerate(zip(c_ms, zero_defects)):
         sweep[str(m)] = c_m
         if zero_defect > _ZERO_COST_ROUNDING_ULPS * math.ulp(1.0):
             sweep[f"defect_at_zero_cost_m{m}"] = zero_defect

@@ -17,8 +17,8 @@ point) is computed once and shared by every plane.  Fields sampled at the same
 points, such as both time neighbours of a velocity history, therefore belong
 in one sampler; :meth:`PeriodicSampler.joined` combines samplers without
 copying their planes.  Each refined plane costs (upsample n)^2 floats, so a
-user holds a sampler only while it evaluates: the flow-map tracker keeps one
-time interval's planes at a time.  The query points are checked once per
+user holds a sampler only while it evaluates: the flow map keeps one time
+interval's planes at a time.  The query points are checked once per
 call: a NaN or infinite point raises ValueError naming it.
 
 For schemes that must not create new extrema, :func:`cell_bounds` returns the

@@ -120,58 +120,6 @@ def _velocity_history(trajectory) -> tuple[tuple[float, ...], list[VectorField],
     return tuple(t for t, _ in entries), fields, fields[0].grid
 
 
-def _require_stored_time(times: tuple[float, ...], t: float) -> None:
-    slack = 1e-9 * max(1.0, abs(times[-1]))
-    if t < times[0] - slack or t > times[-1] + slack:
-        raise ValueError(
-            f"interpolation out of stored time range: t={t} not in [{times[0]}, {times[-1]}]"
-        )
-
-
-class _VelocityInTime:
-    """Piecewise-linear-in-time velocity built on cubic spatial samplers.
-
-    Only the interval in use holds samplers: its two end snapshots' samplers,
-    built the first time an interval needs them, and their join, so a blended
-    sample evaluates one shared stencil per point for all four planes.
-    Moving to another interval keeps the samplers of the fields it shares
-    with the last one (the common end snapshot, or the one field object of a
-    steady flow) and drops the rest; a time out of order costs a rebuild.
-    """
-
-    def __init__(self, times, fields):
-        self.times = times
-        self.fields = fields
-        # the interval in use, its (start, end) samplers and their join
-        self.index, self.ends, self.both = None, (), None
-
-    def _use_interval(self, i: int) -> None:
-        start, end = self.fields[i], self.fields[i + 1]
-        held = {id(u): s for u, s in zip(self.fields[self.index:], self.ends) if u is start or u is end}
-        self.index, self.ends, self.both = None, (), None  # the rest is released before the builds
-        for u in (start, end):
-            if id(u) not in held:
-                held[id(u)] = PeriodicSampler.of_vector(u)
-        a, b = held[id(start)], held[id(end)]
-        self.index, self.ends, self.both = i, (a, b), a if a is b else PeriodicSampler.joined(a, b)
-
-    def __call__(self, t: float, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        times = self.times
-        _require_stored_time(times, t)
-        i = int(np.searchsorted(times, t, side="right") - 1)
-        i = min(max(i, 0), len(times) - 2)
-        if i != self.index:
-            self._use_interval(i)
-        span = times[i + 1] - times[i]
-        w = min(max((t - times[i]) / span, 0.0), 1.0)
-        if w == 0.0:
-            return self.ends[0].at(x, y)
-        values = self.both.at(x, y)
-        # a steady interval's sampler holds one field, whose two planes serve both ends
-        (a1, a2), (b1, b2) = values[:2], values[-2:]
-        return (1.0 - w) * a1 + w * b1, (1.0 - w) * a2 + w * b2
-
-
 # ---------------------------------------------------------------------------
 # flow map
 # ---------------------------------------------------------------------------
@@ -273,7 +221,6 @@ def integrate_flow(u_trajectory, dt: float) -> FlowMap:
     if dt <= 0.0:
         raise ValueError("integration step dt must be positive")
     times, fields, grid = _velocity_history(u_trajectory)
-    velocity = _VelocityInTime(times, fields)
     x, y = grid.coords
     px = x.copy()
     py = y.copy()
@@ -283,10 +230,21 @@ def integrate_flow(u_trajectory, dt: float) -> FlowMap:
         jac = _IDENTITY + gradient_tensor(disp)
         return disp, _invert_per_node(jac)
 
-    out_times = [times[0]]
+    def velocity(t: float, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The interval in use, blended linearly in time between its end samplers."""
+        w = min(max((t - t_lo) / span, 0.0), 1.0)
+        if w == 0.0:
+            return start.at(x, y)
+        values = both.at(x, y)
+        # a steady interval's sampler holds one field, whose two planes serve both ends
+        (a1, a2), (b1, b2) = values[:2], values[-2:]
+        return (1.0 - w) * a1 + w * b1, (1.0 - w) * a2 + w * b2
+
     disp0 = VectorField.zero(grid)
     records = [(disp0, _invert_per_node(_IDENTITY + gradient_tensor(disp0)))]
-    for t_lo, t_hi in zip(times, times[1:]):
+    # only the interval in use holds samplers: its two ends and their join
+    end = PeriodicSampler.of_vector(fields[0])
+    for k, (t_lo, t_hi) in enumerate(zip(times, times[1:])):
         span = t_hi - t_lo
         m = int(round(span / dt))
         if m < 1:
@@ -297,13 +255,15 @@ def integrate_flow(u_trajectory, dt: float) -> FlowMap:
             raise ValueError(
                 f"integration step dt={dt} does not tile the snapshot spacing {span}"
             )
+        start, both = end, None  # the last interval's start and join are released before the build
+        end = start if fields[k + 1] is fields[k] else PeriodicSampler.of_vector(fields[k + 1])
+        both = start if end is start else PeriodicSampler.joined(start, end)
         h = span / m
         for step in range(m):
             px, py = rk4_step(velocity, t_lo + step * h, px, py, h)
-        out_times.append(t_hi)
         records.append(record())
     return FlowMap(
-        tuple(out_times),
+        times,
         tuple(r[0] for r in records),
         tuple(r[1] for r in records),
     )
@@ -360,7 +320,11 @@ def jacobian_series(v_trajectory, t: float, *, k_max: int = 16) -> np.ndarray:
     integral whenever the integral is small.  Term growth aborts the sum.
     """
     times, fields, _ = _velocity_history(v_trajectory)
-    _require_stored_time(times, t)
+    slack = 1e-9 * max(1.0, abs(times[-1]))
+    if t < times[0] - slack or t > times[-1] + slack:
+        raise ValueError(
+            f"interpolation out of stored time range: t={t} not in [{times[0]}, {times[-1]}]"
+        )
     t = min(max(t, times[0]), times[-1])
     k = int(np.searchsorted(times, t, side="right")) - 1  # the last stored time <= t
     for G, M in _gradient_integrals(times, fields[: k + 1]):

@@ -297,7 +297,10 @@ class TestExitCodes:
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
         def run(*argv):
-            return subprocess.run([sys.executable, "-m", module, *argv], env=env, capture_output=True).returncode
+            done = subprocess.run([sys.executable, "-m", module, *argv], env=env, capture_output=True, text=True)
+            # runpy warns when the package root has already imported the module it runs as __main__
+            assert "RuntimeWarning" not in done.stderr
+            return done.returncode
 
         out = tmp_path / "heat"
         assert run("verify", "heat", "--n", "32", "--trials", "2", "--out", str(out)) == 0

@@ -12,7 +12,6 @@ from besovlab.inequality_lab import RatioReport
 from besovlab.interpolation import PeriodicSampler
 from besovlab.lagrangian import (
     FlowMap,
-    _VelocityInTime,
     check_div_identity,
     delta_estimates,
     gradient_tensor,
@@ -134,23 +133,35 @@ class TestIntegrateFlow:
 
     def test_blend_matches_two_samplers(self, grid32, rng):
         times = (0.0, 0.1, 0.2)
-        fields = [smooth_random_divfree(grid32, rng, k0=3.0) for _ in times]
-        velocity = _VelocityInTime(times, fields)
-        x = rng.uniform(-grid32.L, 2 * grid32.L, (40, 3))
-        y = rng.uniform(-grid32.L, 2 * grid32.L, (40, 3))
-        # the last two times go back into the first interval, which is rebuilt
-        for t in (0.0, 0.03, 0.1, 0.17, 0.2, 0.05, 0.0):
-            i = min(int(t / 0.1), 1)
-            w = (t - times[i]) / 0.1
-            a1, a2 = PeriodicSampler.of_vector(fields[i]).at(x, y)
-            b1, b2 = PeriodicSampler.of_vector(fields[i + 1]).at(x, y)
-            got1, got2 = velocity(t, x, y)
-            assert np.array_equal(got1, a1 if w == 0.0 else (1.0 - w) * a1 + w * b1)
-            assert np.array_equal(got2, a2 if w == 0.0 else (1.0 - w) * a2 + w * b2)
-            # the interval in use samples its two snapshot samplers' own planes, not copies
-            start, end = velocity.ends
-            assert velocity.index == i
-            assert all(p is q for p, q in zip(velocity.both.planes, start.planes + end.planes))
+        fields = [smooth_random_divfree(grid32, rng, k0=3.0) * 0.4 for _ in times]
+        flow = integrate_flow(list(zip(times, fields)), 0.05)
+        x, y = grid32.coords
+        px, py = x.copy(), y.copy()
+        for k, (t_lo, a, b) in enumerate(zip(times, fields, fields[1:])):
+            start, end = PeriodicSampler.of_vector(a), PeriodicSampler.of_vector(b)
+
+            def velocity(t, qx, qy):
+                w = (t - t_lo) / 0.1
+                (a1, a2), (b1, b2) = start.at(qx, qy), end.at(qx, qy)
+                return (a1, a2) if w == 0.0 else ((1.0 - w) * a1 + w * b1, (1.0 - w) * a2 + w * b2)
+
+            for step in range(2):
+                px, py = rk4_step(velocity, t_lo + step * 0.05, px, py, 0.05)
+            want = VectorField.from_physical(grid32, px - x, py - y)
+            got = flow.displacements[k + 1]
+            assert np.array_equal(got.u1.modes, want.u1.modes)
+            assert np.array_equal(got.u2.modes, want.u2.modes)
+
+    def test_transform_count(self, grid32, rng, fft_calls):
+        times = tuple(0.01 * k for k in range(11))
+        traj = [(t, smooth_random_divfree(grid32, rng, k0=3.0) * 0.4) for t in times]
+        for _, u in traj:
+            u.u1.values, u.u2.values  # node values cached, as a solver's snapshots hold them
+        fft_calls.clear()
+        integrate_flow(traj, 5e-3)
+        # per snapshot a refined sampler (2 irfft2) and a record's gradient (4 irfft2), plus 2 irfft2
+        # for FlowMap's identity check; 2 rfft2 per record after the first, as record 0 is the zero field
+        assert dict(fft_calls) == {"irfft2": 68, "rfft2": 20}
 
     def test_holds_one_interval_of_planes(self, grid32, rng, monkeypatch):
         times = tuple(0.01 * k for k in range(11))
