@@ -40,6 +40,7 @@ import functools
 import hashlib
 import json
 import math
+import operator
 import platform
 import struct
 import sys
@@ -69,6 +70,7 @@ from .inequality_lab import (
     check_heat_decay,
     check_transport_estimate,
     fit_growth_envelope,
+    growth_envelope,
     ij_integral,
     mark_refinement,
 )
@@ -109,7 +111,10 @@ __all__ = [
 # symbolic exponents
 # ---------------------------------------------------------------------------
 
-_ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div)
+_OPERATORS = {
+    ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul, ast.Div: operator.truediv,
+    ast.UAdd: operator.pos, ast.USub: operator.neg,
+}
 
 
 def resolve_exponent(expr, p: float, q: float | None = None) -> float:
@@ -140,20 +145,14 @@ def resolve_exponent(expr, p: float, q: float | None = None) -> float:
             if node.id in names:
                 return names[node.id]
             raise ValueError(f"unknown name {node.id!r} in exponent expression {expr!r}")
-        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
-            value = walk(node.operand)
-            return -value if isinstance(node.op, ast.USub) else value
-        if isinstance(node, ast.BinOp) and isinstance(node.op, _ALLOWED_BINOPS):
+        op = _OPERATORS.get(type(getattr(node, "op", None)))
+        if isinstance(node, ast.UnaryOp) and op is not None:
+            return op(walk(node.operand))
+        if isinstance(node, ast.BinOp) and op is not None:
             left, right = walk(node.left), walk(node.right)
-            if isinstance(node.op, ast.Add):
-                return left + right
-            if isinstance(node.op, ast.Sub):
-                return left - right
-            if isinstance(node.op, ast.Mult):
-                return left * right
-            if right == 0.0:
+            if op is operator.truediv and right == 0.0:
                 raise ValueError(f"division by zero in exponent expression {expr!r}")
-            return left / right
+            return op(left, right)
         raise ValueError(f"unsupported construct in exponent expression {expr!r}")
 
     value = walk(tree)
@@ -426,10 +425,7 @@ def load_snapshot(path) -> StateSnapshot:
             raise ValueError(f"snapshot {name} plane holds non-finite values")
     grid = make_grid(n, L)
     a = SpectralField.from_physical(grid, planes[0])
-    u = VectorField(
-        SpectralField.from_physical(grid, planes[1]),
-        SpectralField.from_physical(grid, planes[2]),
-    )
+    u = VectorField.from_physical(grid, planes[1], planes[2])
     pressure = SpectralField.from_physical(grid, planes[3])
     return StateSnapshot(t=t, a=a, u=u, gradPi=gradient(pressure))
 
@@ -443,8 +439,6 @@ class _UsageError(Exception):
 
 
 def _fmt_num(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, int):
         return str(value)
     return f"{float(value):.17g}"
@@ -550,11 +544,10 @@ def _check_outcome(check: str, rows, payload: dict, passed: bool, note: str) -> 
 
 
 def _report_rows(report: RatioReport, js=None):
+    """One ``(j, ratio, 1, ratio)`` row per ratio: ``j`` from ``js``, else ``extra["js"]``, else the index."""
     if js is None:
-        js = report.extra.get("js")
-    for idx, ratio in enumerate(report.ratios):
-        j = js[idx] if js is not None and idx < len(js) else idx
-        yield (j, ratio, 1.0, ratio)
+        js = report.extra.get("js", range(len(report.ratios)))
+    return [(j, ratio, 1.0, ratio) for j, ratio in zip(js, report.ratios)]
 
 
 def _ratio_outcome(report: RatioReport, passed: bool, note: str, rows=None) -> _Outcome:
@@ -602,17 +595,23 @@ def _bounded_coefficient(grid: Grid, config: ExperimentConfig, stream: int):
     return SpectralField.from_physical(grid, vals)
 
 
+def _trial_pairs(grid: Grid, config: ExperimentConfig, k_high: float, means: tuple[float, float], stream: int = 0):
+    """Per trial, ``t`` and the band fields of streams ``(t, stream)`` and ``(t, stream + 1)`` with ``means``."""
+    for t in range(config.trials):
+        yield t, *(
+            random_band_field(grid, 1.0, k_high, trial_seed(config.seed, t, stream + i), mean=mean)
+            for i, mean in enumerate(means)
+        )
+
+
 def _preset_velocity(grid: Grid, preset: str, amplitude: float) -> VectorField:
     """The ``taylor_green`` cellular flow or the ``shear`` flow at the given amplitude."""
     x, y = grid.coords
     if preset == "taylor_green":
-        return VectorField(
-            SpectralField.from_physical(grid, amplitude * np.cos(x) * np.sin(y)),
-            SpectralField.from_physical(grid, -amplitude * np.sin(x) * np.cos(y)),
+        return VectorField.from_physical(
+            grid, amplitude * np.cos(x) * np.sin(y), -amplitude * np.sin(x) * np.cos(y)
         )
-    return VectorField(
-        SpectralField.from_physical(grid, amplitude * np.sin(y)), SpectralField.zero(grid)
-    )
+    return VectorField.from_physical(grid, amplitude * np.sin(y), np.zeros_like(y))
 
 
 def _initial_data(grid: Grid, config: ExperimentConfig):
@@ -660,15 +659,10 @@ def _decompose(config: ExperimentConfig, args) -> _Outcome:
 
 
 def _snapshot_plane(state: StateSnapshot, plane: str) -> SpectralField:
-    if plane == "a":
-        return state.a
-    if plane == "u1":
-        return state.u.u1
-    if plane == "u2":
-        return state.u.u2
+    """The ``--plane`` field of a snapshot; argparse's choices bound ``plane``."""
     if plane == "pressure":
         return potential_from_gradient(state.gradPi)
-    raise _UsageError(f"unknown snapshot plane {plane!r}")
+    return {"a": state.a, "u1": state.u.u1, "u2": state.u.u2}[plane]
 
 
 def _parse_norm_spec(text: str, config: ExperimentConfig) -> BesovSpec:
@@ -676,15 +670,12 @@ def _parse_norm_spec(text: str, config: ExperimentConfig) -> BesovSpec:
     parts = [part.strip() for part in text.split(",") if part.strip()]
     if not parts:
         raise _UsageError("empty norm spec")
-    s_expr: float | str = parts[0]
-    p, q, r = config.p, config.q, config.r
+    indices = {"p": config.p, "q": config.q, "r": config.r}
     homogeneous = config.homogeneous
+    flags = {"homog": True, "homogeneous": True, "inhomog": False, "inhomogeneous": False}
     for part in parts[1:]:
-        if part in ("homog", "homogeneous"):
-            homogeneous = True
-            continue
-        if part in ("inhomog", "inhomogeneous"):
-            homogeneous = False
+        if part in flags:
+            homogeneous = flags[part]
             continue
         key, _, value = part.partition("=")
         key, value = key.strip(), value.strip()
@@ -694,16 +685,11 @@ def _parse_norm_spec(text: str, config: ExperimentConfig) -> BesovSpec:
             number = float(value)
         except ValueError as exc:
             raise _UsageError(f"norm spec entry {part!r} has a non-numeric value") from exc
-        if key == "p":
-            p = number
-        elif key == "q":
-            q = number
-        elif key == "r":
-            r = number
-        else:
+        if key not in indices:
             raise _UsageError(f"unknown norm spec key {key!r}")
-    s = resolve_exponent(s_expr, p, q)
-    return BesovSpec(s, p, r, homogeneous=homogeneous)
+        indices[key] = number
+    s = resolve_exponent(parts[0], indices["p"], indices["q"])
+    return BesovSpec(s, indices["p"], indices["r"], homogeneous=homogeneous)
 
 
 def _norm(config: ExperimentConfig, args) -> _Outcome:
@@ -780,21 +766,14 @@ def _verify_heat(config: ExperimentConfig, args) -> _Outcome:
 def _verify_product(config: ExperimentConfig, args) -> _Outcome:
     grid = config.grid()
     rows = []
-    worst = 0.0
     tol = max(config.tolerance, 1e-12)
-    for t in range(config.trials):
-        u = random_band_field(
-            grid, 1.0, grid.n / 4.0, trial_seed(config.seed, t, 0), mean=0.4
-        )
-        v = random_band_field(
-            grid, 1.0, grid.n / 4.0, trial_seed(config.seed, t, 1), mean=-0.2
-        )
+    for t, u, v in _trial_pairs(grid, config, grid.n / 4.0, (0.4, -0.2)):
         exact = multiply(u, v)
         recon = para_T(u, v) + para_T(v, u) + remainder_R(u, v)
         scale = math.sqrt(float(np.mean(exact.values**2)))
         defect = math.sqrt(float(np.mean((recon.values - exact.values) ** 2))) / max(scale, 1e-300)
-        worst = max(worst, defect)
         rows.append((t, defect, tol, defect / tol))
+    worst = max(row[1] for row in rows)
     payload = {"max_defect": worst, "tolerance": tol}
     return _check_outcome("product_decomposition", rows, payload, worst <= tol, f"max defect {worst:.3e}")
 
@@ -804,16 +783,13 @@ def _verify_commutator(config: ExperimentConfig, args) -> _Outcome:
         raise _UsageError("the integration-by-parts cross-check needs p >= 2")
     grid = config.grid()
     rows = []
-    worst = 0.0
-    for t in range(config.trials):
-        a = random_band_field(grid, 1.0, grid.n / 6.0, trial_seed(config.seed, t, 0), mean=0.3)
-        pressure = random_band_field(grid, 1.0, grid.n / 6.0, trial_seed(config.seed, t, 1))
+    for t, a, pressure in _trial_pairs(grid, config, grid.n / 6.0, (0.3, 0.0)):
         lhs = ij_integral(a, pressure, config.p, config.j, form="divergence")
         rhs = ij_integral(a, pressure, config.p, config.j, form="parts")
         scale = max(abs(lhs), abs(rhs), 1e-300)
         defect = abs(lhs - rhs) / scale
-        worst = max(worst, defect)
         rows.append((t, lhs, rhs, defect))
+    worst = max(row[3] for row in rows)
     payload = {"max_relative_gap": worst, "tolerance": config.tolerance}
     passed = worst <= config.tolerance
     return _check_outcome("commutator_integral", rows, payload, passed, f"max gap {worst:.3e}")
@@ -823,9 +799,7 @@ def _verify_ij(config: ExperimentConfig, args) -> _Outcome:
     def measure(n: int) -> RatioReport:
         grid = make_grid(n, config.L)
         ratios = []
-        for t in range(config.trials):
-            a = random_band_field(grid, 1.0, 8.0, trial_seed(config.seed, t, 0), mean=0.2)
-            pressure = random_band_field(grid, 1.0, 8.0, trial_seed(config.seed, t, 1))
+        for _, a, pressure in _trial_pairs(grid, config, 8.0, (0.2, 0.0)):
             rep = check_Ij_bound(a, pressure, config.p, config.q, config.j)
             ratios.extend(rep.ratios)
         return RatioReport(
@@ -844,10 +818,7 @@ def _transport_trajectory(config: ExperimentConfig):
     grid = config.grid()
     a = _synthetic_scalar(grid, config, 31)
     x, y = grid.coords
-    u = VectorField(
-        SpectralField.from_physical(grid, config.amplitude_u * np.sin(y)),
-        SpectralField.from_physical(grid, config.amplitude_u * np.sin(x)),
-    )
+    u = VectorField.from_physical(grid, config.amplitude_u * np.sin(y), config.amplitude_u * np.sin(x))
     steps = max(1, int(round(config.T / config.dt)))
     trajectory = [(0.0, a, u)]
     state = a
@@ -874,12 +845,9 @@ def _verify_elliptic(config: ExperimentConfig, args) -> _Outcome:
         grid = make_grid(n, config.L)
         ratios = []
         l2_ok = True
-        for t in range(config.trials):
+        for t, F1, F2 in _trial_pairs(grid, config, grid.n / 4.0, (0.0, 0.0), stream=1):
             a = _bounded_coefficient(grid, config, t)
-            F = VectorField(
-                random_band_field(grid, 1.0, grid.n / 4.0, trial_seed(config.seed, t, 1)),
-                random_band_field(grid, 1.0, grid.n / 4.0, trial_seed(config.seed, t, 2)),
-            )
+            F = VectorField(F1, F2)
             grad_pi, _, _ = solve_pressure(a, F, tol=config.pressure_tol)
             rep = check_elliptic_estimate(a, F, grad_pi, config.p)
             ratios.extend(rep.ratios)
@@ -923,7 +891,7 @@ def _verify_envelope(config: ExperimentConfig, args) -> _Outcome:
     C, defect = fit_growth_envelope(series)
     rows = []
     for idx, (t, value) in enumerate(series):
-        bound = C * math.exp(C * math.exp(C * math.sqrt(t)))
+        bound = growth_envelope(C, t)
         rows.append((idx, value, bound, value / bound))
     passed = defect <= 0.0 and diag.stop_reason == "completed"
     payload = {"C": C, "defect": defect, "stop_reason": diag.stop_reason, "stop_cause": diag.stop_cause}
@@ -937,10 +905,9 @@ def _verify_deltas(config: ExperimentConfig, args) -> _Outcome:
         base = random_divergence_free(grid, 1.0, 5.0, trial_seed(config.seed, 41))
         # Keep the integrated velocity gradient well inside the series'
         # convergence region (sup_t of the accumulated gradient ~ 0.3).
-        sup_grad = float(
-            np.max(np.sqrt(np.einsum("...ij,...ij->...", gradient_tensor(base),
-                                     gradient_tensor(base))))
-        )
+        G = gradient_tensor(base)
+        sup_grad = float(np.max(np.sqrt(np.einsum("...ij,...ij->...", G, G))))
+        del G  # not held through delta_estimates, whose peak it would raise
         base = base * (0.3 / (config.T * max(sup_grad, 1e-300)))
         bump = random_divergence_free(grid, 1.0, 5.0, trial_seed(config.seed, 42))
         bump = bump * (0.3e-3 / (config.T * max(sup_grad, 1e-300)))

@@ -149,6 +149,8 @@ def _pcg_potential(
         iterations += 1
         z = _precondition(a, r)
         rz = _inner(r, z)
+        if not rz > 0.0:  # the residual sits at the rounding floor: no descent direction is left
+            break
         p = z if p is None else z + (rz / rz_old) * p
         rz_old = rz
         ap = _apply_form(a, p)

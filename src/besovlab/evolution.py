@@ -618,7 +618,7 @@ def ns_integrate(
 def energy_diagnostics(
     trajectory: list[StateSnapshot],
     *,
-    visc: ViscosityLaw | None = None,
+    visc: ViscosityLaw,
 ) -> DiagnosticsSeries:
     """Energy balance of the correction velocity against a heat reference.
 
@@ -633,8 +633,6 @@ def energy_diagnostics(
     are admitted.  Returned series: E0, E1, E2 plus the defect, the pointwise
     density range, and the reference convection size in ``extra``.
     """
-    if visc is None:
-        visc = ViscosityLaw("constant", 1.0)
     if visc.kind != "constant":
         raise ValueError("energy diagnostics require a constant viscosity law")
     if not trajectory:

@@ -46,6 +46,7 @@ __all__ = [
     "ij_integral",
     "check_elliptic_estimate",
     "fit_growth_envelope",
+    "growth_envelope",
     "mark_refinement",
     "COMMUTATOR_P_LOWER",
     "PRESSURE_P_UPPER",
@@ -164,8 +165,6 @@ def check_bernstein(
     def dk_norm(u: SpectralField, exponent: float) -> float:
         return sum(lp_norm(derivative(u, alpha), exponent) for alpha in alphas)
 
-    tasks = [(j, t) for j in js for t in range(trials)]
-
     def one(j: int, t: int):
         lam = 2.0**j
         u_ann = random_annulus_field(grid, j, trial_seed(seed, j, t, 0))
@@ -175,11 +174,9 @@ def check_bernstein(
         ball = dk_norm(u_ball, q) / (lam**gap * lp_norm(u_ball, p))
         return fwd, rev, ball
 
-    results = [one(j, t) for j, t in tasks]
-    ratios = tuple(r[0] for r in results)
-    per_j_max = {
-        str(j): max(r[0] for (jj, _), r in zip(tasks, results) if jj == j) for j in js
-    }
+    rows = [[one(j, t) for t in range(trials)] for j in js]
+    results = [r for row in rows for r in row]
+    per_j_max = {str(j): max(r[0] for r in row) for j, row in zip(js, rows)}
     peaks = list(per_j_max.values())
     drift = (max(peaks) - min(peaks)) / min(peaks) if min(peaks) > 0 else math.inf
     return RatioReport(
@@ -193,7 +190,7 @@ def check_bernstein(
             "trials": int(trials),
         },
         seed=seed,
-        ratios=ratios,
+        ratios=tuple(r[0] for r in results),
         extra={
             "reverse_ratios": tuple(r[1] for r in results),
             "ball_ratios": tuple(r[2] for r in results),
@@ -431,18 +428,11 @@ def check_Ij_bound(
 
     value = ij_integral(a, pressure, p, j, form="divergence")
 
-    ac = centered(a)
-    if regime_i:
-        regime = "i"
-        a_norm, profile = besov_norm(ac, BesovSpec(2.0 / q, q, 1.0))
+    a_norm, profile = besov_norm(centered(a), BesovSpec(2.0 / q, q, 1.0))  # regime ii has q = p
+    if regime_i or p < 2.0:
         grad_norm = lp_norm(gradient(pressure), 2.0)
     else:
-        regime = "ii"
-        a_norm, profile = besov_norm(ac, BesovSpec(2.0 / p, p, 1.0))
-        if p < 2.0:
-            grad_norm = lp_norm(gradient(pressure), 2.0)
-        else:
-            grad_norm = besov_norm(gradient(pressure), BesovSpec(2.0 / p - 1.0, p, 2.0))[0]
+        grad_norm = besov_norm(gradient(pressure), BesovSpec(2.0 / p - 1.0, p, 2.0))[0]
 
     d_j = profile.d_sequence()[list(profile.js).index(j)]
     block_pow = lp_norm(ladder.block(pressure, j), p) ** (p - 1.0)
@@ -459,7 +449,7 @@ def check_Ij_bound(
         "pairing": value,
         "rhs": rhs,
         "d_j": d_j,
-        "regime": regime,
+        "regime": "i" if regime_i else "ii",
     }
     return RatioReport(
         check="commutator_pairing",
@@ -537,7 +527,8 @@ def check_elliptic_estimate(
 # growth envelope
 
 
-def _envelope(C: float, t: float) -> float:
+def growth_envelope(C: float, t: float) -> float:
+    """The envelope C*exp(C*exp(C*sqrt(t))), ``inf`` beyond the floating range and 0 for C <= 0."""
     if C <= 0.0:
         return 0.0
     inner = C * math.sqrt(t)
@@ -569,7 +560,7 @@ def fit_growth_envelope(norm_series) -> tuple[float, float]:
         raise ValueError("series entries must be positive")
 
     def defect(C: float) -> float:
-        return max(v - _envelope(C, t) for t, v in pairs)
+        return max(v - growth_envelope(C, t) for t, v in pairs)
 
     hi = 1.0
     while defect(hi) > 0.0:

@@ -152,7 +152,7 @@ class FlowMap:
         for A in self.inverse_jacobians:
             if A.shape != (n, n, 2, 2):
                 raise ValueError(f"inverse Jacobian must have shape {(n, n, 2, 2)}, got {A.shape}")
-        if self.displacements[0].linf() != 0.0:
+        if any(np.any(c.modes) for c in self.displacements[0].components):
             raise ValueError("the first record must be the identity map")
 
     @property
@@ -240,8 +240,7 @@ def integrate_flow(u_trajectory, dt: float) -> FlowMap:
         (a1, a2), (b1, b2) = values[:2], values[-2:]
         return (1.0 - w) * a1 + w * b1, (1.0 - w) * a2 + w * b2
 
-    disp0 = VectorField.zero(grid)
-    records = [(disp0, _invert_per_node(_IDENTITY + gradient_tensor(disp0)))]
+    records = [(VectorField.zero(grid), np.broadcast_to(_IDENTITY, (grid.n, grid.n, 2, 2)).copy())]
     # only the interval in use holds samplers: its two ends and their join
     end = PeriodicSampler.of_vector(fields[0])
     for k, (t_lo, t_hi) in enumerate(zip(times, times[1:])):

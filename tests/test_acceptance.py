@@ -367,7 +367,7 @@ def test_10_flow_maps_preserve_volume_and_divergence_identity():
 
 
 def test_11_small_data_run_fits_growth_envelope_with_bounded_energy():
-    """A long small-data run completes, admits a triple-exponential envelope
+    """A long small-data run completes, admits a double-exponential envelope
     with zero violations, and balances the correction energy to 1e-3."""
     start = time.perf_counter()
     grid = make_grid(128)

@@ -346,6 +346,12 @@ class TestExitCodes:
         assert code == 1
         assert "mean-zero" in capsys.readouterr().err
 
+    def test_pressure_tolerance_below_rounding_fails_the_check(self, tmp_path, capsys):
+        cfg = tmp_path / "tight.cfg"
+        cfg.write_text("n = 32\npressure_tol = 1e-17\n", encoding="utf-8")
+        assert run_cli(["elliptic", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert "check failed: pressure solve did not reach tol=1.0e-17" in capsys.readouterr().err
+
     def test_bad_config_file_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("frobnicate = 12\n", encoding="utf-8")
@@ -470,6 +476,17 @@ class TestVerifyVerbs:
         assert report["stop_reason"] == "invalid_state"
         assert report["stop_cause"].startswith("step 5: coefficient floor violation")
         assert f"stopped: invalid_state; {report['stop_cause']})" in capsys.readouterr().out
+
+    def test_envelope_beyond_floating_range_is_an_infinite_bound(self, tmp_path, capsys, monkeypatch):
+        # A + Z = 50 fits C near 2.9, whose envelope at t = 4 exceeds the floating range
+        times, zeros = (0.0, 2.0, 4.0), (0.0, 0.0, 0.0)
+        diag = evolution.DiagnosticsSeries(times, (30.0,) * 3, (20.0,) * 3, zeros, zeros, zeros)
+        monkeypatch.setattr(besovlab.cli, "ns_integrate", lambda run, a0, u0: ([], diag))
+        out = tmp_path / "env"
+        assert run_cli(["verify", "envelope", "--out", str(out)]) == 0
+        capsys.readouterr()
+        last = (out / "growth_envelope.csv").read_text().strip().splitlines()[-1].split(",")
+        assert [float(v) for v in last[2:]] == [2.0, 50.0, math.inf, 0.0]
 
     @pytest.mark.parametrize("verb", [["simulate"], ["verify", "envelope"]])
     def test_default_config_runs_inside_the_cfl_bound(self, verb, tmp_path, capsys):

@@ -373,6 +373,12 @@ class TestErrors:
         with pytest.raises(RuntimeError, match=r"in 1 iterations \(residual \d\.\d{3}e[-+]\d+\)"):
             solve_pressure(bounded_coefficient(grid, 125), band_forcing(grid, 126), tol=1e-13, max_iter=1)
 
+    def test_tolerance_below_rounding_raises_the_solver_error(self):
+        # the residual stalls at the rounding floor, where the preconditioned residual norm is 0
+        grid = make_grid(32)
+        with pytest.raises(RuntimeError, match="did not reach tol=1.0e-17"):
+            solve_pressure(bounded_coefficient(grid, 125), band_forcing(grid, 126), tol=1e-17)
+
     def test_stats_shape(self):
         s = EllipticSolveStats(iterations=3, residual=1e-12, split_m=None)
         assert s.iterations == 3 and s.split_m is None

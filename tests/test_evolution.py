@@ -579,7 +579,7 @@ class TestEnergyDiagnostics:
         u0, _ = taylor_green(grid64, 1.0, 0.0)
         config = IntegrationConfig(T=0.04, dt=2e-3, snapshot_every=2)
         traj, _ = ns_integrate(config, SpectralField.zero(grid64), u0)
-        diag = energy_diagnostics(traj)
+        diag = energy_diagnostics(traj, visc=config.visc)
         assert max(diag.E0) <= 1e-18
         assert max(diag.extra["energy_defect"]) <= 1e-10
         assert all(c < 10.0 for c in diag.extra["convection_l2"])
@@ -588,7 +588,7 @@ class TestEnergyDiagnostics:
         u0 = smooth_random_divfree(grid32, rng, k0=3.0) * 0.4
         config = IntegrationConfig(T=0.03, dt=1e-3)
         traj, _ = ns_integrate(config, SpectralField.zero(grid32), u0)
-        diag = energy_diagnostics(traj)
+        diag = energy_diagnostics(traj, visc=config.visc)
         assert max(diag.extra["energy_defect"][1:-1]) <= 1e-4
         assert diag.E2[1] > 0.0
 
@@ -597,7 +597,7 @@ class TestEnergyDiagnostics:
         u0 = smooth_random_divfree(grid32, rng, k0=3.0) * 0.2
         config = IntegrationConfig(T=0.03, dt=0.01)
         traj, _ = ns_integrate(config, a0, u0)
-        diag = energy_diagnostics(traj)
+        diag = energy_diagnostics(traj, visc=config.visc)
         kappa = traj[0].kappa
         amax = a0.linf()
         lo = (1.0 / (1.0 + amax)) * (1.0 - 1e-3)

@@ -159,9 +159,9 @@ class TestIntegrateFlow:
             u.u1.values, u.u2.values  # node values cached, as a solver's snapshots hold them
         fft_calls.clear()
         integrate_flow(traj, 5e-3)
-        # per snapshot a refined sampler (2 irfft2) and a record's gradient (4 irfft2), plus 2 irfft2
-        # for FlowMap's identity check; 2 rfft2 per record after the first, as record 0 is the zero field
-        assert dict(fft_calls) == {"irfft2": 68, "rfft2": 20}
+        # per snapshot a refined sampler (2 irfft2), and per record after the first its gradient
+        # (4 irfft2) and 2 rfft2; record 0 is the identity, built and checked with no transform
+        assert dict(fft_calls) == {"irfft2": 62, "rfft2": 20}
 
     def test_holds_one_interval_of_planes(self, grid32, rng, monkeypatch):
         times = tuple(0.01 * k for k in range(11))
