@@ -112,8 +112,12 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 _OPERATORS = {
-    ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul, ast.Div: operator.truediv,
-    ast.UAdd: operator.pos, ast.USub: operator.neg,
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.Div: operator.truediv,
+    ast.UAdd: operator.pos,
+    ast.USub: operator.neg,
 }
 
 
@@ -544,7 +548,7 @@ def _check_outcome(check: str, rows, payload: dict, passed: bool, note: str) -> 
 
 
 def _report_rows(report: RatioReport, js=None):
-    """One ``(j, ratio, 1, ratio)`` row per ratio: ``j`` from ``js``, else ``extra["js"]``, else the index."""
+    """Rows ``(j, ratio, 1, ratio)``, ``j`` taken from ``js``, ``extra["js"]`` or the index."""
     if js is None:
         js = report.extra.get("js", range(len(report.ratios)))
     return [(j, ratio, 1.0, ratio) for j, ratio in zip(js, report.ratios)]
@@ -567,14 +571,14 @@ def _refined(args, measure, n: int) -> RatioReport:
 # synthetic data shared by several verbs
 # ---------------------------------------------------------------------------
 
+def _synthetic_band(grid: Grid, config: ExperimentConfig) -> tuple[float, float]:
+    """Wavenumber band of the synthetic data: an octave either side of ``k0``, below n/3."""
+    return max(1.0, config.k0 / 2.0), min(2.0 * config.k0, grid.n / 3.0)
+
+
 def _synthetic_scalar(grid: Grid, config: ExperimentConfig, stream: int):
     """Random band-limited mean-zero scalar with unit sup norm."""
-    raw = random_band_field(
-        grid,
-        max(1.0, config.k0 / 2.0),
-        min(2.0 * config.k0, grid.n / 3.0),
-        trial_seed(config.seed, stream),
-    )
+    raw = random_band_field(grid, *_synthetic_band(grid, config), trial_seed(config.seed, stream))
     vals = raw.values
     vals = vals / max(np.max(np.abs(vals)), 1e-300)
     return SpectralField.from_physical(grid, vals)
@@ -595,11 +599,15 @@ def _bounded_coefficient(grid: Grid, config: ExperimentConfig, stream: int):
     return SpectralField.from_physical(grid, vals)
 
 
-def _trial_pairs(grid: Grid, config: ExperimentConfig, k_high: float, means: tuple[float, float], stream: int = 0):
-    """Per trial, ``t`` and the band fields of streams ``(t, stream)`` and ``(t, stream + 1)`` with ``means``."""
+def _trial_pairs(
+    grid: Grid, config: ExperimentConfig, k_high: float, means: tuple[float, float], stream: int = 0
+):
+    """Per trial: ``t`` and its band fields of streams ``(t, stream + i)`` with means ``means[i]``."""
     for t in range(config.trials):
         yield t, *(
-            random_band_field(grid, 1.0, k_high, trial_seed(config.seed, t, stream + i), mean=mean)
+            random_band_field(
+                grid, 1.0, k_high, trial_seed(config.seed, t, stream + i), mean=mean
+            )
             for i, mean in enumerate(means)
         )
 
@@ -611,7 +619,9 @@ def _preset_velocity(grid: Grid, preset: str, amplitude: float) -> VectorField:
         return VectorField.from_physical(
             grid, amplitude * np.cos(x) * np.sin(y), -amplitude * np.sin(x) * np.cos(y)
         )
-    return VectorField.from_physical(grid, amplitude * np.sin(y), np.zeros_like(y))
+    return VectorField(
+        SpectralField.from_physical(grid, amplitude * np.sin(y)), SpectralField.zero(grid)
+    )
 
 
 def _initial_data(grid: Grid, config: ExperimentConfig):
@@ -622,14 +632,10 @@ def _initial_data(grid: Grid, config: ExperimentConfig):
         a0 = _synthetic_scalar(grid, config, 11) * config.amplitude_a
     if config.initial in ("taylor_green", "shear"):
         return a0, _preset_velocity(grid, config.initial, config.amplitude_u)
-    u0 = random_divergence_free(
-        grid,
-        max(1.0, config.k0 / 2.0),
-        min(2.0 * config.k0, grid.n / 3.0),
-        trial_seed(config.seed, 12),
+    return a0, random_divergence_free(
+        grid, *_synthetic_band(grid, config), trial_seed(config.seed, 12),
         amplitude=config.amplitude_u,
     )
-    return a0, u0
 
 
 # ---------------------------------------------------------------------------
@@ -720,13 +726,6 @@ def _octave_fits(j: int, n: int) -> bool:
     return (8.0 / 3.0) * 2.0**j <= n / 2.0 - 1.0
 
 
-def _min_grid_for_octave(j: int) -> int:
-    n = 8
-    while not _octave_fits(j, n):
-        n *= 2
-    return n
-
-
 def _verify_bernstein(config: ExperimentConfig, args) -> _Outcome:
     octaves = tuple(j for j in (1, 2, 3, 4) if _octave_fits(j, config.n)) or (1,)
 
@@ -755,7 +754,10 @@ def _verify_heat(config: ExperimentConfig, args) -> _Outcome:
             trials=config.trials, grid_n=n, seed=config.seed,
         )
 
-    report = _refined(args, measure, max(config.n, _min_grid_for_octave(config.j)))
+    n = config.n
+    while not _octave_fits(config.j, n):  # the first doubling of the grid that resolves octave j
+        n *= 2
+    report = _refined(args, measure, n)
     lo, hi = report.extra["c_window"]
     c_fit = report.extra["c_fit"]
     rows = [(idx, c, C, c / C if C > 0 else 0.0) for idx, (c, C) in enumerate(zip(c_fit, report.ratios))]
@@ -818,7 +820,9 @@ def _transport_trajectory(config: ExperimentConfig):
     grid = config.grid()
     a = _synthetic_scalar(grid, config, 31)
     x, y = grid.coords
-    u = VectorField.from_physical(grid, config.amplitude_u * np.sin(y), config.amplitude_u * np.sin(x))
+    u = VectorField.from_physical(
+        grid, config.amplitude_u * np.sin(y), config.amplitude_u * np.sin(x)
+    )
     steps = max(1, int(round(config.T / config.dt)))
     trajectory = [(0.0, a, u)]
     state = a

@@ -136,12 +136,9 @@ def lr_aggregate(values: Iterable[float], r: float) -> float:
 
 def _require_mean_zero(u: SpectralField | VectorField, what: str) -> None:
     """Reject a field whose mean is not zero relative to its largest mode."""
-    if isinstance(u, VectorField):
-        mean = max(abs(u.u1.mean), abs(u.u2.mean))
-        scale = max(np.max(np.abs(u.u1.modes)), np.max(np.abs(u.u2.modes))) / u.grid.n**2
-    else:
-        mean = abs(u.mean)
-        scale = np.max(np.abs(u.modes)) / u.grid.n**2
+    components = u.components if isinstance(u, VectorField) else (u,)
+    mean = max(abs(c.mean) for c in components)
+    scale = max(np.max(np.abs(c.modes)) for c in components) / u.grid.n**2
     if mean > 1e-10 * max(1.0, scale):
         raise ValueError(f"homogeneous {what} needs a mean-zero field (|mean| = {mean:.3e})")
 

@@ -87,10 +87,7 @@ def commutator_block(a: SpectralField, f: SpectralField | VectorField, j: int):
     to vector fields.
     """
     if isinstance(f, VectorField):
-        return VectorField(
-            commutator_block(a, f.u1, j),
-            commutator_block(a, f.u2, j),
-        )
+        return f.map(lambda c: commutator_block(a, c, j))
     ladder = _ladder_of(a, f)
     return ladder.block(multiply(a, f), j) - multiply(a, ladder.block(f, j))
 

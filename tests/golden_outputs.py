@@ -1,14 +1,14 @@
 """Hash the CLI's outputs so that two source trees can be compared byte for byte.
 
-Runs the benchmark's ``lab`` and ``flow`` argvs and a few more verbs in
-process against the package under ``--src`` and prints one line per run:
-the sha256 over every output file except ``run.log`` (name and bytes, in name
-order), the exit code, stdout and stderr, followed by the exit code and the run's label.  The
-``flow`` runs also print their PCG iteration and solve counts.  Diff the
-listings of two trees to check that a refactor left the outputs alone::
+Runs the benchmark's ``flow`` argv at ``FLOW_SEEDS`` and its ``lab`` argvs and
+a few more verbs at ``SEEDS``, in process against the package under ``--src``,
+and prints one line per run: the sha256 over every output file except
+``run.log`` (name and bytes, in name order), the exit code, stdout and stderr,
+followed by the exit code and the run's label.  Diff the listings of two
+trees to check that a refactor left the outputs alone::
 
-    python tests/golden_outputs.py --src src --seeds 1 7 > change.txt
-    python tests/golden_outputs.py --src ../parent/src --seeds 1 7 > parent.txt
+    python tests/golden_outputs.py --src src > change.txt
+    python tests/golden_outputs.py --src ../parent/src > parent.txt
     diff parent.txt change.txt
 
 Pytest does not collect this file; it is a script.
@@ -26,6 +26,8 @@ import tempfile
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+FLOW_SEEDS = (0, 1, 2, 3)
+SEEDS = (1, 7)  # of the lab and extra runs
 
 # Runs beyond the benchmark's: the remaining verbs, the presets, norm specs (two of them bad) and
 # a run stopped by the CFL bound (its stop cause names the Courant number).
@@ -56,37 +58,14 @@ def _digest(run_cli, argv, out: Path) -> tuple[str, int]:
     return h.hexdigest(), code
 
 
-def _count_pcg(package) -> dict:
-    """Count solves and PCG iterations by rebinding ``solve_pressure`` in every module that holds it."""
-    counts = {"solves": 0, "iterations": 0}
-    original = package.elliptic.solve_pressure
-
-    def counted(*args, **kwargs):
-        result = original(*args, **kwargs)
-        counts["solves"] += 1
-        counts["iterations"] += result[1].iterations
-        return result
-
-    for name in package.__all__:
-        module = getattr(package, name)
-        if getattr(module, "solve_pressure", None) is original:
-            module.solve_pressure = counted
-    return counts
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"),
                         help="source tree holding the besovlab package")
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 7], help="seeds of the lab and extra runs")
-    parser.add_argument("--flow-seeds", type=int, nargs="+", default=[0, 1, 2, 3], help="seeds of the flow runs")
     args = parser.parse_args()
     sys.path[:0] = [str(Path(args.src).resolve()), str(PERFBENCH)]
-    package = importlib.import_module("besovlab")
-    importlib.import_module("besovlab.cli")
+    run_cli = importlib.import_module("besovlab.cli").run_cli
     workloads = importlib.import_module("workloads")
-    counts = _count_pcg(package)
-    run_cli = package.cli.run_cli
     with tempfile.TemporaryDirectory() as scratch:
         runs = 0
 
@@ -98,12 +77,9 @@ def main() -> None:
             digest, code = _digest(run_cli, full, out)
             print(digest, f"exit={code}", " ".join(full).replace(scratch, "<out>"), flush=True)
 
-        for seed in args.flow_seeds:
-            before = dict(counts)
+        for seed in FLOW_SEEDS:
             run(workloads.FLOW_ARGS, seed)
-            print(f"  pcg iterations {counts['iterations'] - before['iterations']}"
-                  f" over {counts['solves'] - before['solves']} solves")
-        for seed in args.seeds:
+        for seed in SEEDS:
             for argv in (*workloads.LAB_ARGS, *EXTRA_ARGS):
                 run(argv, seed)
             # the snapshot reader, on the last state of a short run

@@ -1,5 +1,7 @@
 """Pressure-solver checks: dense oracle, invariants, and method agreement."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -374,10 +376,12 @@ class TestErrors:
             solve_pressure(bounded_coefficient(grid, 125), band_forcing(grid, 126), tol=1e-13, max_iter=1)
 
     def test_tolerance_below_rounding_raises_the_solver_error(self):
-        # the residual stalls at the rounding floor, where the preconditioned residual norm is 0
+        # the defect stalls at the rounding floor, where restarts stop lowering it; the
+        # solve raises there instead of restarting until its 500 iterations are spent
         grid = make_grid(32)
-        with pytest.raises(RuntimeError, match="did not reach tol=1.0e-17"):
+        with pytest.raises(RuntimeError, match="did not reach tol=1.0e-17") as info:
             solve_pressure(bounded_coefficient(grid, 125), band_forcing(grid, 126), tol=1e-17)
+        assert int(re.search(r"in (\d+) iterations", str(info.value))[1]) < 500
 
     def test_stats_shape(self):
         s = EllipticSolveStats(iterations=3, residual=1e-12, split_m=None)
