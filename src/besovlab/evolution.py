@@ -57,6 +57,7 @@ from .spectral import (
     l2_norm,
     leray_project,
     multiply,
+    refine,
     require_solenoidal,
     reused_factor,
 )
@@ -187,8 +188,8 @@ class ViscosityLaw:
 class StateSnapshot:
     """One instant of the coupled system: scalar, velocity, pressure gradient.
 
-    ``kappa`` is the lower bound on 1 + a recorded when the trajectory starts;
-    later snapshots re-check it (with a small advection-scheme allowance).
+    ``kappa`` is the floor of 1 + a recorded at the start (the node minimum if
+    not given); later snapshots re-check their node minimum, with a small allowance.
     """
 
     t: float
@@ -500,12 +501,13 @@ def ns_integrate(
     exceeds the budget (``budget_exceeded``), the velocity outgrows the CFL
     bound (``cfl_violation``), a step yields a non-finite velocity or pressure
     forcing (``non_finite``), a pressure solve fails (``solver_failure``), or a
-    state check rejects a step's state, such as a coefficient floor that fell
-    below the recorded one (``invalid_state``).
+    state check rejects a step's state, such as a node minimum of 1 + a below
+    the floor recorded from a0's polynomial on the 4x refined grid (``invalid_state``).
     An error stop keeps its step index and message in ``stop_cause``.
     """
     grid = a0.grid
-    kappa = require_floor(a0)
+    # transport keeps the polynomial's infimum, which can dip below a0's node minimum
+    kappa = require_floor(refine(a0, 4))
     a_range = (float(a0.values.min()), float(a0.values.max()))
     config.visc.require_positive(*a_range)
 

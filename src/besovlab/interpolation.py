@@ -3,23 +3,23 @@
 Query points rarely fall on grid nodes: particle trackers need velocities at
 departure points, and pullbacks need fields along a deformed mesh.  The
 sampler here evaluates a field anywhere on the torus in two stages.  First the
-field is resampled exactly onto a uniform grid ``upsample`` times finer (a
-trigonometric identity, no information is lost; one real inverse transform
-per plane).  Then tensor-product cubic Lagrange interpolation on the
-surrounding 4x4 stencil produces the value at the query point.  The
-refinement factor trades memory for accuracy while the per-point cost stays
-constant.
+field's modes are prefiltered by 21/(13 + 8 cos(kH)) per axis and resampled
+exactly onto a grid of spacing H, ``upsample`` times finer (one real inverse
+transform per plane).  Then the cubic O-MOMS kernel (Blu, Thevenaz & Unser,
+IEEE TIP 10, 2001) on the surrounding 4x4 stencil produces the value at the
+query point: the prefilter makes it pass through the field's fine-grid values,
+and it has cubic Lagrange's support with a much smaller error constant.
 
 A sampler holds any number of planes on one grid, and :meth:`PeriodicSampler.at`
 evaluates them all at the same points: the points are taken in fixed-size
 chunks, and each chunk's stencil (16 wrapped node indices and 16 weights per
 point) is computed once and shared by every plane.  Fields sampled at the same
-points, such as both time neighbours of a velocity history, therefore belong
-in one sampler; :meth:`PeriodicSampler.joined` combines samplers without
-copying their planes.  Each refined plane costs (upsample n)^2 floats, so a
-user holds a sampler only while it evaluates: the flow map keeps one time
-interval's planes at a time.  The query points are checked once per
-call: a NaN or infinite point raises ValueError naming it.
+points, such as a velocity and its divergence, therefore belong in one
+sampler, built from the planes of several.  Each refined plane costs
+(upsample n)^2 floats, so a user holds a sampler only while it evaluates: the
+flow map keeps one time interval's planes, and blends them in place.  The
+query points are checked once per call: a NaN or infinite point raises
+ValueError naming it.
 
 For schemes that must not create new extrema, :func:`cell_bounds` returns the
 min/max of the four base-grid corners enclosing each query point; clipping an
@@ -46,18 +46,24 @@ _CHUNK = 4096
 
 
 def _cubic_weights(s: np.ndarray) -> np.ndarray:
-    """Lagrange weights on the nodes {-1, 0, 1, 2} at offsets s in [0, 1).
+    """O-MOMS weights on the nodes {-1, 0, 1, 2} at offsets s in [0, 1), in Horner form.
 
     Returns an array with a leading axis of length 4; the weights sum to one
-    identically, so constants are reproduced exactly.
+    and their first moment is s, so linear data is reproduced.
     """
-    a, c, d = s + 1.0, s - 1.0, s - 2.0
+    t = 1.0 - s
     w = np.empty((4,) + s.shape, dtype=float)
-    w[0] = -s * c * d / 6.0
-    w[1] = a * c * d / 2.0
-    w[2] = -a * s * d / 2.0
-    w[3] = a * s * c / 6.0
+    w[0] = (t * t / 6.0 + 1.0 / 42.0) * t
+    w[1] = ((s / 2.0 - 1.0) * s + 1.0 / 14.0) * s + 13.0 / 21.0
+    w[2] = ((t / 2.0 - 1.0) * t + 1.0 / 14.0) * t + 13.0 / 21.0
+    w[3] = (s * s / 6.0 + 1.0 / 42.0) * s
     return w
+
+
+def _prefilter(grid: Grid, M: int) -> np.ndarray:
+    """The multiplier 21/(13 + 8 cos(kH)) per axis, H = L/M, taking modes to O-MOMS coefficients."""
+    gain = 21.0 / (13.0 + 8.0 * np.cos(2.0 * np.pi / M * grid.mode_index))
+    return gain[:, None] * gain[None, : grid.n // 2 + 1]
 
 
 def _index_split(x: np.ndarray, h: float, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -102,9 +108,9 @@ def _stencil(
 class PeriodicSampler:
     """Evaluates one or more periodic planes at arbitrary torus points.
 
-    Planes share one grid; they are stored as physical values on the refined
-    mesh.  Construct via :meth:`of_scalar` or :meth:`of_vector`, and combine
-    samplers of one grid with :meth:`joined`.
+    Planes share one grid; they hold the prefiltered fields' samples on the
+    refined mesh.  Construct via :meth:`of_scalar` or :meth:`of_vector`, or
+    from the planes of several such samplers of one box.
     """
 
     length: float
@@ -119,20 +125,15 @@ class PeriodicSampler:
                 raise ValueError("sampler planes must be square and share one shape")
 
     @classmethod
-    def of_scalar(cls, f: SpectralField, upsample: int = 4) -> "PeriodicSampler":
-        return cls(f.grid.L, (real_samples(f, upsample * f.grid.n),))
+    def of_scalar(cls, f: SpectralField, upsample: int = 3) -> "PeriodicSampler":
+        M = upsample * f.grid.n
+        return cls(f.grid.L, (real_samples(f.filtered(_prefilter(f.grid, M)), M),))
 
     @classmethod
-    def of_vector(cls, V: VectorField, upsample: int = 4) -> "PeriodicSampler":
+    def of_vector(cls, V: VectorField, upsample: int = 3) -> "PeriodicSampler":
         M = upsample * V.grid.n
-        return cls(V.grid.L, (real_samples(V.u1, M), real_samples(V.u2, M)))
-
-    @classmethod
-    def joined(cls, *samplers: "PeriodicSampler") -> "PeriodicSampler":
-        """One sampler over the planes of several, in order; the planes are shared, not copied."""
-        if any(s.length != samplers[0].length for s in samplers):
-            raise ValueError("joined samplers must cover one box")
-        return cls(samplers[0].length, tuple(p for s in samplers for p in s.planes))
+        gain = _prefilter(V.grid, M)
+        return cls(V.grid.L, tuple(real_samples(c.filtered(gain), M) for c in V.components))
 
     @property
     def n(self) -> int:

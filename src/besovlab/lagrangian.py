@@ -225,24 +225,23 @@ def integrate_flow(u_trajectory, dt: float) -> FlowMap:
     px = x.copy()
     py = y.copy()
 
-    def record() -> tuple[VectorField, np.ndarray]:
-        disp = VectorField.from_physical(grid, px - x, py - y)
-        jac = _IDENTITY + gradient_tensor(disp)
-        return disp, _invert_per_node(jac)
-
     def velocity(t: float, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The interval in use, blended linearly in time between its end samplers."""
+        """The interval in use, its end samplers' planes blended linearly in time."""
+        nonlocal weight
         w = min(max((t - t_lo) / span, 0.0), 1.0)
-        if w == 0.0:
+        if w == 0.0 or end is start:
             return start.at(x, y)
-        values = both.at(x, y)
-        # a steady interval's sampler holds one field, whose two planes serve both ends
-        (a1, a2), (b1, b2) = values[:2], values[-2:]
-        return (1.0 - w) * a1 + w * b1, (1.0 - w) * a2 + w * b2
+        if w != weight:  # a new stage time: the blend's planes become a + w (b - a), in place
+            for p, a, b in zip(blend.planes, start.planes, end.planes):
+                np.multiply(np.subtract(b, a, out=p), w, out=p)
+                p += a
+            weight = w
+        return blend.at(x, y)
 
     records = [(VectorField.zero(grid), np.broadcast_to(_IDENTITY, (grid.n, grid.n, 2, 2)).copy())]
-    # only the interval in use holds samplers: its two ends and their join
+    # only the interval in use holds samplers: its two ends, and one blend reused by every interval
     end = PeriodicSampler.of_vector(fields[0])
+    blend = PeriodicSampler(grid.L, tuple(np.empty_like(p) for p in end.planes))
     for k, (t_lo, t_hi) in enumerate(zip(times, times[1:])):
         span = t_hi - t_lo
         m = int(round(span / dt))
@@ -254,13 +253,14 @@ def integrate_flow(u_trajectory, dt: float) -> FlowMap:
             raise ValueError(
                 f"integration step dt={dt} does not tile the snapshot spacing {span}"
             )
-        start, both = end, None  # the last interval's start and join are released before the build
+        start, weight = end, None  # the last interval's start is released before the build
         end = start if fields[k + 1] is fields[k] else PeriodicSampler.of_vector(fields[k + 1])
-        both = start if end is start else PeriodicSampler.joined(start, end)
-        h = span / m
-        for step in range(m):
-            px, py = rk4_step(velocity, t_lo + step * h, px, py, h)
-        records.append(record())
+        h, t = span / m, t_lo
+        for _ in range(m):
+            px, py = rk4_step(velocity, t, px, py, h)
+            t += h  # as the step's last stage took it, so the next step's first stage reuses that blend
+        disp = VectorField.from_physical(grid, px - x, py - y)
+        records.append((disp, _invert_per_node(_IDENTITY + gradient_tensor(disp))))
     return FlowMap(
         times,
         tuple(r[0] for r in records),
@@ -361,8 +361,8 @@ def check_div_identity(u: VectorField, t: float, flow: FlowMap) -> DivergenceIde
     k = flow.index_of(t)
     xs, ys = flow.position_arrays(k)
     grid = flow.grid
-    v1, v2, lhs = PeriodicSampler.joined(
-        PeriodicSampler.of_vector(u), PeriodicSampler.of_scalar(divergence(u))
+    v1, v2, lhs = PeriodicSampler(
+        grid.L, PeriodicSampler.of_vector(u).planes + PeriodicSampler.of_scalar(divergence(u)).planes
     ).at(xs, ys)
     v = VectorField.from_physical(grid, v1, v2)
     Dv = gradient_tensor(v)

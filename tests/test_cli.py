@@ -24,7 +24,25 @@ from besovlab.cli import (
 from besovlab.elliptic import solve_pressure
 from besovlab.evolution import StateSnapshot
 from besovlab.random_fields import random_band_field, random_divergence_free, trial_seed
-from besovlab.spectral import gradient, make_grid
+from besovlab.spectral import SpectralField, gradient, make_grid
+
+
+@pytest.fixture
+def floor_breach(monkeypatch):
+    """Transport that lowers a by 1e-2 in the first half step of step 5, which must stop the run there.
+
+    The per-step check reads node minima, and those sit up to a few 1e-3 above
+    the polynomial minimum the run records as its floor, so the breach exceeds
+    that gap plus the floor's 1e-3 slack.
+    """
+    transport, calls = evolution.transport_step, []
+
+    def lowering(a, u, dt, scheme):
+        calls.append(dt)
+        moved = transport(a, u, dt, scheme)
+        return SpectralField.from_physical(a.grid, moved.values - 1e-2) if len(calls) == 9 else moved
+
+    monkeypatch.setattr(evolution, "transport_step", lowering)
 
 
 class TestResolveExponent:
@@ -464,7 +482,7 @@ class TestVerifyVerbs:
         assert code == 1
         assert "cfl_violation; step 1: CFL number" in capsys.readouterr().err
 
-    def test_envelope_report_and_summary_name_the_stop_cause(self, tmp_path, capsys):
+    def test_envelope_report_and_summary_name_the_stop_cause(self, tmp_path, capsys, floor_breach):
         out = tmp_path / "env"
         argv = [
             "verify", "envelope", "--n", "32", "--viscosity", "constant", "--initial", "random",
@@ -634,7 +652,7 @@ class TestSimulateCommand:
         assert report["stop_cause"].startswith("step 1: pressure solve did not reach tol=1.0e-14")
         assert f"stopped: solver_failure (1 snapshots, t=0); {report['stop_cause']}" in out
 
-    def test_floor_violation_mid_run_keeps_the_run(self, tmp_path, capsys):
+    def test_floor_violation_mid_run_keeps_the_run(self, tmp_path, capsys, floor_breach):
         out = tmp_path / "floor"
         argv = [
             "simulate", "--n", "32", "--viscosity", "constant", "--initial", "random",
@@ -661,6 +679,15 @@ class TestSimulateCommand:
         report = json.loads((tmp_path / "tr" / "report.json").read_text())
         assert report["extra"]["C_min"] == 0.0
         assert set(report["extra"]["U"]) == {0.0}
+
+    @pytest.mark.parametrize("seed", [2024, 53])
+    def test_lagrangian_command_passes_at_its_defaults(self, tmp_path, capsys, seed):
+        # 53 has the largest divergence-identity residual of seeds 1-200
+        out = tmp_path / "lag"
+        assert run_cli(["lagrangian", "--seed", str(seed), "--out", str(out)]) == 0
+        assert capsys.readouterr().out.startswith("lagrangian: pass")
+        report = json.loads((out / "report.json").read_text())
+        assert report["passed"] is True
 
     def test_lagrangian_command_passes_on_cellular_flow(self, tmp_path, capsys):
         out = tmp_path / "lag"

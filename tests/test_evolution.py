@@ -380,6 +380,33 @@ class TestNsIntegrate:
         assert diag.A[0] == pytest.approx(diag.A[-1], rel=1e-10)
         assert np.max(np.abs(traj[-1].a.values - a0.values)) <= 1e-12
 
+    @pytest.mark.parametrize("lowering", [0.0, 2e-3])
+    def test_floor_is_the_polynomial_minimum(self, grid32, monkeypatch, lowering):
+        # 1 + a0 dips to 0.8 at x = h/2, between the nodes, whose minimum is 0.8086
+        x, _ = grid32.coords
+        h = grid32.h
+        a0 = SpectralField.from_physical(grid32, -0.2 * np.cos(3.0 * (x - 0.5 * h)))
+        calls = []
+
+        def shifting(a, u, dt, scheme):
+            # the first half step translates a by half a cell, exactly, which puts the dip on a node;
+            # the lowering takes the polynomial's minimum below the recorded floor by twice its slack
+            calls.append(dt)
+            if len(calls) > 1:
+                return a
+            moved = a.with_modes(a.modes * np.exp(-0.5j * h * grid32.kx))
+            return SpectralField.from_physical(grid32, moved.values - lowering)
+
+        monkeypatch.setattr(evolution, "transport_step", shifting)
+        traj, diag = ns_integrate(IntegrationConfig(T=0.02, dt=0.01), a0, VectorField.zero(grid32))
+        assert traj[0].kappa == pytest.approx(0.8, abs=1e-12)
+        if lowering:
+            assert diag.stop_reason == "invalid_state"
+            assert diag.stop_cause.startswith("step 1: coefficient floor violation: min(1+a) = 7.980e-01")
+        else:
+            assert diag.stop_reason == "completed"
+            assert 1.0 + traj[-1].a.values.min() == pytest.approx(0.8, abs=1e-12)
+
     def test_A_and_Z_are_the_time_norms_of_the_trajectory(self, grid32, rng):
         p = 3.0
         a0 = smooth_random_field(grid32, rng, k0=4.0, amplitude=0.3)

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from besovlab.interpolation import _CHUNK, PeriodicSampler, cell_bounds
+from besovlab.interpolation import _CHUNK, PeriodicSampler, _cubic_weights, _prefilter, cell_bounds
 from besovlab.random_fields import random_band_field
-from besovlab.spectral import SpectralField, VectorField, make_grid, refine
+from besovlab.spectral import SpectralField, VectorField, refine
 
 
 def _node_points(grid, stride=1):
@@ -83,6 +83,17 @@ class TestCubicSampling:
         out2 = sampler.at(np.zeros((3, 1)), np.zeros((1, 5)))[0]
         assert out2.shape == (3, 5)
 
+    def test_weights_reproduce_linear_data(self, rng):
+        s = np.concatenate((np.linspace(0.0, 1.0, 64, endpoint=False), rng.uniform(0.0, 1.0, 1000)))
+        w = _cubic_weights(s)
+        assert np.max(np.abs(w.sum(axis=0) - 1.0)) <= 1e-15
+        assert np.max(np.abs(np.array([-1.0, 0.0, 1.0, 2.0]) @ w - s)) <= 1e-15
+
+    @pytest.mark.parametrize("upsample", [1, 3])
+    def test_prefilter_keeps_the_mean(self, grid32, upsample):
+        gain = _prefilter(grid32, upsample * grid32.n)
+        assert gain.shape == grid32.kx.shape and gain[0, 0] == 1.0
+
     def test_rejects_bad_construction(self, grid32):
         with pytest.raises(ValueError, match="at least one"):
             PeriodicSampler(grid32.L, ())
@@ -106,11 +117,13 @@ def fancy_index_at(sampler, x, y):
     """Reference evaluation: one 2-D fancy-index gather of the 4x4 stencil and one sum per plane."""
 
     def weights(s):
+        # the O-MOMS kernel on the nodes -1, 0, 1, 2, in the sampler's Horner order
+        t = 1.0 - s
         w = np.empty(s.shape + (4,))
-        w[..., 0] = -s * (s - 1.0) * (s - 2.0) / 6.0
-        w[..., 1] = (s + 1.0) * (s - 1.0) * (s - 2.0) / 2.0
-        w[..., 2] = -(s + 1.0) * s * (s - 2.0) / 2.0
-        w[..., 3] = (s + 1.0) * s * (s - 1.0) / 6.0
+        w[..., 0] = (t * t / 6.0 + 1.0 / 42.0) * t
+        w[..., 1] = ((s / 2.0 - 1.0) * s + 1.0 / 14.0) * s + 13.0 / 21.0
+        w[..., 2] = ((t / 2.0 - 1.0) * t + 1.0 / 14.0) * t + 13.0 / 21.0
+        w[..., 3] = (s * s / 6.0 + 1.0 / 42.0) * s
         return w
 
     def split(c):
@@ -138,8 +151,9 @@ class TestSharedStencil:
     @pytest.mark.parametrize("planes", [1, 2, 3, 4])
     @pytest.mark.parametrize("upsample", [1, 4])
     def test_matches_reference_for_every_plane_count(self, grid32, rng, planes, upsample):
-        sampler = PeriodicSampler.joined(
-            *(PeriodicSampler.of_scalar(_nyquist_field(grid32, 420 + k), upsample) for k in range(planes))
+        fields = [_nyquist_field(grid32, 420 + k) for k in range(planes)]
+        sampler = PeriodicSampler(
+            grid32.L, tuple(PeriodicSampler.of_scalar(f, upsample).planes[0] for f in fields)
         )
         L = grid32.L
         inputs = [
@@ -168,19 +182,14 @@ class TestSharedStencil:
         sampler = PeriodicSampler.of_scalar(_nyquist_field(grid32, 432))
         assert sampler.at(np.zeros(0), np.zeros(0))[0].shape == (0,)
 
-    def test_joined_shares_planes(self, grid32):
-        a = PeriodicSampler.of_scalar(_nyquist_field(grid32, 433))
-        b = PeriodicSampler.of_vector(VectorField(_nyquist_field(grid32, 434), _nyquist_field(grid32, 435)))
-        joined = PeriodicSampler.joined(a, b)
-        assert all(p is q for p, q in zip(joined.planes, a.planes + b.planes))
-        with pytest.raises(ValueError, match="one box"):
-            PeriodicSampler.joined(a, PeriodicSampler.of_scalar(_nyquist_field(make_grid(32, 1.0), 436)))
-
     @pytest.mark.parametrize("factor", [1, 2, 4, 8])
     def test_planes_are_the_refined_samples(self, grid32, factor):
+        # the refined samples of the field prefiltered by 21/(13 + 8 cos(kH)) per axis, H = L/(factor n)
+        gain = 21.0 / (13.0 + 8.0 * np.cos(2.0 * np.pi / (factor * grid32.n) * grid32.mode_index))
+        prefilter = gain[:, None] * gain[None, : grid32.n // 2 + 1]
         for seed in (440, 441):
             f = _nyquist_field(grid32, seed)
-            want = refine(f, factor).values.real
+            want = refine(f.filtered(prefilter), factor).values.real
             got = PeriodicSampler.of_scalar(f, upsample=factor).planes[0]
             assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
