@@ -585,12 +585,12 @@ def _synthetic_scalar(grid: Grid, config: ExperimentConfig, stream: int):
 
 
 def _bounded_coefficient(grid: Grid, config: ExperimentConfig, stream: int):
-    """Random coefficient of sup norm ``amplitude_a`` (0.7 when unset), so min(1 + a) >= 0.3."""
+    """Random coefficient of sup norm ``amplitude_a`` (0.7 if unset): min(1 + a) >= 0.3 at the grid nodes."""
     limit = 1.0 - 0.3
     if config.amplitude_a > limit:
         raise _UsageError(
             f"amplitude_a = {config.amplitude_a} exceeds {limit:g}, the largest amplitude"
-            " that keeps the coefficient floor min(1 + a) at 0.3"
+            " that keeps the coefficient floor min(1 + a) at 0.3 at the grid nodes"
         )
     raw = random_band_field(grid, 1.0, 6.0, trial_seed(config.seed, stream), slope=-0.5)
     vals = raw.values

@@ -35,7 +35,7 @@ The integrator family:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -416,23 +416,19 @@ def momentum_step(
         return heat_propagate(w, mu0, dt)
 
     u0 = state.u
-    F1 = _forcing(coeff, mu_a, u0)
-    k1, gp1 = explicit_rate(F1, u0, state.gradPi)
+    k1, gp1 = explicit_rate(_forcing(coeff, mu_a, u0), u0, state.gradPi)
     u_star = heat(u0 + k1 * dt)
     F2 = _forcing(coeff, mu_a, u_star)
     k2, gp2 = explicit_rate(F2, u_star, gp1)
-    u_new = heat(u0) + (heat(k1) + k2) * (0.5 * dt)
 
     if split_m is not None:
         b = SpectralField.from_physical(grid, visc.b_values(a_vals))
         b_low = reused_factor(build_ladder(grid).low_pass(b, split_m))
-        dw = u_new - u_star  # the correction is linear in the velocity
+        dw = heat(u0) + (heat(k1) + k2) * (0.5 * dt) - u_star  # the correction is linear in the velocity
         correction = _strain_divergence(b_low, derivative(dw, (1, 0)), derivative(dw, (0, 1)))
-        F2s = F2 + correction
-        k2s, gp2 = explicit_rate(F2s, u_star, gp2)
-        u_new = heat(u0) + (heat(k1) + k2s) * (0.5 * dt)
+        k2, gp2 = explicit_rate(F2 + correction, u_star, gp2)
 
-    u_new = leray_project(u_new)
+    u_new = leray_project(heat(u0) + (heat(k1) + k2) * (0.5 * dt))
     if not all(np.isfinite(c.modes).all() for c in u_new.components):
         raise FloatingPointError(f"momentum step from t={state.t:.6g} gave a non-finite velocity")
     if end_pressure:
@@ -488,12 +484,28 @@ class IntegrationConfig:
         return round(self.T / self.dt)
 
 
+def _strang_step(state: StateSnapshot, config: IntegrationConfig, end_pressure: bool) -> StateSnapshot:
+    """One coupled step: half a transport step, a full momentum step, half a transport step."""
+    _require_cfl(state.u, config.dt)  # at the full dt, so a stop names the step's Courant number
+    mid = replace(state, a=transport_step(state.a, state.u, 0.5 * config.dt, config.scheme))
+    moved = momentum_step(
+        mid,
+        config.visc,
+        config.dt,
+        config.split_m,
+        pressure_tol=config.pressure_tol,
+        pressure_max_iter=config.pressure_max_iter,
+        end_pressure=end_pressure,
+    )
+    return replace(moved, a=transport_step(moved.a, moved.u, 0.5 * config.dt, config.scheme))
+
+
 def ns_integrate(
     config: IntegrationConfig, a0: SpectralField, u0: VectorField
 ) -> tuple[list[StateSnapshot], DiagnosticsSeries]:
     """Advance the coupled system to the horizon, collecting diagnostics.
 
-    Each step is a Strang composition: half a transport step, a full momentum
+    Each step is :func:`_strang_step`: half a transport step, a full momentum
     step, half a transport step.  Only sampled steps (every ``snapshot_every``
     and the last) re-solve the pressure at their end, so each sampled state
     carries its own pressure; other steps pass their last stage's on as a warm
@@ -508,8 +520,7 @@ def ns_integrate(
     grid = a0.grid
     # transport keeps the polynomial's infimum, which can dip below a0's node minimum
     kappa = require_floor(refine(a0, 4))
-    a_range = (float(a0.values.min()), float(a0.values.max()))
-    config.visc.require_positive(*a_range)
+    config.visc.require_positive(float(a0.values.min()), float(a0.values.max()))
 
     ladder = build_ladder(grid)
     mu0 = float(config.visc.mu_tilde(0.0))
@@ -536,8 +547,6 @@ def ns_integrate(
 
     series: dict[str, list[float]] = {name: [] for name in ("times", "A", "Z", "E0", "E1", "E2")}
     extra: dict[str, list[float]] = {"cfl": [], "uL_smooth_integral": []}
-    for m in config.monitor_ms:
-        extra[f"smallness_m{m}"] = []
     prev_ubar: tuple[float, VectorField] | None = None
 
     def sample(st: StateSnapshot) -> float:
@@ -559,50 +568,33 @@ def ns_integrate(
             series[name].append(value)
         extra["cfl"].append(cfl_number(st.u, config.dt))
         extra["uL_smooth_integral"].append(norm_uL.update(st.t, centered(u_L)))
+        tail_fields = [  # the centered b(a) and lam(a), built once per sample
+            centered(SpectralField.from_physical(grid, np.asarray(law(st.a.values), dtype=float)))
+            for law in (config.visc.b_values, config.visc.lam) if config.monitor_ms
+        ]
         for m in config.monitor_ms:
-            a_vals = st.a.values
-            b_f = SpectralField.from_physical(grid, config.visc.b_values(a_vals))
-            lam_f = SpectralField.from_physical(grid, np.asarray(config.visc.lam(a_vals), dtype=float))
-            tail = besov_norm(centered(b_f) - ladder.low_pass(centered(b_f), m), spec_scalar)[0]
-            tail += besov_norm(centered(lam_f) - ladder.low_pass(centered(lam_f), m), spec_scalar)[0]
-            extra[f"smallness_m{m}"].append((1.0 + A_val) ** 3 * tail)
+            tail = sum(besov_norm(f - ladder.low_pass(f, m), spec_scalar)[0] for f in tail_fields)
+            extra.setdefault(f"smallness_m{m}", []).append((1.0 + A_val) ** 3 * tail)
         return Z_val
 
-    trajectory = [state]
+    trajectory: list[StateSnapshot] = []
     stop_reason, stop_cause = "completed", None
-    z_now = sample(state)
-    if z_now > config.epsilon_budget:
-        stop_reason = "budget_exceeded"
-    else:
-        for step in range(1, config.steps + 1):
-            sampled = step % config.snapshot_every == 0 or step == config.steps
+    for step in range(config.steps + 1):  # step 0 is the initial state
+        sampled = step % config.snapshot_every == 0 or step == config.steps
+        if step:
             try:
-                _require_cfl(state.u, config.dt)
-                a_half = transport_step(state.a, state.u, 0.5 * config.dt, config.scheme)
-                mid = StateSnapshot(state.t, a_half, state.u, state.gradPi, kappa=kappa)
-                moved = momentum_step(
-                    mid,
-                    config.visc,
-                    config.dt,
-                    config.split_m,
-                    pressure_tol=config.pressure_tol,
-                    pressure_max_iter=config.pressure_max_iter,
-                    end_pressure=sampled,
-                )
-                a_new = transport_step(a_half, moved.u, 0.5 * config.dt, config.scheme)
-                state = StateSnapshot(moved.t, a_new, moved.u, moved.gradPi, kappa=kappa)
+                state = _strang_step(state, config, sampled)
             except (FloatingPointError, RuntimeError, ValueError) as exc:  # CFLViolation is a RuntimeError
                 stop_reason = ("cfl_violation" if isinstance(exc, CFLViolation)
                                else "non_finite" if isinstance(exc, FloatingPointError)
                                else "invalid_state" if isinstance(exc, ValueError) else "solver_failure")
                 stop_cause = f"step {step}: {exc}"
                 break
-            if sampled:
-                trajectory.append(state)
-                z_now = sample(state)
-                if z_now > config.epsilon_budget:
-                    stop_reason = "budget_exceeded"
-                    break
+        if sampled:
+            trajectory.append(state)
+            if sample(state) > config.epsilon_budget:
+                stop_reason = "budget_exceeded"
+                break
 
     diagnostics = DiagnosticsSeries(
         **{name: tuple(values) for name, values in series.items()},

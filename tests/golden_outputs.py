@@ -29,11 +29,13 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 FLOW_SEEDS = (0, 1, 2, 3)
 SEEDS = (1, 7)  # of the lab and extra runs
 
-# Runs beyond the benchmark's: the remaining verbs, the presets, norm specs (two of them bad) and
-# a run stopped by the CFL bound (its stop cause names the Courant number).
+# Runs beyond the benchmark's: the remaining verbs, the presets, norm specs (two of them bad), a
+# run stopped by the CFL bound (its stop cause names the Courant number) and one through the
+# split_m corrector with the affine law.
 EXTRA_ARGS = (
     ("simulate", "--energy"),
     ("simulate", "--n", "32", "--amplitude-u", "5", "--T", "0.1", "--dt", "0.02"),
+    ("simulate", "--n", "32", "--split-m", "2", "--viscosity", "affine", "--mu1", "0.5", "--amplitude-a", "0.2"),
     ("simulate", "--initial", "taylor_green", "--scheme", "semi_lagrangian_monotone", "--n", "32"),
     ("lagrangian",),
     ("lagrangian", "--initial", "taylor_green", "--n", "32"),
@@ -79,8 +81,10 @@ def main() -> None:
 
         for seed in FLOW_SEEDS:
             run(workloads.FLOW_ARGS, seed)
+        budget = Path(scratch) / "budget.cfg"  # a run stopped by the correction budget
+        budget.write_text("epsilon_budget = 1e-9\n", encoding="utf-8")
         for seed in SEEDS:
-            for argv in (*workloads.LAB_ARGS, *EXTRA_ARGS):
+            for argv in (*workloads.LAB_ARGS, *EXTRA_ARGS, ("simulate", "--config", str(budget), "--n", "32")):
                 run(argv, seed)
             # the snapshot reader, on the last state of a short run
             run(("simulate", "--n", "32", "--T", "0.03"), seed)

@@ -1,6 +1,7 @@
 """Transport, momentum stepping, full integration, and energy bookkeeping."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from besovlab.evolution import (
 )
 from besovlab.lagrangian import rk4_step
 from besovlab.norms import BesovSpec, besov_norm
+from besovlab.random_fields import random_band_field, random_divergence_free, trial_seed
 from besovlab.spectral import (
     SpectralField,
     VectorField,
@@ -31,6 +33,7 @@ from besovlab.spectral import (
     derivative,
     divergence,
     heat_propagate,
+    l2_norm,
     leray_project,
     make_grid,
     multiply,
@@ -593,6 +596,73 @@ class TestNsIntegrate:
         monkeypatch.undo()
         _, completed = ns_integrate(config, *coupled_data(grid32, rng))
         assert completed.stop_reason == "completed" and completed.stop_cause is None
+
+    def test_coupled_step_work_is_pinned(self, grid32, rng, monkeypatch, fft_calls):
+        # upper bounds, measured on this run: a count may fall without editing the test
+        iterations = []
+
+        def counting_solve(*args, **kwargs):
+            grad_pi, stats, flux = solve_pressure(*args, **kwargs)
+            iterations.append(stats.iterations)
+            return grad_pi, stats, flux
+
+        data = coupled_data(grid32, rng)
+        fft_calls.clear()
+        monkeypatch.setattr(evolution, "solve_pressure", counting_solve)
+        config = IntegrationConfig(
+            T=0.04, dt=0.01, visc=ViscosityLaw("exponential", 1.0, 0.5), split_m=2, snapshot_every=2
+        )
+        _, diag = ns_integrate(config, *data)
+        assert diag.stop_reason == "completed"
+        # the initial solve, three stage solves per step (split_m adds one), one end solve per sampled step
+        assert len(iterations) == 1 + 3 * config.steps + 2
+        pins = {"fft": 297, "rfft": 297, "irfft2": 493, "rfft2": 83}
+        assert set(fft_calls) <= set(pins)
+        assert all(fft_calls[name] <= pin for name, pin in pins.items()), dict(fft_calls)
+        assert sum(iterations) <= 74
+
+    @pytest.mark.parametrize("seed", [1, 10])
+    def test_observed_order_is_second_order(self, grid32, monkeypatch, seed):
+        # code verification by observed order (Roache 2002): differences of the final states at
+        # dt, dt/2 and dt/4.  Over seeds 1-12 the orders were u 1.716-1.946 and a 2.003-2.006
+        # (seed 10 is the lowest u); Lie splitting gave a 0.946-0.955, exponential Euler u 0.943-0.967
+        raw = random_band_field(grid32, 1.5, 6.0, trial_seed(seed, 11)).values
+        a0 = SpectralField.from_physical(grid32, raw * (0.2 / np.max(np.abs(raw))))
+        u0 = random_divergence_free(grid32, 1.5, 6.0, trial_seed(seed, 12), amplitude=0.02)
+        visc = ViscosityLaw("exponential", 1.0, 0.5)
+
+        def orders():
+            finals = []
+            for dt in (0.01, 0.005, 0.0025):
+                config = IntegrationConfig(T=0.04, dt=dt, visc=visc, snapshot_every=16)
+                traj, diag = ns_integrate(config, a0, u0)
+                assert diag.stop_reason == "completed"
+                finals.append(traj[-1])
+            coarse, mid, fine = finals
+            return tuple(
+                math.log2(l2_norm(part(coarse) - part(mid)) / l2_norm(part(mid) - part(fine)))
+                for part in (lambda st: st.u, lambda st: st.a)
+            )
+
+        order_u, order_a = orders()
+        assert order_u >= 1.5 and order_a >= 1.9
+
+        def lie_step(state, config, end_pressure):
+            # no first half step, and one full transport step after the momentum step
+            moved = momentum_step(
+                state,
+                config.visc,
+                config.dt,
+                config.split_m,
+                pressure_tol=config.pressure_tol,
+                pressure_max_iter=config.pressure_max_iter,
+                end_pressure=end_pressure,
+            )
+            return replace(moved, a=transport_step(moved.a, moved.u, config.dt, config.scheme))
+
+        monkeypatch.setattr(evolution, "_strang_step", lie_step)
+        _, lie_order_a = orders()
+        assert lie_order_a < 1.9  # the bound above catches Lie splitting
 
     def test_rejects_bad_floor(self, grid32):
         x, _ = grid32.coords
