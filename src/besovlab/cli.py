@@ -8,7 +8,9 @@ starts a comment, blank lines are ignored.  Values are integers, floats
 booleans ``true``/``false``, or strings (bare tokens, or double-quoted when
 they contain spaces).  Unknown keys are rejected.  Omitted keys take the
 documented defaults; ``split_m`` may be omitted entirely to disable the
-split-viscosity corrector.
+split-viscosity corrector.  Every key except ``homogeneous``,
+``epsilon_budget``, ``pressure_tol`` and ``pressure_max_iter`` also has a
+flag, ``--`` plus the key with dashes for underscores; flags override the file.
 
 Smoothness exponents may be symbolic expressions in the integrability
 parameters, e.g. ``s = "2/p-1"``; they are resolved against the configured
@@ -181,6 +183,13 @@ _FIELD_TYPES = {
     "bool": bool,
     "str": str,
 }
+# The argparse type of the flag of each field annotation; strings take none.
+_FLAG_TYPES = {"int": int, "int | None": int, "float": float}
+
+
+def _flag(default, help_text: str, **options):
+    """A field with a ``--`` flag: its help text and any ``choices`` go in the field's metadata."""
+    return dataclasses.field(default=default, metadata={"help": help_text, **options})
 
 
 @dataclass(frozen=True)
@@ -192,33 +201,33 @@ class ExperimentConfig:
     including symbolic exponent strings.
     """
 
-    n: int = 64
-    L: float = 2.0 * math.pi
-    p: float = 2.0
-    q: float = 2.0
-    s: float | str = "2/p"
-    r: float = 1.0
+    n: int = _flag(64, "grid size (power of two)")
+    L: float = _flag(2.0 * math.pi, "box side length")
+    p: float = _flag(2.0, "integrability index")
+    q: float = _flag(2.0, "secondary integrability index")
+    s: float | str = _flag("2/p", "smoothness exponent (may be symbolic, e.g. 2/p-1)")
+    r: float = _flag(1.0, "octave summation index")
     homogeneous: bool = True
-    viscosity: str = "constant"
-    mu0: float = 1.0
-    mu1: float = 0.0
-    T: float = 0.1
-    dt: float = 0.01
-    snapshot_every: int = 1
-    scheme: str = "spectral"
-    split_m: int | None = None
+    viscosity: str = _flag("constant", "viscosity law kind", choices=VISCOSITY_KINDS)
+    mu0: float = _flag(1.0, "baseline viscosity")
+    mu1: float = _flag(0.0, "viscosity modulation")
+    T: float = _flag(0.1, "time horizon")
+    dt: float = _flag(0.01, "time step")
+    snapshot_every: int = _flag(1, "steps between snapshots")
+    scheme: str = _flag("spectral", "transport scheme", choices=TRANSPORT_SCHEMES)
+    split_m: int | None = _flag(None, "split octave")
     epsilon_budget: float = 1000.0
     pressure_tol: float = 1e-10
     pressure_max_iter: int = 500
-    tolerance: float = 1e-6
-    seed: int = 2024
-    trials: int = 5
-    j: int = 3
-    k: int = 1
-    initial: str = "random"
-    amplitude_a: float = 0.0
-    amplitude_u: float = 0.005
-    k0: float = 3.0
+    tolerance: float = _flag(1e-6, "pass/fail tolerance")
+    seed: int = _flag(2024, "base random seed")
+    trials: int = _flag(5, "number of random trials")
+    j: int = _flag(3, "octave index for single-octave checks")
+    k: int = _flag(1, "derivative order for derivative checks")
+    initial: str = _flag("random", "initial data preset", choices=_INITIAL_PRESETS)
+    amplitude_a: float = _flag(0.0, "coefficient amplitude")
+    amplitude_u: float = _flag(0.005, "velocity amplitude")
+    k0: float = _flag(3.0, "spectral center of synthetic data")
 
     def __post_init__(self) -> None:
         for field in dataclasses.fields(self):
@@ -317,18 +326,10 @@ class ExperimentConfig:
         return ViscosityLaw(self.viscosity, self.mu0, self.mu1)
 
     def integration(self) -> IntegrationConfig:
-        return IntegrationConfig(
-            T=self.T,
-            dt=self.dt,
-            visc=self.viscosity_law(),
-            p=self.p,
-            scheme=self.scheme,
-            split_m=self.split_m,
-            epsilon_budget=self.epsilon_budget,
-            snapshot_every=self.snapshot_every,
-            pressure_tol=self.pressure_tol,
-            pressure_max_iter=self.pressure_max_iter,
-        )
+        """The integrator's settings: the viscosity law and every field that both configs declare."""
+        shared = {setting.name for setting in dataclasses.fields(IntegrationConfig)}
+        values = {name: value for name, value in dataclasses.asdict(self).items() if name in shared}
+        return IntegrationConfig(visc=self.viscosity_law(), **values)
 
 
 def _format_value(value) -> str:
@@ -757,6 +758,9 @@ def _verify_heat(config: ExperimentConfig, args) -> _Outcome:
     n = config.n
     while not _octave_fits(config.j, n):  # the first doubling of the grid that resolves octave j
         n *= 2
+    largest = 2 * n if args.refine else n  # --refine reruns on 2n
+    if largest > 2048:
+        raise _UsageError(f"verify heat at j = {config.j} needs a {largest}^2 grid, above the largest, 2048^2")
     report = _refined(args, measure, n)
     lo, hi = report.extra["c_window"]
     c_fit = report.extra["c_fit"]
@@ -1093,31 +1097,10 @@ _VERBS = {
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="config file to load before applying flags")
     parser.add_argument("--out", default="besovlab_out", help="output directory")
-    parser.add_argument("--n", type=int, help="grid size (power of two)")
-    parser.add_argument("--L", type=float, help="box side length")
-    parser.add_argument("--p", type=float, help="integrability index")
-    parser.add_argument("--q", type=float, help="secondary integrability index")
-    parser.add_argument("--s", help="smoothness exponent (may be symbolic, e.g. 2/p-1)")
-    parser.add_argument("--r", type=float, help="octave summation index")
-    parser.add_argument("--seed", type=int, help="base random seed")
-    parser.add_argument("--trials", type=int, help="number of random trials")
-    parser.add_argument("--tolerance", type=float, help="pass/fail tolerance")
-    parser.add_argument("--j", type=int, help="octave index for single-octave checks")
-    parser.add_argument("--k", type=int, help="derivative order for derivative checks")
-    parser.add_argument("--T", type=float, help="time horizon")
-    parser.add_argument("--dt", type=float, help="time step")
-    parser.add_argument("--viscosity", choices=VISCOSITY_KINDS, help="viscosity law kind")
-    parser.add_argument("--mu0", type=float, help="baseline viscosity")
-    parser.add_argument("--mu1", type=float, help="viscosity modulation")
-    parser.add_argument("--scheme", choices=TRANSPORT_SCHEMES, help="transport scheme")
-    parser.add_argument("--split-m", dest="split_m", type=int, help="split octave")
-    parser.add_argument(
-        "--snapshot-every", dest="snapshot_every", type=int, help="steps between snapshots"
-    )
-    parser.add_argument("--initial", choices=_INITIAL_PRESETS, help="initial data preset")
-    parser.add_argument("--amplitude-a", dest="amplitude_a", type=float, help="coefficient amplitude")
-    parser.add_argument("--amplitude-u", dest="amplitude_u", type=float, help="velocity amplitude")
-    parser.add_argument("--k0", type=float, help="spectral center of synthetic data")
+    for setting in dataclasses.fields(ExperimentConfig):
+        if "help" in setting.metadata:  # the config-file-only keys declare none
+            flag = "--" + setting.name.replace("_", "-")
+            parser.add_argument(flag, dest=setting.name, type=_FLAG_TYPES.get(setting.type), **setting.metadata)
 
 
 @functools.cache

@@ -222,6 +222,9 @@ class SpectralField:
             raise ValueError(f"value array shape {v.shape} does not match grid n={grid.n}")
         if np.iscomplexobj(v):
             raise ValueError("fields are real: node values must not be complex")
+        if not np.isfinite(v).all():
+            node = tuple(int(i) for i in np.argwhere(~np.isfinite(v))[0])
+            raise ValueError(f"node values must be finite: node {node} holds {v[node]}")
         return cls(grid, np.fft.rfft2(v))
 
     @classmethod

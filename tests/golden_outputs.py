@@ -30,8 +30,8 @@ FLOW_SEEDS = (0, 1, 2, 3)
 SEEDS = (1, 7)  # of the lab and extra runs
 
 # Runs beyond the benchmark's: the remaining verbs, the presets, norm specs (two of them bad), a
-# run stopped by the CFL bound (its stop cause names the Courant number) and one through the
-# split_m corrector with the affine law.
+# run stopped by the CFL bound (its stop cause names the Courant number), one through the
+# split_m corrector with the affine law, and a heat check whose grid doubles twice to fit j.
 EXTRA_ARGS = (
     ("simulate", "--energy"),
     ("simulate", "--n", "32", "--amplitude-u", "5", "--T", "0.1", "--dt", "0.02"),
@@ -46,6 +46,7 @@ EXTRA_ARGS = (
     ("norm", "--spec", "1/p+1/q,q=4,inhomogeneous", "--n", "32"),
     ("norm", "--spec", "1,z=2", "--n", "32"),
     ("norm", "--spec", "1,p=x", "--n", "32"),
+    ("verify", "heat", "--n", "16"),
 )
 
 
@@ -83,8 +84,11 @@ def main() -> None:
             run(workloads.FLOW_ARGS, seed)
         budget = Path(scratch) / "budget.cfg"  # a run stopped by the correction budget
         budget.write_text("epsilon_budget = 1e-9\n", encoding="utf-8")
+        solver = Path(scratch) / "solver.cfg"  # pressure solver settings only a config file sets
+        solver.write_text("pressure_tol = 1e-9\npressure_max_iter = 60\n", encoding="utf-8")
+        config_runs = [("simulate", "--config", str(path), "--n", "32") for path in (budget, solver)]
         for seed in SEEDS:
-            for argv in (*workloads.LAB_ARGS, *EXTRA_ARGS, ("simulate", "--config", str(budget), "--n", "32")):
+            for argv in (*workloads.LAB_ARGS, *EXTRA_ARGS, *config_runs):
                 run(argv, seed)
             # the snapshot reader, on the last state of a short run
             run(("simulate", "--n", "32", "--T", "0.03"), seed)

@@ -1,5 +1,7 @@
 """Command-line layer: config round trips, snapshot files, exit codes, determinism."""
 
+import argparse
+import dataclasses
 import json
 import math
 import os
@@ -12,8 +14,9 @@ import numpy as np
 import pytest
 
 import besovlab
-from besovlab import evolution
+from besovlab import cli, evolution
 from besovlab.cli import (
+    _VERBS,
     ExperimentConfig,
     _build_parser,
     load_snapshot,
@@ -202,6 +205,26 @@ class TestExperimentConfig:
         run = config.integration()
         assert run.T == config.T and run.visc.kind == "affine"
 
+    def test_integration_carries_every_shared_field(self):
+        settings = {
+            "T": 0.3, "dt": 0.05, "p": 3.0, "scheme": "semi_lagrangian_monotone", "split_m": 2,
+            "epsilon_budget": 7.5, "snapshot_every": 3, "pressure_tol": 1e-8, "pressure_max_iter": 40,
+        }
+        defaults = ExperimentConfig()
+        assert all(getattr(defaults, name) != value for name, value in settings.items())
+        config = ExperimentConfig(viscosity="exponential", mu1=0.25, **settings)
+        run = config.integration()
+        assert run.T == 0.3
+        assert run.dt == 0.05
+        assert run.p == 3.0
+        assert run.scheme == "semi_lagrangian_monotone"
+        assert run.split_m == 2
+        assert run.epsilon_budget == 7.5
+        assert run.snapshot_every == 3
+        assert run.pressure_tol == 1e-8
+        assert run.pressure_max_iter == 40
+        assert run.visc == config.viscosity_law() and run.monitor_ms == ()
+
 
 def _sample_state(n=32, seed=88):
     grid = make_grid(n)
@@ -309,6 +332,26 @@ class TestExitCodes:
         for argv in (["verify", "heat", "--refine"], ["simulate", "--n", "64"], ["verify", "heat"]):
             assert parser.parse_args(argv) == _build_parser.__wrapped__().parse_args(argv)
 
+    def test_flags_are_the_config_fields_that_declare_help(self):
+        flagged = {field.name: field for field in dataclasses.fields(ExperimentConfig) if "help" in field.metadata}
+        unflagged = {field.name for field in dataclasses.fields(ExperimentConfig)} - set(flagged)
+        assert unflagged == {"homogeneous", "epsilon_budget", "pressure_tol", "pressure_max_iter"}
+        flag_types = {"int": int, "int | None": int, "float": float, "float | str": None, "str": None}
+        verbs = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        for verb, parser in verbs.choices.items():
+            own = {"--config", "--out", "--help", *(name for name, _ in _VERBS[verb][1])}
+            actions = {
+                action.option_strings[-1]: action
+                for action in parser._actions
+                if action.option_strings and action.option_strings[-1] not in own
+            }
+            assert set(actions) == {"--" + name.replace("_", "-") for name in flagged}, verb
+            for flag, action in actions.items():
+                field = flagged[action.dest]
+                assert flag == "--" + field.name.replace("_", "-")
+                assert action.type is flag_types[field.type], flag
+                assert action.help == field.metadata["help"] and action.default is None
+
     @pytest.mark.parametrize("module", ["besovlab", "besovlab.cli"])
     def test_module_entry_point_runs(self, module, tmp_path):
         src = str(Path(besovlab.__file__).parents[1])
@@ -396,6 +439,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "bernstein, heat, ij, transport, elliptic, deltas" in err
         assert not out.exists()  # rejected before any work
+
+    @pytest.mark.parametrize("argv", [["--j", "9", "--n", "32"], ["--j", "8", "--refine"]], ids=["j9", "j8-refine"])
+    def test_heat_grid_beyond_2048_is_usage_error(self, argv, tmp_path, capsys, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the heat check ran")
+
+        monkeypatch.setattr(cli, "check_heat_decay", unreachable)
+        out = tmp_path / "out"
+        assert run_cli(["verify", "heat", *argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"j = {argv[1]}" in err and "4096^2 grid" in err
+        assert not (out / "heat_decay.csv").exists()
 
     @pytest.mark.parametrize("verb", [["elliptic"], ["verify", "elliptic"]])
     def test_coefficient_amplitude_beyond_the_floor_is_usage_error(self, verb, tmp_path, capsys):

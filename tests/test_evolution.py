@@ -142,7 +142,7 @@ class TestStateSnapshot:
         grid = make_grid(8)
         vals = np.zeros((8, 8))
         vals[3, 5] = np.nan
-        a = SpectralField.from_physical(grid, vals)
+        a = SpectralField(grid, np.fft.rfft2(vals))
         zero = VectorField.zero(grid)
         for kappa in (None, 0.5):
             with pytest.raises(ValueError, match="floor"):

@@ -128,6 +128,16 @@ class TestGrid:
         with pytest.raises(ValueError, match="shape"):
             SpectralField(grid64, np.zeros((64, 64), dtype=np.complex128))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_node_values_rejected(self, bad):
+        grid = make_grid(8)
+        vals = np.zeros((8, 8))
+        vals[3, 5] = bad
+        with pytest.raises(ValueError, match=rf"node \(3, 5\) holds {bad}"):
+            SpectralField.from_physical(grid, vals)
+        with pytest.raises(ValueError, match=rf"node \(3, 5\) holds {bad}"):
+            VectorField.from_physical(grid, np.zeros((8, 8)), vals)
+
     def test_round_trip(self, grid64, rng):
         v = rng.standard_normal((64, 64))
         f = SpectralField.from_physical(grid64, v)
@@ -342,7 +352,7 @@ class TestProjectors:
         vals = np.zeros((8, 8))
         vals[2, 6] = np.nan
         with pytest.raises(ValueError, match="solenoidal"):
-            require_solenoidal(VectorField.from_physical(grid, vals, np.zeros((8, 8))))
+            require_solenoidal(VectorField(SpectralField(grid, np.fft.rfft2(vals)), SpectralField.zero(grid)))
 
     def test_mean_mode_kept_by_leray(self, grid64):
         V = VectorField.from_physical(grid64, np.full((64, 64), 1.5), np.full((64, 64), -0.5))
