@@ -185,12 +185,12 @@ def cell_bounds(
     infinite point raises ValueError.
     """
     grid: Grid = f.grid
-    vals = f.values
     x, y = _finite_points(x, y)
     bx, _ = _index_split(x, grid.h, grid.n)
     by, _ = _index_split(y, grid.h, grid.n)
-    corners = np.stack(
-        [vals[(bx + dx) % grid.n, (by + dy) % grid.n] for dx in (0, 1) for dy in (0, 1)],
-        axis=-1,
-    )
-    return corners.min(axis=-1), corners.max(axis=-1)
+    # a base index plus one lies in [1, n]; look its wrap up, and gather each corner from the flat values
+    wrap = np.arange(grid.n + 1) % grid.n
+    rows, cols = (bx * grid.n, wrap[bx + 1] * grid.n), (by, wrap[by + 1])
+    c00, c01, c10, c11 = (np.take(f.values, r + c) for r in rows for c in cols)
+    return (np.minimum(np.minimum(c00, c01), np.minimum(c10, c11)),
+            np.maximum(np.maximum(c00, c01), np.maximum(c10, c11)))

@@ -6,8 +6,8 @@ introduces branch cuts.  The inverse Jacobian of the map is the key derived
 object: it converts between fixed-frame and co-moving derivatives, and its
 deviation from the identity is controlled by time integrals of the velocity
 gradient.  This module computes flow maps (RK4 in time, cubic interpolation in
-space), evaluates the inverse Jacobian both by direct per-node inversion and
-by a truncated geometric series in the integrated velocity gradient, checks
+space) that store only displacements, inverts a record's Jacobian per node on
+demand or sums a geometric series in the integrated velocity gradient, checks
 the divergence identity along the map, and measures the ratio between each
 side of the stability inequalities that make the co-moving formulation useful.
 
@@ -66,10 +66,15 @@ def gradient_tensor(V: VectorField) -> np.ndarray:
     return np.stack(rows, axis=-2)
 
 
-def _invert_per_node(M: np.ndarray) -> np.ndarray:
+def _det(M: np.ndarray) -> np.ndarray:
     det = M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
     if np.min(np.abs(det)) < 1e-12:
         raise ValueError("matrix field is singular at some node; map folded over")
+    return det
+
+
+def _invert_per_node(M: np.ndarray) -> np.ndarray:
+    det = _det(M)
     inv = np.empty_like(M)
     inv[..., 0, 0] = M[..., 1, 1]
     inv[..., 1, 1] = M[..., 0, 0]
@@ -129,29 +134,26 @@ class FlowMap:
     """Trajectories of every grid node, one record per stored time.
 
     ``displacements[k]`` holds the periodic offset of each node at
-    ``times[k]`` (zero at the start by construction), and
-    ``inverse_jacobians[k]`` the per-node inverse of the map's Jacobian.
+    ``times[k]`` (zero at the start by construction).  The Jacobian and its
+    per-node inverse are derived from that record on each call, never stored.
     """
 
     times: tuple[float, ...]
     displacements: tuple[VectorField, ...]
-    inverse_jacobians: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        if not (len(self.times) == len(self.displacements) == len(self.inverse_jacobians)):
-            raise ValueError("times, displacements, and inverse Jacobians must align")
+        if len(self.times) != len(self.displacements):
+            raise ValueError("times and displacements must align")
         if len(self.times) < 1:
             raise ValueError("flow map needs at least one record")
         if any(t2 <= t1 for t1, t2 in zip(self.times, self.times[1:])):
             raise ValueError("flow map times must increase strictly")
         grid = self.displacements[0].grid
-        n = grid.n
-        for disp in self.displacements:
+        for k, disp in enumerate(self.displacements):
             if disp.grid != grid:
                 raise ValueError("flow map records live on different grids")
-        for A in self.inverse_jacobians:
-            if A.shape != (n, n, 2, 2):
-                raise ValueError(f"inverse Jacobian must have shape {(n, n, 2, 2)}, got {A.shape}")
+            if not all(np.isfinite(c.modes).all() for c in disp.components):
+                raise ValueError(f"flow map record {k} holds non-finite displacement modes")
         if any(np.any(c.modes) for c in self.displacements[0].components):
             raise ValueError("the first record must be the identity map")
 
@@ -179,20 +181,22 @@ class FlowMap:
     def jacobian(self, index: int) -> np.ndarray:
         return _IDENTITY + gradient_tensor(self.displacements[index])
 
+    def inverse_jacobian(self, index: int) -> np.ndarray:
+        return _invert_per_node(self.jacobian(index))
+
     def volume_defect(self) -> float:
-        """Largest deviation of the map's Jacobian determinant from one."""
+        """Largest deviation of the map's Jacobian determinant from one; a folded map raises ValueError."""
         worst = 0.0
         for k in range(len(self.times)):
-            J = self.jacobian(k)
-            det = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
-            worst = max(worst, float(np.max(np.abs(det - 1.0))))
+            worst = max(worst, float(np.max(np.abs(_det(self.jacobian(k)) - 1.0))))
         return worst
 
     def inverse_consistency_defect(self) -> float:
         """Largest entry of inverse_jacobian @ jacobian - identity."""
         worst = 0.0
         for k in range(len(self.times)):
-            resid = _matmul(self.inverse_jacobians[k], self.jacobian(k)) - _IDENTITY
+            J = self.jacobian(k)
+            resid = _matmul(_invert_per_node(J), J) - _IDENTITY
             worst = max(worst, _entry_linf(resid))
         return worst
 
@@ -216,7 +220,7 @@ def integrate_flow(u_trajectory, dt: float) -> FlowMap:
     Between stored snapshots the velocity is blended linearly in time and
     sampled cubically in space; each node is advanced with classical RK4 at
     step ``dt``, which must not exceed the snapshot spacing.  One displacement
-    and inverse-Jacobian record is produced per snapshot time.
+    record is produced per snapshot time; a map that folds over raises ValueError.
     """
     if dt <= 0.0:
         raise ValueError("integration step dt must be positive")
@@ -238,7 +242,7 @@ def integrate_flow(u_trajectory, dt: float) -> FlowMap:
             weight = w
         return blend.at(x, y)
 
-    records = [(VectorField.zero(grid), np.broadcast_to(_IDENTITY, (grid.n, grid.n, 2, 2)).copy())]
+    records = [VectorField.zero(grid)]
     # only the interval in use holds samplers: its two ends, and one blend reused by every interval
     end = PeriodicSampler.of_vector(fields[0])
     blend = PeriodicSampler(grid.L, tuple(np.empty_like(p) for p in end.planes))
@@ -259,13 +263,9 @@ def integrate_flow(u_trajectory, dt: float) -> FlowMap:
         for _ in range(m):
             px, py = rk4_step(velocity, t, px, py, h)
             t += h  # as the step's last stage took it, so the next step's first stage reuses that blend
-        disp = VectorField.from_physical(grid, px - x, py - y)
-        records.append((disp, _invert_per_node(_IDENTITY + gradient_tensor(disp))))
-    return FlowMap(
-        times,
-        tuple(r[0] for r in records),
-        tuple(r[1] for r in records),
-    )
+        records.append(VectorField.from_physical(grid, px - x, py - y))
+        _det(_IDENTITY + gradient_tensor(records[-1]))  # the fold-over guard
+    return FlowMap(times, tuple(records))
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +366,7 @@ def check_div_identity(u: VectorField, t: float, flow: FlowMap) -> DivergenceIde
     ).at(xs, ys)
     v = VectorField.from_physical(grid, v1, v2)
     Dv = gradient_tensor(v)
-    A = flow.inverse_jacobians[k]
+    A = flow.inverse_jacobian(k)
 
     area = grid.cell_area
     grad_scale = np.sqrt(np.sum(Dv**2) * area)

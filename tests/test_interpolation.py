@@ -194,7 +194,31 @@ class TestSharedStencil:
             assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
+def stacked_cell_bounds(f, x, y):
+    """Reference bounds: four wrapped 2-D fancy-index gathers stacked on a last axis, then reduced."""
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    n = f.grid.n
+    bx, by = (np.floor(c / f.grid.h).astype(np.int64) % n for c in (x, y))
+    corners = np.stack([f.values[(bx + dx) % n, (by + dy) % n] for dx in (0, 1) for dy in (0, 1)], axis=-1)
+    return corners.min(axis=-1), corners.max(axis=-1)
+
+
 class TestCellBounds:
+    def test_matches_stacked_reference_bitwise(self, grid32, rng):
+        f = _nyquist_field(grid32, 413)
+        L = grid32.L
+        # negative and out-of-box coordinates wrap
+        inputs = [
+            (0.3, -7.0),
+            (rng.uniform(-3 * L, 3 * L, (3, 1)), rng.uniform(-3 * L, 3 * L, (1, 5))),
+            (rng.uniform(-2 * L, 3 * L, 500), rng.uniform(-2 * L, 3 * L, 500)),
+            grid32.coords,
+        ]
+        for x, y in inputs:
+            for got, want in zip(cell_bounds(f, x, y), stacked_cell_bounds(f, x, y)):
+                assert type(got) is type(want) and np.shape(got) == np.shape(want)
+                assert np.array_equal(got, want)
+
     def test_brackets_node_values(self, grid32):
         f = random_band_field(grid32, 1.0, 6.0, seed=409)
         x, y = _node_points(grid32)
