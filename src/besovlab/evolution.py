@@ -387,7 +387,10 @@ def momentum_step(
     which is second-order accurate.  Passing ``split_m`` refines the second
     stage once: the low-pass part of the variable diffusion coefficient is
     re-evaluated at the provisional endpoint, imitating implicit treatment of
-    the stiffest variable-coefficient scales.  Each stage solves the pressure.
+    the stiffest variable-coefficient scales.  Each stage solves the pressure
+    on the step's one coefficient handle, each warm started from the solve
+    before it, so only the first stage forms its guess's flux: the later ones
+    reuse the flux that the solve before carried.
     With ``end_pressure`` (the default) the returned snapshot carries the
     pressure gradient re-solved at the final velocity, so it is registered at
     the snapshot's own time; without it, the last stage's, fit only to
@@ -402,8 +405,8 @@ def momentum_step(
     visc.require_positive(float(a_vals.min()), float(a_vals.max()))
     mu0 = float(visc.mu_tilde(0.0))
     mu_a = reused_factor(SpectralField.from_physical(grid, np.asarray(visc.mu_tilde(a_vals), dtype=float)))
-    # the step's own handle on a: its product samples serve every product and
-    # solve below, and are dropped with it rather than kept in the snapshot
+    # the step's own handle on a: its product samples and its last solve's flux serve
+    # every product and solve below, and are dropped with it rather than kept in the snapshot
     coeff = reused_factor(a)
 
     def explicit_rate(F: VectorField, w: VectorField, guess: VectorField | None):

@@ -186,8 +186,7 @@ def cell_bounds(
     """
     grid: Grid = f.grid
     x, y = _finite_points(x, y)
-    bx, _ = _index_split(x, grid.h, grid.n)
-    by, _ = _index_split(y, grid.h, grid.n)
+    bx, by = (np.floor(c / grid.h).astype(np.int64) % grid.n for c in (x, y))  # base indices only
     # a base index plus one lies in [1, n]; look its wrap up, and gather each corner from the flat values
     wrap = np.arange(grid.n + 1) % grid.n
     rows, cols = (bx * grid.n, wrap[bx + 1] * grid.n), (by, wrap[by + 1])

@@ -505,9 +505,16 @@ def l2_norm(f: SpectralField | VectorField) -> float:
 
 
 def require_solenoidal(u: VectorField, tol: float = 1e-8) -> None:
-    """Reject u unless |div u| <= tol * |grad u| in L2."""
-    div_l2 = l2_norm(divergence(u))
-    grad_l2 = math.sqrt(l2_norm(derivative(u, (1, 0))) ** 2 + l2_norm(derivative(u, (0, 1))) ** 2)
+    """Reject u unless |div u| <= tol * |grad u| in L2.
+
+    Both norms are kept on the field object, as its node values are, so each field is evaluated once.
+    """
+    if "_solenoidal_norms" not in u.__dict__:
+        u.__dict__["_solenoidal_norms"] = (
+            l2_norm(divergence(u)),
+            math.sqrt(l2_norm(derivative(u, (1, 0))) ** 2 + l2_norm(derivative(u, (0, 1))) ** 2),
+        )
+    div_l2, grad_l2 = u.__dict__["_solenoidal_norms"]
     if not div_l2 <= tol * max(grad_l2, 1e-300):  # also rejects NaN
         raise ValueError(
             f"velocity is not solenoidal: divergence |div u| = {div_l2:.3e}"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from besovlab import spectral
 from besovlab.dyadic import build_ladder, phi
 from besovlab.elliptic import _inner
 from besovlab.norms import BesovSpec, besov_norm
@@ -353,6 +354,33 @@ class TestProjectors:
         vals[2, 6] = np.nan
         with pytest.raises(ValueError, match="solenoidal"):
             require_solenoidal(VectorField(SpectralField(grid, np.fft.rfft2(vals)), SpectralField.zero(grid)))
+
+    @pytest.fixture
+    def divergence_calls(self, monkeypatch):
+        calls = []
+
+        def counted(V):
+            calls.append(V)
+            return divergence(V)
+
+        monkeypatch.setattr(spectral, "divergence", counted)
+        return calls
+
+    def test_solenoidal_verdict_is_evaluated_once_per_field(self, grid64, rng, divergence_calls):
+        u = smooth_random_divfree(grid64, rng)
+        for tol in (1e-8, 1e-10, 1e-8, 1e-10):
+            require_solenoidal(u, tol)
+        assert len(divergence_calls) == 1 and divergence_calls[0] is u
+        require_solenoidal(u.map(lambda c: c * 1.0))  # an equal field is another object
+        assert len(divergence_calls) == 2
+
+    def test_non_solenoidal_field_raises_on_every_call(self, grid64, rng, divergence_calls):
+        f = smooth_random_field(grid64, rng)
+        u = VectorField(f, f)
+        for tol in (1e-8, 1e-10, 1e-8):
+            with pytest.raises(ValueError, match="not solenoidal"):
+                require_solenoidal(u, tol)
+        assert len(divergence_calls) == 1
 
     def test_mean_mode_kept_by_leray(self, grid64):
         V = VectorField.from_physical(grid64, np.full((64, 64), 1.5), np.full((64, 64), -0.5))
