@@ -60,7 +60,6 @@ from .evolution import (
     IntegrationConfig,
     StateSnapshot,
     ViscosityLaw,
-    energy_diagnostics,
     ns_integrate,
     transport_step,
 )
@@ -325,11 +324,11 @@ class ExperimentConfig:
     def viscosity_law(self) -> ViscosityLaw:
         return ViscosityLaw(self.viscosity, self.mu0, self.mu1)
 
-    def integration(self) -> IntegrationConfig:
-        """The integrator's settings: the viscosity law and every field that both configs declare."""
+    def integration(self, **options) -> IntegrationConfig:
+        """The integrator's settings: the viscosity law, every field both configs declare, and ``options``."""
         shared = {setting.name for setting in dataclasses.fields(IntegrationConfig)}
         values = {name: value for name, value in dataclasses.asdict(self).items() if name in shared}
-        return IntegrationConfig(visc=self.viscosity_law(), **values)
+        return IntegrationConfig(visc=self.viscosity_law(), **values, **options)
 
 
 def _format_value(value) -> str:
@@ -873,10 +872,10 @@ def _verify_elliptic(config: ExperimentConfig, args) -> _Outcome:
     return _ratio_outcome(report, bool(l2_ok), f"max ratio {report.max_ratio:.4e}, l2_ok={l2_ok}")
 
 
-def _integration(config: ExperimentConfig) -> IntegrationConfig:
+def _integration(config: ExperimentConfig, **options) -> IntegrationConfig:
     """The integrator settings, built before any work: one it rejects is a usage error."""
     try:
-        return config.integration()
+        return config.integration(**options)
     except ValueError as exc:
         raise _UsageError(f"invalid integration setting: {exc}") from exc
 
@@ -952,7 +951,7 @@ def _elliptic(config: ExperimentConfig, args) -> _Outcome:
 
 
 def _simulate(config: ExperimentConfig, args) -> _Outcome:
-    run = _integration(config)
+    run = _integration(config, energy=args.energy)
     if args.snapshot:
         loaded = load_snapshot(args.snapshot)
         a0, u0 = loaded.a, loaded.u
@@ -963,9 +962,9 @@ def _simulate(config: ExperimentConfig, args) -> _Outcome:
     diag.write_csv(outdir / "diagnostics.csv")
     for idx, state in enumerate(snapshots):
         save_snapshot(state, outdir / f"snapshot_{idx:06d}.bsns")
-    if args.energy and len(snapshots) >= 3 and config.viscosity == "constant":
-        energy = energy_diagnostics(snapshots, visc=config.viscosity_law())
-        energy.write_csv(outdir / "energy.csv")
+    if run.energy and len(snapshots) >= 3:  # in the diagnostics.csv layout, A and Z zero
+        zeros = (0.0,) * len(diag.times)
+        dataclasses.replace(diag, A=zeros, Z=zeros, extra=diag.energy).write_csv(outdir / "energy.csv")
     payload = {
         "check": "simulate",
         "stop_reason": diag.stop_reason,

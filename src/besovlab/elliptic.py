@@ -196,8 +196,10 @@ def solve_pressure(
     coefficient handle (`reused_factor`) reuses that solve's flux; any other
     forms its flux.  A non-finite forcing raises ``FloatingPointError``.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not tol > 0:  # also rejects NaN
+        raise ValueError(f"tolerance must be positive, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"iteration cap must be >= 1, got {max_iter}")
     require_floor(a)
     grid = a.grid
     if F.u1.grid != grid:

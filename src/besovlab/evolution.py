@@ -25,11 +25,9 @@ The integrator family:
 * :func:`ns_integrate` — Strang composition of the two steps with running
   diagnostics: Chemin-Lerner time-space norms (:class:`~besovlab.norms.RunningTimeNorm`)
   of ``a``, of the correction ``u - u_L`` (u_L the exact heat evolution of
-  the data), and of the pressure gradient, plus quadratic energies and
-  optional viscosity-tail monitors.
-* :func:`energy_diagnostics` — post-hoc energy balance of the correction
-  velocity against a heat reference launched at the first snapshot, valid
-  for constant viscosity.
+  the data), and of the pressure gradient, plus quadratic energies,
+  optional viscosity-tail monitors and, for constant viscosity, the optional
+  energy balance of the correction, sampled in the same pass.
 """
 
 from __future__ import annotations
@@ -68,7 +66,6 @@ __all__ = [
     "IntegrationConfig",
     "StateSnapshot",
     "ViscosityLaw",
-    "energy_diagnostics",
     "momentum_step",
     "ns_integrate",
     "transport_step",
@@ -236,7 +233,7 @@ class DiagnosticsSeries:
     gradient's L~1(B^{2/p-1}_{p,1}) norm, each a :class:`RunningTimeNorm`.
     ``E0``/``E1``/``E2`` are the density-weighted kinetic energy, the enstrophy
     of the correction, and the weighted energy of its time derivative.  Extra
-    named series (monitors, defects) ride along in ``extra``.
+    series (monitors) ride along in ``extra``, the energy balance's in ``energy``.
     """
 
     times: tuple[float, ...]
@@ -248,6 +245,7 @@ class DiagnosticsSeries:
     stop_reason: str = "completed"
     stop_cause: str | None = None
     extra: dict = field(default_factory=dict)
+    energy: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         k = len(self.times)
@@ -264,7 +262,7 @@ class DiagnosticsSeries:
                 drops = np.diff(arr) < -1e-12 * max(1.0, float(arr.max()))
                 if np.any(drops):
                     raise ValueError(f"cumulative series {name} must be nondecreasing")
-        for key, series in self.extra.items():
+        for key, series in (*self.extra.items(), *self.energy.items()):
             if len(series) != k:
                 raise ValueError(f"extra series {key!r} has {len(series)} entries for {k} times")
 
@@ -453,6 +451,17 @@ class IntegrationConfig:
     functional Z exceeds it; the large default effectively disables the stop.
     ``monitor_ms`` asks for the viscosity-tail smallness monitors
     (1+A)^3 |b - S_m b, lam - S_m lam| at those low-pass octaves.
+
+    ``energy`` samples the energy balance of the correction ubar = u - u_L
+    into :attr:`DiagnosticsSeries.energy`; it needs a constant viscosity mu.
+    The balance's residual is
+
+        energy_defect(t) = | d/dt E0 / 2 + mu E1 - energy_rhs |,
+
+    with d/dt a finite difference of the sampled E0 and ``energy_rhs`` the
+    integral of ubar . G, G the density-weighted interaction of u_L with itself
+    and with ubar.  ``convection_l2`` is the L2 norm of (u_L . grad) u_L, and
+    ``rho_min``/``rho_max`` the density range.
     """
 
     T: float
@@ -466,6 +475,7 @@ class IntegrationConfig:
     monitor_ms: tuple[int, ...] = ()
     pressure_tol: float = 1e-10
     pressure_max_iter: int = 500
+    energy: bool = False
 
     def __post_init__(self) -> None:
         if not (self.T > 0.0 and self.dt > 0.0 and self.dt <= self.T + 1e-15):
@@ -477,10 +487,16 @@ class IntegrationConfig:
             raise ValueError(f"unknown transport scheme {self.scheme!r}")
         if not 1.0 < self.p < 4.0:
             raise ValueError(f"exponent p must lie in (1, 4), got {self.p}")
-        if self.epsilon_budget <= 0.0:
-            raise ValueError("epsilon budget must be positive")
+        if not self.epsilon_budget > 0.0:  # negated comparisons here reject NaN too
+            raise ValueError(f"epsilon budget must be positive, got {self.epsilon_budget}")
         if self.snapshot_every < 1:
             raise ValueError("snapshot cadence must be >= 1")
+        if not self.pressure_tol > 0.0:
+            raise ValueError(f"pressure tolerance must be positive, got {self.pressure_tol}")
+        if self.pressure_max_iter < 1:
+            raise ValueError(f"pressure iteration cap must be >= 1, got {self.pressure_max_iter}")
+        if self.energy and self.visc.kind != "constant":
+            raise ValueError(f"the energy balance needs a constant viscosity law, not {self.visc.kind!r}")
 
     @property
     def steps(self) -> int:
@@ -550,6 +566,7 @@ def ns_integrate(
 
     series: dict[str, list[float]] = {name: [] for name in ("times", "A", "Z", "E0", "E1", "E2")}
     extra: dict[str, list[float]] = {"cfl": [], "uL_smooth_integral": []}
+    energy = {name: [] for name in ("energy_rhs", "convection_l2", "rho_min", "rho_max") if config.energy}
     prev_ubar: tuple[float, VectorField] | None = None
 
     def sample(st: StateSnapshot) -> float:
@@ -578,6 +595,15 @@ def ns_integrate(
         for m in config.monitor_ms:
             tail = sum(besov_norm(f - ladder.low_pass(f, m), spec_scalar)[0] for f in tail_fields)
             extra.setdefault(f"smallness_m{m}", []).append((1.0 + A_val) ** 3 * tail)
+        if config.energy:
+            rho_f = reused_factor(SpectralField.from_physical(grid, rho))
+            drive, conv_L = _vector_laplacian(u_L) * mu0, advect_vector(u_L, u_L)
+            # G = drive - rho (drive + (u_L . grad) u_L + (ubar . grad) u_L), one product per component
+            pull = drive + conv_L + advect_vector(ubar, u_L)
+            G = drive - VectorField(multiply(rho_f, pull.u1), multiply(rho_f, pull.u2))
+            rhs = float(np.sum(ubar.u1.values * G.u1.values + ubar.u2.values * G.u2.values)) * grid.cell_area
+            for name, value in zip(energy, (rhs, l2_norm(conv_L), float(rho.min()), float(rho.max()))):
+                energy[name].append(value)
         return Z_val
 
     trajectory: list[StateSnapshot] = []
@@ -599,92 +625,19 @@ def ns_integrate(
                 stop_reason = "budget_exceeded"
                 break
 
+    if config.energy:
+        t, E0, k = series["times"], series["E0"], len(series["times"])
+        ends = [(max(i - 1, 0), min(i + 1, k - 1)) for i in range(k)]
+        energy["energy_defect"] = [  # central difference inside, one-sided at the ends
+            abs(0.5 * ((E0[hi] - E0[lo]) / (t[hi] - t[lo]) if k > 1 else 0.0) + mu0 * E1 - rhs)
+            for (lo, hi), E1, rhs in zip(ends, series["E1"], energy["energy_rhs"])
+        ]
     diagnostics = DiagnosticsSeries(
         **{name: tuple(values) for name, values in series.items()},
         stop_reason=stop_reason,
         stop_cause=stop_cause,
         extra={k: tuple(v) for k, v in extra.items()},
+        energy={k: tuple(v) for k, v in energy.items()},
     )
     return trajectory, diagnostics
 
-
-# ---------------------------------------------------------------------------
-# energy bookkeeping
-# ---------------------------------------------------------------------------
-
-def energy_diagnostics(
-    trajectory: list[StateSnapshot],
-    *,
-    visc: ViscosityLaw,
-) -> DiagnosticsSeries:
-    """Energy balance of the correction velocity against a heat reference.
-
-    From the first snapshot a pure diffusion reference u_F evolves forward;
-    the correction ubar = u - u_F then satisfies an energy identity whose
-    residual is measured here by finite differences:
-
-        defect(t) = | d/dt E0 / 2 + mu E1 - int ubar . Gforce |
-
-    with Gforce collecting the density-weighted interaction of the reference
-    flow with itself and with the correction.  Only constant viscosity laws
-    are admitted.  Returned series: E0, E1, E2 plus the defect, the pointwise
-    density range, and the reference convection size in ``extra``.
-    """
-    if visc.kind != "constant":
-        raise ValueError("energy diagnostics require a constant viscosity law")
-    if not trajectory:
-        raise ValueError("empty trajectory")
-    mu = float(visc.mu_tilde(0.0))
-    base = trajectory[0]
-    grid = base.grid
-    area = grid.cell_area
-
-    series: dict[str, list[float]] = {
-        name: [] for name in ("E0", "E1", "E2", "energy_rhs", "convection_l2", "rho_min", "rho_max")
-    }
-    prev: tuple[float, VectorField] | None = None
-    for st in trajectory:
-        u_F = heat_propagate(base.u, mu, st.t - base.t)
-        ubar = st.u - u_F
-        rho = st.rho_values()
-        rho_f = reused_factor(SpectralField.from_physical(grid, rho))
-        drive = _vector_laplacian(u_F) * mu
-        conv_F = advect_vector(u_F, u_F)
-        # drive - rho (drive + (u_F . grad) u_F + (ubar . grad) u_F), one product per component
-        pull = drive + conv_F + advect_vector(ubar, u_F)
-        gforce = drive - VectorField(multiply(rho_f, pull.u1), multiply(rho_f, pull.u2))
-        values = (
-            _weighted_energy(rho, ubar),
-            _enstrophy(ubar),
-            _rate_energy(rho, st.t, ubar, prev),
-            float(np.sum(ubar.u1.values * gforce.u1.values
-                         + ubar.u2.values * gforce.u2.values)) * area,
-            l2_norm(conv_F),
-            float(rho.min()),
-            float(rho.max()),
-        )
-        prev = (st.t, ubar)
-        for name, value in zip(series, values):
-            series[name].append(value)
-
-    out = {name: tuple(values) for name, values in series.items()}
-    k = len(trajectory)
-    t_arr = np.array([s.t for s in trajectory])
-    e0_arr = np.array(out["E0"])
-    defect: list[float] = []
-    for i in range(k):
-        # central difference inside, one-sided at the ends
-        lo, hi = max(i - 1, 0), min(i + 1, k - 1)
-        de0 = (e0_arr[hi] - e0_arr[lo]) / (t_arr[hi] - t_arr[lo]) if k > 1 else 0.0
-        defect.append(abs(0.5 * de0 + mu * out["E1"][i] - out["energy_rhs"][i]))
-
-    zeros = tuple(0.0 for _ in range(k))
-    return DiagnosticsSeries(
-        times=tuple(float(t) for t in t_arr),
-        A=zeros,
-        Z=zeros,
-        E0=out.pop("E0"),
-        E1=out.pop("E1"),
-        E2=out.pop("E2"),
-        extra={"energy_defect": tuple(defect), **out},
-    )

@@ -29,11 +29,14 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 FLOW_SEEDS = (0, 1, 2, 3)
 SEEDS = (1, 7)  # of the lab and extra runs
 
-# Runs beyond the benchmark's: the remaining verbs, the presets, norm specs (two of them bad), a
-# run stopped by the CFL bound (its stop cause names the Courant number), one through the
-# split_m corrector with the affine law, and a heat check whose grid doubles twice to fit j.
+# Runs beyond the benchmark's: the remaining verbs, the presets, norm specs (two of them bad), the
+# energy balance at unit and at varying density and with a non-constant law, a run stopped by the
+# CFL bound (its stop cause names the Courant number), one through the split_m corrector with the
+# affine law, and a heat check whose grid doubles twice to fit j.
 EXTRA_ARGS = (
     ("simulate", "--energy"),
+    ("simulate", "--energy", "--amplitude-a", "0.2", "--snapshot-every", "2"),
+    ("simulate", "--energy", "--viscosity", "affine", "--mu1", "0.5"),
     ("simulate", "--n", "32", "--amplitude-u", "5", "--T", "0.1", "--dt", "0.02"),
     ("simulate", "--n", "32", "--split-m", "2", "--viscosity", "affine", "--mu1", "0.5", "--amplitude-a", "0.2"),
     ("simulate", "--initial", "taylor_green", "--scheme", "semi_lagrangian_monotone", "--n", "32"),

@@ -17,7 +17,6 @@ from besovlab.evolution import (
     IntegrationConfig,
     StateSnapshot,
     ViscosityLaw,
-    energy_diagnostics,
     momentum_step,
     ns_integrate,
     transport_step,
@@ -382,9 +381,9 @@ def test_11_small_data_run_fits_growth_envelope_with_bounded_energy():
 
     run = IntegrationConfig(
         T=2.0, dt=0.01, visc=ViscosityLaw("constant", 1.0), p=2.0,
-        scheme="spectral", snapshot_every=10,
+        scheme="spectral", snapshot_every=10, energy=True,
     )
-    trajectory, diag = ns_integrate(run, a0, u0)
+    _, diag = ns_integrate(run, a0, u0)
     assert diag.stop_reason == "completed"
 
     series = [
@@ -395,10 +394,9 @@ def test_11_small_data_run_fits_growth_envelope_with_bounded_energy():
     C, fit_defect = fit_growth_envelope(series)
     assert fit_defect <= 0.0  # no sample exceeds the fitted envelope
 
-    energy = energy_diagnostics(trajectory, visc=run.visc)
-    E0 = np.array(energy.E0)
-    E1 = np.array(energy.E1)
-    defect = np.array(energy.extra["energy_defect"])
+    E0 = np.array(diag.E0)
+    E1 = np.array(diag.E1)
+    defect = np.array(diag.energy["energy_defect"])
     assert np.all(np.isfinite(E0)) and np.all(np.isfinite(E1))
     assert E0.max() <= energy_init
     assert E1.max() <= 1.0

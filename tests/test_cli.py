@@ -707,6 +707,29 @@ class TestSimulateCommand:
         assert report["stop_cause"].startswith("step 1: pressure solve did not reach tol=1.0e-14")
         assert f"stopped: solver_failure (1 snapshots, t=0); {report['stop_cause']}" in out
 
+    def test_energy_balance_shares_the_run_series(self, tmp_path, capsys):
+        out = tmp_path / "energy"
+        argv = ["simulate", "--energy", "--n", "32", "--amplitude-a", "0.2", "--snapshot-every", "2"]
+        assert run_cli([*argv, "--out", str(out)]) == 0
+        capsys.readouterr()
+        diag = [row.split(",") for row in (out / "diagnostics.csv").read_text().splitlines()]
+        energy = [row.split(",") for row in (out / "energy.csv").read_text().splitlines()]
+        header = "t,A,Z,E0,E1,E2,convection_l2,energy_defect,energy_rhs,rho_max,rho_min"
+        assert ",".join(energy[0]) == header
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        assert f"`{header}`" in " ".join(readme.split())
+        assert len(energy) == len(diag) == 7
+        for d, e in zip(diag[1:], energy[1:]):
+            assert [e[0], *e[3:6]] == [d[0], *d[3:6]]  # t, E0, E1, E2
+            assert float(e[1]) == float(e[2]) == 0.0  # A and Z
+
+    def test_energy_balance_with_a_variable_law_is_usage_error(self, tmp_path, capsys):
+        argv = ["simulate", "--energy", "--n", "16", "--viscosity", "affine", "--mu1", "0.5"]
+        assert run_cli([*argv, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "usage error" in err and "constant viscosity law, not 'affine'" in err
+        assert not (tmp_path / "out" / "diagnostics.csv").exists()
+
     def test_floor_violation_mid_run_keeps_the_run(self, tmp_path, capsys, floor_breach):
         out = tmp_path / "floor"
         argv = [

@@ -1,5 +1,6 @@
 """Pressure-solver checks: dense oracle, invariants, and method agreement."""
 
+import math
 import re
 
 import numpy as np
@@ -404,6 +405,17 @@ class TestErrors:
         grid = make_grid(32)
         with pytest.raises(ValueError):
             solve_pressure(SpectralField.zero(grid), band_forcing(grid, 124), tol=0.0)
+
+    def test_nan_tolerance_rejected_at_entry(self):
+        grid = make_grid(32)
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            solve_pressure(bounded_coefficient(grid, 125), band_forcing(grid, 126), tol=math.nan)
+
+    @pytest.mark.parametrize("split_m", [None, 2])
+    def test_zero_iteration_cap_rejected_at_entry(self, split_m):
+        grid = make_grid(32)
+        with pytest.raises(ValueError, match="iteration cap"):
+            solve_pressure(bounded_coefficient(grid, 125), band_forcing(grid, 126), max_iter=0, split_m=split_m)
 
     def test_nonconvergence_raises(self):
         grid = make_grid(32)

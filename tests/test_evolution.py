@@ -17,7 +17,6 @@ from besovlab.evolution import (
     StateSnapshot,
     ViscosityLaw,
     cfl_number,
-    energy_diagnostics,
     momentum_step,
     ns_integrate,
     transport_step,
@@ -370,6 +369,20 @@ class TestIntegrationConfig:
         with pytest.raises(ValueError, match="cadence"):
             IntegrationConfig(T=1.0, dt=0.1, snapshot_every=0)
 
+    def test_nan_budget_rejected(self):
+        with pytest.raises(ValueError, match="budget"):
+            IntegrationConfig(T=0.04, dt=0.01, epsilon_budget=math.nan)
+
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-10])
+    def test_pressure_tolerance_must_be_positive(self, tol):
+        with pytest.raises(ValueError, match="pressure tolerance"):
+            IntegrationConfig(T=0.04, dt=0.01, pressure_tol=tol)
+
+    def test_pressure_iteration_cap_must_be_positive(self):
+        IntegrationConfig(T=0.04, dt=0.01, pressure_max_iter=1)
+        with pytest.raises(ValueError, match="iteration cap"):
+            IntegrationConfig(T=0.04, dt=0.01, pressure_max_iter=0)
+
 
 class TestNsIntegrate:
     def test_rest_data_stays_at_rest(self, grid32, rng):
@@ -683,41 +696,45 @@ class TestNsIntegrate:
 class TestEnergyDiagnostics:
     def test_pure_heat_correction_vanishes(self, grid64):
         u0, _ = taylor_green(grid64, 1.0, 0.0)
-        config = IntegrationConfig(T=0.04, dt=2e-3, snapshot_every=2)
-        traj, _ = ns_integrate(config, SpectralField.zero(grid64), u0)
-        diag = energy_diagnostics(traj, visc=config.visc)
+        config = IntegrationConfig(T=0.04, dt=2e-3, snapshot_every=2, energy=True)
+        _, diag = ns_integrate(config, SpectralField.zero(grid64), u0)
         assert max(diag.E0) <= 1e-18
-        assert max(diag.extra["energy_defect"]) <= 1e-10
-        assert all(c < 10.0 for c in diag.extra["convection_l2"])
+        assert max(diag.energy["energy_defect"]) <= 1e-10
+        assert all(c < 10.0 for c in diag.energy["convection_l2"])
 
     def test_unit_density_balance(self, grid32, rng):
         u0 = smooth_random_divfree(grid32, rng, k0=3.0) * 0.4
-        config = IntegrationConfig(T=0.03, dt=1e-3)
-        traj, _ = ns_integrate(config, SpectralField.zero(grid32), u0)
-        diag = energy_diagnostics(traj, visc=config.visc)
-        assert max(diag.extra["energy_defect"][1:-1]) <= 1e-4
+        config = IntegrationConfig(T=0.03, dt=1e-3, energy=True)
+        _, diag = ns_integrate(config, SpectralField.zero(grid32), u0)
+        assert max(diag.energy["energy_defect"][1:-1]) <= 1e-4
         assert diag.E2[1] > 0.0
 
     def test_density_range_bounds(self, grid32, rng):
         a0 = smooth_random_field(grid32, rng, k0=3.0, amplitude=0.35)
         u0 = smooth_random_divfree(grid32, rng, k0=3.0) * 0.2
-        config = IntegrationConfig(T=0.03, dt=0.01)
-        traj, _ = ns_integrate(config, a0, u0)
-        diag = energy_diagnostics(traj, visc=config.visc)
+        config = IntegrationConfig(T=0.03, dt=0.01, energy=True)
+        traj, diag = ns_integrate(config, a0, u0)
         kappa = traj[0].kappa
         amax = a0.linf()
         lo = (1.0 / (1.0 + amax)) * (1.0 - 1e-3)
         hi = (1.0 / kappa) * (1.0 + 1e-3)
-        assert min(diag.extra["rho_min"]) >= lo
-        assert max(diag.extra["rho_max"]) <= hi
+        assert min(diag.energy["rho_min"]) >= lo
+        assert max(diag.energy["rho_max"]) <= hi
 
-    def test_refuses_variable_viscosity(self, grid32):
-        traj = [
-            StateSnapshot(0.0, SpectralField.zero(grid32), VectorField.zero(grid32), VectorField.zero(grid32)),
-            StateSnapshot(0.1, SpectralField.zero(grid32), VectorField.zero(grid32), VectorField.zero(grid32)),
-        ]
-        with pytest.raises(ValueError, match="constant viscosity"):
-            energy_diagnostics(traj, visc=ViscosityLaw("affine", 1.0, 0.5))
+    def test_refuses_variable_viscosity(self):
+        with pytest.raises(ValueError, match="constant viscosity law, not 'affine'"):
+            IntegrationConfig(T=0.1, dt=0.1, visc=ViscosityLaw("affine", 1.0, 0.5), energy=True)
+
+    def test_off_by_default_and_out_of_the_csv(self, grid32, rng, tmp_path):
+        u0 = smooth_random_divfree(grid32, rng, k0=3.0) * 0.2
+        _, plain = ns_integrate(IntegrationConfig(T=0.02, dt=0.01), SpectralField.zero(grid32), u0)
+        _, diag = ns_integrate(IntegrationConfig(T=0.02, dt=0.01, energy=True), SpectralField.zero(grid32), u0)
+        assert plain.energy == {}
+        assert sorted(diag.energy) == ["convection_l2", "energy_defect", "energy_rhs", "rho_max", "rho_min"]
+        assert all(len(series) == len(diag.times) for series in diag.energy.values())
+        plain.write_csv(tmp_path / "plain.csv")
+        diag.write_csv(tmp_path / "energy.csv")
+        assert (tmp_path / "plain.csv").read_bytes() == (tmp_path / "energy.csv").read_bytes()
 
 
 class TestDiagnosticsSeries:
